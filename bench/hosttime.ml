@@ -1,12 +1,12 @@
 (* Host wall-clock harness.
 
-   The bechamel micro-benchmarks in [main.ml] track the cost of one tiny
-   experiment; this harness times *figure-sized* runs so that simulator
-   performance work (e.g. the O(max_threads) -> O(active) conflict-index
-   rewrite) is measured, not asserted.  Each target runs the same config the
-   figure sweeps use, at one thread count, and prints the host milliseconds
-   next to the simulated throughput, so a perf regression shows up as a
-   bigger [host_ms] for identical simulated numbers.
+   Times *figure-sized* runs so that simulator performance work (e.g. the
+   O(max_threads) -> O(active) conflict-index rewrite) is measured, not
+   asserted.  Each single target runs the config its figure sweeps use
+   (the [Figures] config builders), at one thread count, and prints the
+   host milliseconds next to the simulated throughput, so a perf
+   regression shows up as a bigger [host_ms] for identical simulated
+   numbers.
 
    Usage:
      dune exec bench/hosttime.exe -- [--threads N] [--duration D] [--seed S]
@@ -21,12 +21,12 @@
    to 10^6 live objects at a fixed short duration), timing the chunked
    heap and line tables at scale.
 
-   Sweep targets time the *whole figure sweep* (every thread point x every
-   scheme column of the figure, Full thread grid at [--duration]) through
-   the domain pool at [--jobs], so the parallel driver's host wall-clock
-   speedup is measured, not asserted: run the same sweep with --jobs 1 and
-   --jobs N and compare.  Targets: sweep-fig1-list sweep-fig1-skiplist
-   sweep-fig2-queue sweep-fig2-hash sweep-all. *)
+   Sweep targets time the *whole figure sweep* (every point of a registry
+   figure at Full speed, at [--duration]) through the domain pool at
+   [--jobs], so the parallel driver's host wall-clock speedup is measured,
+   not asserted: run the same sweep with --jobs 1 and --jobs N and
+   compare.  Targets: sweep-FIGURE for any [Figures.registry] name, and
+   sweep-all (the four fig1/fig2 throughput sweeps). *)
 
 open St_harness
 
@@ -55,8 +55,9 @@ let spec =
     ("--repeat", Arg.Set_int repeat, "R  Repetitions per target (default 1)");
     ( "--scheme",
       Arg.Set_string scheme_arg,
-      "NAME  original|hazards|epoch|stacktrack|dta|refcount|immediate|debra|\
-       debra+|hazard-eras (default stacktrack)" );
+      "NAME  "
+      ^ String.concat "|" (List.map fst Experiment.scheme_aliases)
+      ^ " (default stacktrack)" );
     ( "--jobs",
       Arg.Set_int jobs,
       "J  Domain-pool size for sweep-* targets (default 1 = sequential; 0 = \
@@ -75,60 +76,35 @@ let spec =
        \"unknown\")" );
   ]
 
-let scheme_of_name = function
-  | "original" | "none" -> Experiment.Original
-  | "hazards" | "hp" -> Experiment.Hazards
-  | "epoch" -> Experiment.Epoch
-  | "stacktrack" | "st" -> Experiment.stacktrack_default
-  | "dta" -> Experiment.Dta
-  | "refcount" -> Experiment.Refcount_s
-  | "immediate" -> Experiment.Immediate_unsafe
-  | "debra" -> Experiment.Debra
-  | "debra+" | "debra-plus" -> Experiment.Debra_plus
-  | "hazard-eras" | "he" -> Experiment.Hazard_eras
-  | s ->
-      Printf.eprintf "hosttime: unknown scheme %S\n" s;
+let scheme () =
+  match Experiment.scheme_of_string !scheme_arg with
+  | Ok scheme -> scheme
+  | Error e ->
+      Printf.eprintf "hosttime: %s\n" e;
       exit 2
 
-let base_config target =
+let single_config target =
   let open Experiment in
-  let base =
+  let override cfg =
     {
-      default_config with
+      cfg with
       threads = !threads;
       duration = !duration;
       seed = !seed;
-      scheme = scheme_of_name !scheme_arg;
-      mutation_pct = 20;
+      scheme = scheme ();
     }
   in
+  let st = Stacktrack.St_config.default in
   match target with
-  | "fig1-list" ->
-      Some { base with structure = List_s; key_range = 1024; init_size = 512 }
-  | "fig1-skiplist" ->
-      Some
-        { base with structure = Skiplist_s; key_range = 8192; init_size = 4096 }
-  | "fig2-queue" ->
-      Some { base with structure = Queue_s; key_range = 1024; init_size = 64 }
-  | "fig2-hash" ->
-      Some
-        {
-          base with
-          structure = Hash_s;
-          key_range = 4096;
-          init_size = 2048;
-          n_buckets = 512;
-        }
+  | "fig1-list" -> Some (override (Figures.list_config Figures.Full))
+  | "fig1-skiplist" -> Some (override (Figures.skiplist_config Figures.Full))
+  | "fig2-queue" -> Some (override (Figures.queue_config Figures.Full))
+  | "fig2-hash" -> Some (override (Figures.hash_config Figures.Full))
   | "fig5-slowpath" ->
       Some
         {
-          base with
-          structure = Skiplist_s;
-          key_range = 8192;
-          init_size = 4096;
-          scheme =
-            Stacktrack_s
-              { Stacktrack.St_config.default with forced_slow_pct = 50 };
+          (override (Figures.skiplist_config Figures.Full)) with
+          scheme = Stacktrack_s { st with forced_slow_pct = 50 };
         }
   | "scale-list" ->
       (* Million-object slice: the hash structure raw-populated to the
@@ -138,14 +114,16 @@ let base_config target =
          magnitude beyond fig1-list; population cost (one claim per
          object) is part of the measurement.  [duration] is fixed rather
          than [--duration]: host time here should scale with the object
-         count, not the figure-length virtual run. *)
+         count, not the figure-length virtual run.  Unlike the fig-scale
+         points it runs at [--threads] with the lifecycle ledger off. *)
       Some
         {
-          base with
+          (override default_config) with
           structure = Hash_s;
           key_range = 2_000_000;
           init_size = 1_000_000;
           n_buckets = 250_000;
+          mutation_pct = 20;
           duration = 150_000;
         }
   | "scan-list" ->
@@ -155,35 +133,28 @@ let base_config target =
          per-access engine path that fig1-list is dominated by. *)
       Some
         {
-          base with
-          structure = List_s;
-          key_range = 1024;
-          init_size = 512;
-          scheme = Stacktrack_s { Stacktrack.St_config.default with max_free = 1 };
+          (override (Figures.list_config Figures.Full)) with
+          scheme = Stacktrack_s { st with max_free = 1 };
         }
   | _ -> None
 
-(* Every point of a figure's Full sweep: thread grid x scheme columns,
-   enumerated exactly as Figures does, at the configured duration/seed. *)
+(* Every point of a registry figure's Full sweep, in the figure's own
+   enumeration order, at the configured duration/seed. *)
 let sweep_configs target =
-  let open Experiment in
-  let sweep base schemes =
-    let base = { base with duration = !duration; seed = !seed } in
-    Some
-      (List.concat_map
-         (fun t -> List.map (fun scheme -> { base with scheme; threads = t }) schemes)
-         (Figures.thread_points Figures.Full))
-  in
-  match target with
-  | "sweep-fig1-list" ->
-      sweep (Figures.list_config Figures.Full) (Figures.set_schemes @ [ Dta ])
-  | "sweep-fig1-skiplist" ->
-      sweep (Figures.skiplist_config Figures.Full) Figures.set_schemes
-  | "sweep-fig2-queue" ->
-      sweep (Figures.queue_config Figures.Full) Figures.set_schemes
-  | "sweep-fig2-hash" ->
-      sweep (Figures.hash_config Figures.Full) Figures.set_schemes
-  | _ -> None
+  let prefix = "sweep-" in
+  let n = String.length prefix in
+  if not (String.starts_with ~prefix target) then None
+  else
+    Option.map
+      (fun (fig : Figures.figure) ->
+        List.concat_map
+          (fun (_, cfgs) ->
+            List.map
+              (fun cfg ->
+                { cfg with Experiment.duration = !duration; seed = !seed })
+              cfgs)
+          (fig.configs Figures.Full))
+      (Figures.find (String.sub target n (String.length target - n)))
 
 (* Immediate(unsafe) exists to demonstrate use-after-free: shadow
    violations are its expected output, not a harness failure. *)
@@ -212,7 +183,7 @@ let run_sweep target cfgs =
   (target, !best)
 
 let run_single target =
-  match base_config target with
+  match single_config target with
   | None ->
       Printf.eprintf "hosttime: unknown target %S\n" target;
       exit 2

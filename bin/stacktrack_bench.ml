@@ -17,27 +17,6 @@ let structure_conv =
   let print ppf s = Format.fprintf ppf "%s" (Experiment.structure_name s) in
   Arg.conv (parse, print)
 
-let scheme_of_string ~forced_slow ~max_free ~hash_scan = function
-  | "original" | "none" -> Ok Experiment.Original
-  | "hazards" | "hp" -> Ok Experiment.Hazards
-  | "epoch" -> Ok Experiment.Epoch
-  | "stacktrack" | "st" ->
-      Ok
-        (Experiment.Stacktrack_s
-           {
-             Stacktrack.St_config.default with
-             forced_slow_pct = forced_slow;
-             max_free;
-             hash_scan;
-           })
-  | "dta" -> Ok Experiment.Dta
-  | "refcount" | "rc" -> Ok Experiment.Refcount_s
-  | "immediate" -> Ok Experiment.Immediate_unsafe
-  | "debra" -> Ok Experiment.Debra
-  | "debra+" | "debra-plus" -> Ok Experiment.Debra_plus
-  | "he" | "hazard-eras" | "ibr" -> Ok Experiment.Hazard_eras
-  | s -> Error (Printf.sprintf "unknown scheme %S" s)
-
 let print_result (r : Experiment.result) =
   let open Format in
   Report.run_line r;
@@ -200,8 +179,9 @@ let run_cmd =
       value & opt string "stacktrack"
       & info [ "scheme"; "s" ] ~docv:"SCHEME"
           ~doc:
-            "Reclamation scheme: original, hazards, epoch, stacktrack, dta, \
-             refcount, immediate, debra, debra+, hazard-eras.")
+            ("Reclamation scheme: "
+            ^ String.concat ", " (List.map fst Experiment.scheme_aliases)
+            ^ "."))
   in
   let threads =
     Arg.(value & opt int 8 & info [ "threads"; "t" ] ~doc:"Worker threads.")
@@ -336,11 +316,18 @@ let run_cmd =
   let run structure scheme threads duration keys init mutations seed buckets
       forced_slow max_free hash_scan crash zipf json trace_out trace_capacity
       metrics_interval profile flame_out lifecycle forensics =
-    match scheme_of_string ~forced_slow ~max_free ~hash_scan scheme with
+    match Experiment.scheme_of_string scheme with
     | Error e ->
         prerr_endline e;
         exit 2
     | Ok scheme ->
+        let scheme =
+          match scheme with
+          | Experiment.Stacktrack_s st ->
+              Experiment.Stacktrack_s
+                { st with forced_slow_pct = forced_slow; max_free; hash_scan }
+          | scheme -> scheme
+        in
         (* Fail on an unwritable trace path before burning the run. *)
         (match trace_out with
         | Some file -> (
@@ -415,20 +402,31 @@ let run_cmd =
       $ flame_out $ lifecycle $ forensics)
 
 let figures_cmd =
+  let is_ablation (f : Figures.figure) =
+    String.starts_with ~prefix:"ablation-" f.name
+  in
   let names =
+    let targets =
+      List.map (fun (f : Figures.figure) -> f.name) Figures.registry
+      @ [ "ablations"; "all" ]
+    in
     Arg.(
-      value & pos_all string [ "all" ]
+      value
+      & pos_all (enum (List.map (fun n -> (n, n)) targets)) [ "all" ]
       & info [] ~docv:"FIGURE"
           ~doc:
-            "Figures to reproduce: fig1-list fig1-skiplist fig2-queue \
-             fig2-hash fig3-aborts fig4-splits fig5-slowpath scan-behavior \
-             ablations crash robustness latency memory stm fig-scale all.")
+            ("Figures to reproduce: " ^ String.concat " " targets
+           ^ ".  $(b,ablations) selects every ablation-* figure, $(b,all) \
+              every figure; figures run in registry order."))
   in
   let quick =
     Arg.(value & flag & info [ "quick" ] ~doc:"Coarser sweeps, shorter runs.")
   in
   let verbose =
-    Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Per-run detail lines.")
+    Arg.(
+      value & flag
+      & info [ "verbose"; "v" ]
+          ~doc:"Per-run detail lines (and per-run host wall-clock on stderr).")
   in
   let jobs =
     Arg.(
@@ -441,64 +439,92 @@ let figures_cmd =
              seed-deterministic and reports consume results in submission \
              order.")
   in
+  let json_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "json-out" ] ~docv:"FILE"
+          ~doc:
+            "Also write every run's result of the selected figures, in \
+             report order, to $(docv) as one deterministic JSON list.")
+  in
+  let profile =
+    Arg.(
+      value & flag
+      & info [ "profile" ]
+          ~doc:
+            "Run every point with the cycle-attribution profiler and \
+             contention heatmap on (pure bookkeeping: the printed figures \
+             are unchanged; the data lands in --json-out and --flame-out).")
+  in
+  let flame_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "flame-out" ] ~docv:"FILE"
+          ~doc:
+            "Write the profiles of every run as collapsed stacks to $(docv). \
+             Implies --profile.")
+  in
   let lifecycle =
     Arg.(
       value & flag
       & info [ "lifecycle" ]
           ~doc:
-            "Run the thread sweeps (fig1/fig2) and the memory profile with \
-             the lifecycle ledger + watchdog on, appending per-scheme \
-             reclamation-health notes (limbo peaks, retire-to-free lag, \
-             stagnation incidents) to each report.")
+            "Run every point with the lifecycle ledger + watchdog on; the \
+             thread sweeps (fig1/fig2) and the memory profile append \
+             per-scheme reclamation-health notes (limbo peaks, \
+             retire-to-free lag, stagnation incidents).  Adds a sampler \
+             thread, so the schedule differs from an unflagged run.")
   in
   let forensics =
     Arg.(
       value & flag
       & info [ "forensics" ]
           ~doc:
-            "Run the split-predictor figure (fig4-splits) with the \
-             abort-forensics ledger on, appending per-point notes \
+            "Run every point with the abort-forensics ledger on; the \
+             split-predictor figure (fig4-splits) appends per-point notes \
              (segments tracked, predictor limit changes, final limit \
-             range) under the table.")
+             range).  Pure bookkeeping: the runs are unchanged.")
   in
-  let run names quick verbose jobs lifecycle forensics =
+  let run names quick verbose jobs json_out profile flame_out lifecycle
+      forensics =
     if jobs < 0 then begin
       prerr_endline "stacktrack_bench: --jobs must be >= 0";
       exit 2
     end;
     let speed = if quick then Figures.Quick else Figures.Full in
-    let want t = List.mem t names || List.mem "all" names in
-    if want "fig1-list" then
-      ignore (Figures.fig1_list ~verbose ~jobs ~lifecycle ~speed ());
-    if want "fig1-skiplist" then
-      ignore (Figures.fig1_skiplist ~verbose ~jobs ~lifecycle ~speed ());
-    if want "fig2-queue" then
-      ignore (Figures.fig2_queue ~verbose ~jobs ~lifecycle ~speed ());
-    if want "fig2-hash" then
-      ignore (Figures.fig2_hash ~verbose ~jobs ~lifecycle ~speed ());
-    if want "fig3-aborts" then ignore (Figures.fig3_aborts ~verbose ~jobs ~speed ());
-    if want "fig4-splits" then
-      ignore (Figures.fig4_splits ~verbose ~jobs ~forensics ~speed ());
-    if want "fig5-slowpath" then
-      ignore (Figures.fig5_slowpath ~verbose ~jobs ~speed ());
-    if want "scan-behavior" then
-      ignore (Figures.scan_behavior ~verbose ~jobs ~speed ());
-    if want "ablations" then begin
-      ignore (Figures.ablation_predictor ~verbose ~jobs ~speed ());
-      ignore (Figures.ablation_scan ~verbose ~jobs ~speed ());
-      ignore (Figures.ablation_contention ~verbose ~jobs ~speed ())
-    end;
-    if want "crash" then ignore (Figures.crash_resilience ~verbose ~jobs ~speed ());
-    if want "robustness" then ignore (Figures.robustness ~verbose ~jobs ~speed ());
-    if want "latency" then ignore (Figures.latency_profile ~verbose ~jobs ~speed ());
-    if want "memory" then
-      ignore (Figures.memory_profile ~verbose ~jobs ~lifecycle ~speed ());
-    if want "stm" then ignore (Figures.stm_vs_htm ~verbose ~jobs ~speed ());
-    if want "fig-scale" then ignore (Figures.fig_scale ~verbose ~jobs ~speed ())
+    let want (f : Figures.figure) =
+      List.mem "all" names || List.mem f.name names
+      || (List.mem "ablations" names && is_ablation f)
+    in
+    let profile = profile || flame_out <> None in
+    let results =
+      List.concat_map
+        (fun f ->
+          List.concat_map snd
+            (Figures.run ~verbose ~jobs ~profile ~lifecycle ~forensics ~speed f))
+        (List.filter want Figures.registry)
+    in
+    (* Artifact paths go to stderr, so stdout stays byte-identical across
+       output filenames. *)
+    Option.iter
+      (fun file ->
+        Json_out.write_file file
+          (Json_out.List (List.map Result_json.encode results));
+        Format.eprintf "json: %s (%d results)@." file (List.length results))
+      json_out;
+    Option.iter
+      (fun file ->
+        Result_json.write_flame_file file results;
+        Format.eprintf "flame: %s (%d results)@." file (List.length results))
+      flame_out
   in
   Cmd.v
     (Cmd.info "figures" ~doc:"Reproduce the paper's figures.")
-    Term.(const run $ names $ quick $ verbose $ jobs $ lifecycle $ forensics)
+    Term.(
+      const run $ names $ quick $ verbose $ jobs $ json_out $ profile
+      $ flame_out $ lifecycle $ forensics)
 
 let main =
   Cmd.group

@@ -41,6 +41,35 @@ let scheme_name = function
   | Debra_plus -> "DEBRA+"
   | Hazard_eras -> "HazardEras"
 
+let scheme_aliases =
+  [
+    ("original", Original);
+    ("none", Original);
+    ("hazards", Hazards);
+    ("hp", Hazards);
+    ("epoch", Epoch);
+    ("stacktrack", stacktrack_default);
+    ("st", stacktrack_default);
+    ("dta", Dta);
+    ("refcount", Refcount_s);
+    ("rc", Refcount_s);
+    ("immediate", Immediate_unsafe);
+    ("debra", Debra);
+    ("debra+", Debra_plus);
+    ("debra-plus", Debra_plus);
+    ("hazard-eras", Hazard_eras);
+    ("he", Hazard_eras);
+    ("ibr", Hazard_eras);
+  ]
+
+let scheme_of_string s =
+  match List.assoc_opt s scheme_aliases with
+  | Some kind -> Ok kind
+  | None ->
+      Error
+        (Printf.sprintf "unknown scheme %S (known: %s)" s
+           (String.concat ", " (List.map fst scheme_aliases)))
+
 type config = {
   structure : structure;
   scheme : scheme_kind;

@@ -29,6 +29,16 @@ val stacktrack_default : scheme_kind
 
 val scheme_name : scheme_kind -> string
 
+val scheme_aliases : (string * scheme_kind) list
+(** Command-line scheme names, each kind's canonical name first
+    ([original], [hazards], [epoch], [stacktrack], [dta], [refcount],
+    [immediate], [debra], [debra+], [hazard-eras]), followed by its
+    aliases.  [stacktrack] is {!stacktrack_default}. *)
+
+val scheme_of_string : string -> (scheme_kind, string) result
+(** Look a name up in {!scheme_aliases}; [Error] names the unknown input
+    and lists the known names. *)
+
 type config = {
   structure : structure;
   scheme : scheme_kind;

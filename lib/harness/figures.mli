@@ -1,134 +1,71 @@
-(** One entry point per table/figure of the paper's evaluation (§6).
+(** The paper's evaluation (§6: Figures 1–5, the scan-behaviour study, the
+    ablations and the extensions) as data.
 
-    Every figure runs in three phases: enumerate a pure list of
-    configurations, execute them (concurrently when [jobs > 1], on a
-    {!Pool} of domains), then report from the ordered results — so the
-    printed tables/CSV and any JSON export are byte-identical for every
-    [jobs] value.  [jobs] defaults to [1] (in-domain, no parallelism);
-    [0] means [Domain.recommended_domain_count ()]. *)
+    Each figure is one {!figure} value in {!registry}: the configurations
+    it runs, keyed by row, and the tables and notes it prints from their
+    results.  One driver, {!run}, runs any of them: it enumerates the
+    configs, executes them (concurrently when [jobs > 1], on a {!Pool} of
+    domains), checks that no run saw a shadow-checker violation, then
+    prints each table (heading, aligned series, optional CSV block) and
+    the figure's notes from the ordered results — so the printed output
+    and any JSON export are byte-identical for every [jobs] value. *)
 
 type speed = Quick | Full
 
-val thread_points : speed -> int list
-(** X axis of the thread sweeps (7 points quick, 1..16 full). *)
-
-val duration : speed -> int
-(** Virtual cycles per thread (400K quick, 1.5M full). *)
-
 (** Base configurations of the four workload families, scaled as described
-    in EXPERIMENTS.md.  Exposed for external drivers (hosttime sweeps). *)
+    in EXPERIMENTS.md.  Exposed for external drivers (hosttime). *)
 
 val list_config : speed -> Experiment.config
 val skiplist_config : speed -> Experiment.config
 val queue_config : speed -> Experiment.config
 val hash_config : speed -> Experiment.config
 
-val set_schemes : Experiment.scheme_kind list
-(** Original, Hazards, Epoch, StackTrack — the scheme columns shared by the
-    set-structure figures. *)
+type rows = (int * Experiment.result list) list
+(** A figure's results: one entry per row, keyed by its x value (thread
+    count, live-object count...), results in column order. *)
 
-val throughput_sweep :
+type table = {
+  title : string;
+  subtitle : string;
+  x_label : string;
+  columns : string list;  (** [[]]: print the heading only. *)
+  csv : (string * string list) option;
+      (** CSV block name and its column names, if the table has one. *)
+  cells : rows -> (int * float list) list;
+      (** The table's rows: usually one per figure row; a time series
+          transposes its one row of per-scheme sample lists. *)
+}
+
+type figure = {
+  name : string;  (** The CLI target, e.g. ["fig1-list"]. *)
+  configs : speed -> (int * Experiment.config list) list;
+      (** Rows keyed by x, one config per column, in report order. *)
+  tables : table list;
+  notes : rows -> unit;
+      (** Printed after the tables.  Notes that summarise an optional
+          ledger (lifecycle, forensics) print only when the results carry
+          it, so unflagged output is unchanged. *)
+}
+
+val registry : figure list
+(** Every figure, in the order [all] runs them.  Names are unique; the
+    three ablations are the entries named [ablation-*]. *)
+
+val find : string -> figure option
+
+val run :
   ?verbose:bool ->
   ?jobs:int ->
   ?profile:bool ->
   ?lifecycle:bool ->
+  ?forensics:bool ->
   speed:speed ->
-  base:Experiment.config ->
-  schemes:Experiment.scheme_kind list ->
-  unit ->
-  (int * Experiment.result list) list
-(** Threads x schemes sweep; rows keyed by thread count, results in scheme
-    order.  Asserts zero shadow-checker violations per point.  [profile]
-    turns on the cycle-attribution profiler and contention heatmap for
-    every point; [lifecycle] the memory-lifecycle ledger + watchdog (both
-    off by default; see {!Experiment.config}).  The fig1/fig2 wrappers
-    append one reclamation-health note per scheme when [lifecycle] is
-    set. *)
-
-val fig1_list :
-  ?verbose:bool -> ?jobs:int -> ?profile:bool -> ?lifecycle:bool ->
-  speed:speed -> unit -> (int * Experiment.result list) list
-
-val fig1_skiplist :
-  ?verbose:bool -> ?jobs:int -> ?profile:bool -> ?lifecycle:bool ->
-  speed:speed -> unit -> (int * Experiment.result list) list
-
-val fig2_queue :
-  ?verbose:bool -> ?jobs:int -> ?profile:bool -> ?lifecycle:bool ->
-  speed:speed -> unit -> (int * Experiment.result list) list
-
-val fig2_hash :
-  ?verbose:bool -> ?jobs:int -> ?profile:bool -> ?lifecycle:bool ->
-  speed:speed -> unit -> (int * Experiment.result list) list
-
-val fig3_aborts :
-  ?verbose:bool -> ?jobs:int -> speed:speed -> unit -> (int * float list) list
-
-val fig4_splits :
-  ?verbose:bool -> ?jobs:int -> ?forensics:bool -> speed:speed -> unit ->
-  (int * float list) list
-(** With [forensics], each sweep point runs with the abort-forensics
-    ledger on and appends a per-thread-count note (segments tracked,
-    predictor limit changes, final limit range) under the table. *)
-
-val fig5_slowpath :
-  ?verbose:bool -> ?jobs:int -> speed:speed -> unit -> (int * float list) list
-
-val scan_behavior :
-  ?verbose:bool -> ?jobs:int -> speed:speed -> unit -> (int * float list) list
-
-val latency_profile :
-  ?verbose:bool -> ?jobs:int -> speed:speed -> unit ->
-  (Experiment.scheme_kind * Latency.t) list
-
-val stm_vs_htm :
-  ?verbose:bool -> ?jobs:int -> speed:speed -> unit -> (int * float list) list
-
-val memory_profile :
-  ?verbose:bool -> ?jobs:int -> ?profile:bool -> ?lifecycle:bool ->
-  speed:speed -> unit -> (Experiment.scheme_kind * Experiment.result) list
-
-val ablation_predictor :
-  ?verbose:bool -> ?jobs:int -> speed:speed -> unit -> (int * float list) list
-
-val ablation_contention :
-  ?verbose:bool -> ?jobs:int -> speed:speed -> unit ->
-  (string * Experiment.result) list
-
-val ablation_scan :
-  ?verbose:bool -> ?jobs:int -> speed:speed -> unit -> (int * float list) list
-
-val crash_resilience :
-  ?verbose:bool -> ?jobs:int -> speed:speed -> unit ->
-  (string * int * int * int) list
-(** (scheme, frees, live-at-end, violations) per scheme. *)
-
-val robustness_schemes : Experiment.scheme_kind list
-(** Epoch, DEBRA, DEBRA+, HazardEras, StackTrack — the columns of the
-    stalled-thread robustness figure. *)
-
-val robustness :
-  ?verbose:bool -> ?jobs:int -> speed:speed -> unit ->
-  (Experiment.scheme_kind * Experiment.result) list
-(** Stalled-thread robustness: thread 0 crashes mid-operation at 25% of
-    the run with the lifecycle ledger on; prints the per-scheme limbo
-    backlog time series (+ CSV) and one watchdog/extras note per scheme.
-    Epoch and DEBRA stagnate (unbounded backlog, ongoing incident),
-    DEBRA+ recovers via neutralization, Hazard Eras and StackTrack stay
-    bounded. *)
-
-val scale_points : speed -> int list
-(** Live-object counts of the scale ramp (up to 10^6 in Full). *)
-
-val scale_schemes : Experiment.scheme_kind list
-(** Epoch, Hazards, DEBRA, StackTrack — the scale-sweep columns. *)
-
-val fig_scale :
-  ?verbose:bool -> ?jobs:int -> speed:speed -> unit ->
-  (int * Experiment.result list) list
-(** Memory-proportionality proof: raw-populates a hash table to 10^4 →
-    10^6+ live objects per scheme (lifecycle ledger on) and prints
-    throughput plus the resident backing-store footprint of the chunked
-    heap and line tables, with a per-scheme limbo note at the largest
-    point.  Host wall-clock per point goes to stderr so stdout stays
-    byte-identical across runs and [--jobs] values. *)
+  figure ->
+  rows
+(** Run and print one figure.  [profile], [lifecycle] and [forensics] are
+    ORed into every config (a figure that forces a ledger on keeps it; see
+    {!Experiment.config} for what each costs).  [verbose] adds one
+    {!Report.run_line} per run on stdout and its host wall-clock on
+    stderr.  [jobs] defaults to [1] (in-domain); [0] means
+    [Domain.recommended_domain_count ()].  Fails if any run reports a
+    shadow-checker violation. *)

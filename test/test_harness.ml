@@ -243,23 +243,92 @@ let test_structures_all_run () =
       checki "no violations" 0 r.Experiment.violations)
     [ Experiment.List_s; Experiment.Skiplist_s; Experiment.Queue_s; Experiment.Hash_s ]
 
+(* ------------------------------------------------------------------ *)
+(* Scheme names                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let test_scheme_parser () =
+  let open Experiment in
+  let expected =
+    [
+      ("original", Original);
+      ("none", Original);
+      ("hazards", Hazards);
+      ("hp", Hazards);
+      ("epoch", Epoch);
+      ("stacktrack", stacktrack_default);
+      ("st", stacktrack_default);
+      ("dta", Dta);
+      ("refcount", Refcount_s);
+      ("rc", Refcount_s);
+      ("immediate", Immediate_unsafe);
+      ("debra", Debra);
+      ("debra+", Debra_plus);
+      ("debra-plus", Debra_plus);
+      ("hazard-eras", Hazard_eras);
+      ("he", Hazard_eras);
+      ("ibr", Hazard_eras);
+    ]
+  in
+  List.iter
+    (fun (name, kind) ->
+      checkb (name ^ " parses") true (scheme_of_string name = Ok kind))
+    expected;
+  (* Every kind has a canonical name that parses back; the match below
+     stops compiling when a kind is added without listing it here. *)
+  let kinds =
+    [
+      Original; Hazards; Epoch; stacktrack_default; Dta; Refcount_s;
+      Immediate_unsafe; Debra; Debra_plus; Hazard_eras;
+    ]
+  in
+  List.iter
+    (fun kind ->
+      (match kind with
+      | Original | Hazards | Epoch | Stacktrack_s _ | Dta | Refcount_s
+      | Immediate_unsafe | Debra | Debra_plus | Hazard_eras ->
+          ());
+      match List.find_opt (fun (_, k) -> k = kind) scheme_aliases with
+      | None -> Alcotest.failf "%s has no command-line name" (scheme_name kind)
+      | Some (name, _) ->
+          checkb (name ^ " round-trips") true (scheme_of_string name = Ok kind))
+    kinds;
+  List.iter
+    (fun bad ->
+      checkb (bad ^ " rejected") true (Result.is_error (scheme_of_string bad)))
+    [ "leak"; ""; "StackTrack"; "hazard_eras" ]
+
+(* ------------------------------------------------------------------ *)
+(* Figures through the registry driver                                 *)
+(* ------------------------------------------------------------------ *)
+
+let run_quick name =
+  match Figures.find name with
+  | Some fig -> (fig, Figures.run ~speed:Figures.Quick fig)
+  | None -> Alcotest.failf "no figure %S in the registry" name
+
+let first_table (fig : Figures.figure) rows =
+  match fig.Figures.tables with
+  | t :: _ -> t.Figures.cells rows
+  | [] -> Alcotest.failf "figure %s has no table" fig.Figures.name
+
 let test_memory_profile_smoke () =
   (* The epoch curve must end higher than it starts (leak after crash);
      the non-blocking schemes must not. *)
-  let rows = Figures.memory_profile ~speed:Figures.Quick () in
+  let _, rows = run_quick "memory" in
   List.iter
-    (fun (scheme, (r : Experiment.result)) ->
+    (fun (r : Experiment.result) ->
       match (r.Experiment.live_samples, List.rev r.Experiment.live_samples) with
       | (_, first) :: _, (_, last) :: _ -> (
-          match scheme with
+          match r.Experiment.cfg.Experiment.scheme with
           | Experiment.Epoch ->
               checkb "epoch leaks after crash" true (last > first + 20)
           | _ -> checkb "non-blocking stays bounded" true (last < first + 60))
       | _ -> Alcotest.fail "no samples")
-    rows
+    (List.concat_map snd rows)
 
 let test_stm_figure_smoke () =
-  let rows = Figures.stm_vs_htm ~speed:Figures.Quick () in
+  let fig, rows = run_quick "stm" in
   List.iter
     (fun (_, values) ->
       match values with
@@ -267,12 +336,13 @@ let test_stm_figure_smoke () =
           checkb "htm faster than stm" true (htm > stm);
           checkb "ratio sane" true (pct > 5. && pct < 95.)
       | _ -> Alcotest.fail "row shape")
-    rows
+    (first_table fig rows)
 
 (* One figure preset end-to-end (tiny thread set via Quick). *)
 let test_figure_smoke () =
-  let rows = Figures.fig4_splits ~speed:Figures.Quick () in
-  checkb "rows produced" true (List.length rows >= 5);
+  let fig, rows = run_quick "fig4-splits" in
+  let table = first_table fig rows in
+  checkb "rows produced" true (List.length table >= 5);
   List.iter
     (fun (_, values) ->
       match values with
@@ -280,7 +350,7 @@ let test_figure_smoke () =
           checkb "splits positive" true (splits > 0.);
           checkb "length in range" true (len > 0. && len <= 400.)
       | _ -> Alcotest.fail "unexpected row shape")
-    rows
+    table
 
 let () =
   Alcotest.run "st_harness"
@@ -312,6 +382,7 @@ let () =
           Alcotest.test_case "zipf" `Quick test_zipf_dist;
           Alcotest.test_case "crash injection" `Quick test_crash_injection_runs;
           Alcotest.test_case "all structures" `Quick test_structures_all_run;
+          Alcotest.test_case "scheme parser" `Quick test_scheme_parser;
         ] );
       ( "figures",
         [

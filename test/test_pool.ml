@@ -162,9 +162,20 @@ let test_sweep_jobs_invariant () =
     }
   in
   let schemes = [ Experiment.Epoch; Experiment.stacktrack_default ] in
-  let sweep jobs =
-    Figures.throughput_sweep ~jobs ~speed:Figures.Quick ~base ~schemes ()
+  let fig =
+    {
+      Figures.name = "sweep";
+      configs =
+        (fun _ ->
+          List.map
+            (fun t ->
+              (t, List.map (fun scheme -> { base with scheme; threads = t }) schemes))
+            [ 1; 2; 4; 6; 8; 12; 16 ]);
+      tables = [];
+      notes = ignore;
+    }
   in
+  let sweep jobs = Figures.run ~jobs ~speed:Figures.Quick fig in
   let enc rows =
     String.concat "\n"
       (List.concat_map
