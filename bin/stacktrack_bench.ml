@@ -17,6 +17,17 @@ let structure_conv =
   let print ppf s = Format.fprintf ppf "%s" (Experiment.structure_name s) in
   Arg.conv (parse, print)
 
+(* An integer option with a lower bound: a value below it is a usage error
+   that names the option, like a malformed integer. *)
+let int_at_least lo =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < lo ->
+        Error (`Msg (Printf.sprintf "must be at least %d, got %d" lo n))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 let print_result (r : Experiment.result) =
   let open Format in
   Report.run_line r;
@@ -192,10 +203,17 @@ let run_cmd =
       & info [ "duration" ] ~doc:"Virtual cycles per thread.")
   in
   let keys =
-    Arg.(value & opt int 1024 & info [ "keys" ] ~doc:"Key range for sets.")
+    Arg.(
+      value
+      & opt (int_at_least 1) 1024
+      & info [ "keys" ] ~doc:"Key range for sets (at least 1).")
   in
   let init =
-    Arg.(value & opt int 512 & info [ "init" ] ~doc:"Initial structure size.")
+    Arg.(
+      value
+      & opt (int_at_least 0) 512
+      & info [ "init" ]
+          ~doc:"Initial structure size (at least 0; capped at --keys).")
   in
   let mutations =
     Arg.(
@@ -203,7 +221,10 @@ let run_cmd =
   in
   let seed = Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~doc:"RNG seed.") in
   let buckets =
-    Arg.(value & opt int 512 & info [ "buckets" ] ~doc:"Hash-table buckets.")
+    Arg.(
+      value
+      & opt (int_at_least 1) 512
+      & info [ "buckets" ] ~doc:"Hash-table buckets (at least 1).")
   in
   let forced_slow =
     Arg.(

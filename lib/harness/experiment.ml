@@ -588,7 +588,7 @@ let run cfg =
                    | St_workload.Workload.Insert k -> ignore (S.insert t th k)
                    | St_workload.Workload.Delete k -> ignore (S.delete t th k))
                  ~quiesce:G.quiesce);
-            List.length (St_dslib.Hash_table.to_list_raw heap t)
+            St_dslib.Hash_table.length_raw heap t
         | Skiplist_s ->
             let module S = St_dslib.Skiplist.Make (G) in
             let t = St_dslib.Skiplist.create_raw heap in

@@ -44,5 +44,7 @@ val queue_gen : mutation_pct:int -> value_range:int -> Rng.t -> queue_gen
 val next_queue_op : queue_gen -> queue_op
 
 val initial_keys : rng:Rng.t -> key_range:int -> size:int -> int list
-(** [size] distinct keys drawn uniformly from the range (deterministic in
-    the rng); requires [size ≤ key_range]. *)
+(** [size] distinct keys drawn uniformly from [[0, key_range)]
+    (deterministic in the rng): draws are taken in order, a repeat is
+    discarded, and the list holds the kept draws newest first.
+    @raise Invalid_argument unless [0 ≤ size ≤ key_range]. *)

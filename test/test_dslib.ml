@@ -267,7 +267,13 @@ let conservation_set (type a) (module G : Guard.S with type t = a)
         St_dslib.Hash_table.populate_raw heap t ~keys:init_keys
           ~note_link:ignore;
         let module S = St_dslib.Hash_table.Make (G) in
-        ( (fun () -> St_dslib.Hash_table.to_list_raw heap t),
+        ( (fun () ->
+            (* The run can leave marked nodes; the census counts what the
+               list walk visits, marked nodes included. *)
+            let final = St_dslib.Hash_table.to_list_raw heap t in
+            checki "length_raw = to_list_raw length" (List.length final)
+              (St_dslib.Hash_table.length_raw heap t);
+            final),
           fun th k -> function
             | 0 -> ignore (S.contains t th k)
             | 1 -> if S.insert t th k then ins.(k) <- ins.(k) + 1
@@ -420,6 +426,142 @@ let test_populate_sorted () =
     "check_raw counts" (Some 4)
     (St_dslib.Harris_list.check_raw heap t)
 
+(* ------------------------------------------------------------------ *)
+(* Hash-table bulk populate vs the incremental oracle                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Reference: the one-sorted-insert-per-key [Hash_table.populate_raw] that
+   the bulk build replaced, ported verbatim.  Apart from [note_link] (see
+   [test_hash_populate_links_once]) the bulk build must leave the same heap
+   image: same allocation order, addresses, birth indices and words. *)
+module Incremental_oracle = struct
+  open St_dslib
+  open Hash_table
+
+  let bucket_head_raw heap t b = Heap.peek heap (t.buckets + b)
+
+  let populate_raw heap t ~keys ~note_link =
+    List.iter
+      (fun k ->
+        let b = bucket_of t k in
+        let head = bucket_head_raw heap t b in
+        (* Insert in front order then rely on sortedness per bucket: reuse the
+           list populate per key (cheap since buckets are short). *)
+        let rec find_spot prev =
+          let next = Heap.peek heap (prev + Harris_list.next_off) in
+          if next = Word.null || Heap.peek heap (next + Harris_list.key_off) > k
+          then prev
+          else if Heap.peek heap (next + Harris_list.key_off) = k then -1
+          else find_spot next
+        in
+        let spot = find_spot head in
+        if spot >= 0 then begin
+          let n = Heap.alloc heap ~tid:0 ~size:Harris_list.node_size in
+          Heap.write heap ~tid:0 (n + Harris_list.key_off) k;
+          Heap.write heap ~tid:0
+            (n + Harris_list.next_off)
+            (Heap.peek heap (spot + Harris_list.next_off));
+          (let succ = Heap.peek heap (n + Harris_list.next_off) in
+           if succ <> Word.null then note_link succ);
+          Heap.write heap ~tid:0 (spot + Harris_list.next_off) n;
+          note_link n
+        end)
+      keys
+end
+
+(* Build a fresh table with [populate] on its own heap. *)
+let populated populate ~n_buckets ~keys =
+  let heap = Heap.create ~shadow:(Shadow.create ()) () in
+  let t = St_dslib.Hash_table.create_raw heap ~n_buckets in
+  populate heap t ~keys ~note_link:ignore;
+  (heap, t)
+
+(* Every address of every touched chunk: word, owning object, birth. *)
+let same_heap_image ha hb =
+  Heap.touched_chunks ha = Heap.touched_chunks hb
+  && Heap.allocs ha = Heap.allocs hb
+  &&
+  let ok = ref true in
+  for a = 0 to (Heap.touched_chunks ha * Heap.chunk_words) - 1 do
+    if
+      Heap.peek ha a <> Heap.peek hb a
+      || Heap.owner_of ha a <> Heap.owner_of hb a
+      || Heap.birth_ix ha a <> Heap.birth_ix hb a
+    then ok := false
+  done;
+  !ok
+
+let check_bulk_matches_oracle ~n_buckets ~keys =
+  let ho, t_o =
+    populated Incremental_oracle.populate_raw ~n_buckets ~keys
+  in
+  let hn, t_n = populated St_dslib.Hash_table.populate_raw ~n_buckets ~keys in
+  same_heap_image ho hn
+  && St_dslib.Hash_table.to_list_raw ho t_o
+     = St_dslib.Hash_table.to_list_raw hn t_n
+  && St_dslib.Hash_table.length_raw hn t_n
+     = List.length (List.sort_uniq compare keys)
+  && Shadow.count (Heap.shadow hn) = 0
+
+(* Short key ranges force duplicates; few buckets force long buckets, which
+   take the bulk build's merge-sort path. *)
+let prop_bulk_populate =
+  QCheck.Test.make ~name:"populate = incremental oracle" ~count:150
+    QCheck.(
+      pair (int_range 1 64)
+        (list_of_size Gen.(0 -- 400) (int_bound 300)))
+    (fun (n_buckets, keys) -> check_bulk_matches_oracle ~n_buckets ~keys)
+
+(* A multi-chunk image: 40k distinct-ish keys in 64 buckets. *)
+let test_bulk_populate_chunks () =
+  let rng = Rng.create ~seed:17 in
+  let keys = List.init 40_000 (fun _ -> Rng.int rng 60_000) in
+  let ho, _ = populated Incremental_oracle.populate_raw ~n_buckets:64 ~keys in
+  checkb "spans several chunks" true (Heap.touched_chunks ho > 1);
+  checkb "same heap image" true
+    (check_bulk_matches_oracle ~n_buckets:64 ~keys)
+
+(* Link-counting schemes (RefCount) prime their counts from [note_link], so
+   each stored link must be reported exactly once.  The incremental insert
+   also reported [succ] again whenever a node went in front of it, so
+   node 5 below used to be counted three times. *)
+let test_hash_populate_links_once () =
+  let _, heap, _ = world () in
+  let t = St_dslib.Hash_table.create_raw heap ~n_buckets:1 in
+  let counts = Hashtbl.create 8 in
+  let note_link a =
+    Hashtbl.replace counts a
+      (1 + Option.value ~default:0 (Hashtbl.find_opt counts a))
+  in
+  St_dslib.Hash_table.populate_raw heap t ~keys:[ 5; 1; 9; 3 ] ~note_link;
+  let rec nodes addr acc =
+    if addr = Word.null then List.rev acc
+    else nodes (Heap.peek heap (addr + St_dslib.Harris_list.next_off)) (addr :: acc)
+  in
+  let head = Heap.peek heap t.St_dslib.Hash_table.buckets in
+  let chain = nodes (Heap.peek heap (head + St_dslib.Harris_list.next_off)) [] in
+  Alcotest.(check (list int))
+    "bucket in key order" [ 1; 3; 5; 9 ]
+    (List.map (fun a -> Heap.peek heap (a + St_dslib.Harris_list.key_off)) chain);
+  List.iter
+    (fun a ->
+      checki
+        (Printf.sprintf "links to key %d"
+           (Heap.peek heap (a + St_dslib.Harris_list.key_off)))
+        1
+        (Option.value ~default:0 (Hashtbl.find_opt counts a)))
+    chain;
+  checki "no other link reported" 4 (Hashtbl.length counts)
+
+let test_hash_create_bad_buckets () =
+  List.iter
+    (fun n_buckets ->
+      let _, heap, _ = world () in
+      match St_dslib.Hash_table.create_raw heap ~n_buckets with
+      | _ -> Alcotest.failf "n_buckets %d accepted" n_buckets
+      | exception Invalid_argument _ -> ())
+    [ 0; -4 ]
+
 let test_skiplist_populate_invariant () =
   let _, heap, _ = world () in
   let t = St_dslib.Skiplist.create_raw heap in
@@ -445,6 +587,16 @@ let () =
           Alcotest.test_case "list populate" `Quick test_populate_sorted;
           Alcotest.test_case "skiplist populate" `Quick
             test_skiplist_populate_invariant;
+        ] );
+      ( "hash bulk",
+        [
+          QCheck_alcotest.to_alcotest prop_bulk_populate;
+          Alcotest.test_case "multi-chunk image" `Quick
+            test_bulk_populate_chunks;
+          Alcotest.test_case "each link reported once" `Quick
+            test_hash_populate_links_once;
+          Alcotest.test_case "bad bucket counts" `Quick
+            test_hash_create_bad_buckets;
         ] );
       ("conservation", conservation_cases);
       ( "queue",

@@ -1,6 +1,7 @@
 (* Tests for the harness layer: the latency histogram math, experiment
    configuration knobs (topology, distribution, crash injection), result
-   bookkeeping consistency, and a smoke pass over a figure preset. *)
+   bookkeeping consistency, the run CLI's rejection of bad set-up sizes,
+   and a smoke pass over a figure preset. *)
 
 open St_harness
 
@@ -352,6 +353,67 @@ let test_figure_smoke () =
       | _ -> Alcotest.fail "unexpected row shape")
     table
 
+(* ------------------------------------------------------------------ *)
+(* The run CLI: out-of-range set-up sizes                              *)
+(* ------------------------------------------------------------------ *)
+
+let bench = "../bin/stacktrack_bench.exe"
+
+let contains text sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length text && (String.sub text i n = sub || at (i + 1))
+  in
+  at 0
+
+(* Run the CLI with [args], stdout and stderr into one file, and kill it
+   if it is still running after [seconds]: [None] then stands for a hang. *)
+let run_cli ?(seconds = 30.) args =
+  let out = Filename.temp_file "run" ".txt" in
+  let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let pid =
+    Unix.create_process bench (Array.of_list (bench :: args)) Unix.stdin fd fd
+  in
+  Unix.close fd;
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+        Unix.sleepf 0.02;
+        wait ()
+    | 0, _ ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        None
+    | _, Unix.WEXITED code -> Some code
+    | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> Some (-1)
+  in
+  let status = wait () in
+  let text = In_channel.with_open_bin out In_channel.input_all in
+  Sys.remove out;
+  (status, text)
+
+(* A negative --init used to spin forever drawing keys, and a zero key
+   range or bucket count died on an assertion ("internal error"); each is
+   now a usage error that names its flag. *)
+let test_cli_bad_sizes () =
+  List.iter
+    (fun (args, flag) ->
+      let name = String.concat " " ("run" :: args) in
+      match run_cli ("run" :: args) with
+      | None, _ -> Alcotest.failf "%s: still running after the timeout" name
+      | Some code, out ->
+          checkb (name ^ ": exits non-zero") true (code <> 0);
+          checkb (name ^ ": no internal error") false
+            (contains out "internal error");
+          checkb (name ^ ": names " ^ flag) true (contains out flag))
+    [
+      ([ "--init=-5" ], "--init");
+      ([ "--keys"; "0" ], "--keys");
+      ([ "--structure"; "hash"; "--buckets"; "0" ], "--buckets");
+      ([ "--structure"; "hash"; "--buckets=-4" ], "--buckets");
+    ]
+
 let () =
   Alcotest.run "st_harness"
     [
@@ -384,6 +446,8 @@ let () =
           Alcotest.test_case "all structures" `Quick test_structures_all_run;
           Alcotest.test_case "scheme parser" `Quick test_scheme_parser;
         ] );
+      ( "run cli",
+        [ Alcotest.test_case "bad set-up sizes" `Quick test_cli_bad_sizes ] );
       ( "figures",
         [
           Alcotest.test_case "fig4 smoke" `Slow test_figure_smoke;

@@ -1,6 +1,7 @@
 (* Tests for the workload generators: mix ratios, key distributions
-   (uniform and zipfian), initial-key drawing, and the Vec helper used by
-   the reclamation buffers. *)
+   (uniform and zipfian), initial-key drawing (against the hash-table
+   version it replaced), and the Vec helper used by the reclamation
+   buffers. *)
 
 open St_sim
 open St_workload
@@ -92,6 +93,49 @@ let prop_initial_keys =
       && List.length (List.sort_uniq compare keys) = size
       && List.for_all (fun k -> k >= 0 && k < range) keys)
 
+(* Reference: the hash-table seen-set [initial_keys] that the bit set
+   replaced, ported verbatim.  The production version must make the same
+   draws and so return the same list. *)
+let initial_keys_oracle ~rng ~key_range ~size =
+  assert (size <= key_range);
+  let seen = Hashtbl.create size in
+  let rec draw acc n =
+    if n = 0 then acc
+    else
+      let k = Rng.int rng key_range in
+      if Hashtbl.mem seen k then draw acc n
+      else begin
+        Hashtbl.add seen k ();
+        draw (k :: acc) (n - 1)
+      end
+  in
+  draw [] size
+
+(* [pct] of the range; both ends (size 0 and size = key_range) are drawn
+   as often as the whole interior. *)
+let prop_initial_keys_oracle =
+  QCheck.Test.make ~name:"initial keys = hash-table oracle" ~count:200
+    QCheck.(
+      triple (int_range 1 2000)
+        (oneof [ always 0; always 100; int_range 0 100 ])
+        (int_range 0 10_000))
+    (fun (range, pct, seed) ->
+      let size = range * pct / 100 in
+      Workload.initial_keys ~rng:(Rng.create ~seed) ~key_range:range ~size
+      = initial_keys_oracle ~rng:(Rng.create ~seed) ~key_range:range ~size)
+
+let test_initial_keys_bad_sizes () =
+  List.iter
+    (fun (key_range, size) ->
+      match Workload.initial_keys ~rng:(Rng.create ~seed:1) ~key_range ~size with
+      | _ ->
+          Alcotest.failf "key_range %d, size %d: accepted" key_range size
+      | exception Invalid_argument _ -> ())
+    [ (10, -5); (10, 11); (0, 1); (-3, 0) ];
+  Alcotest.(check (list int))
+    "empty range, nothing asked" []
+    (Workload.initial_keys ~rng:(Rng.create ~seed:1) ~key_range:0 ~size:0)
+
 (* Vec behaviour (reclamation buffers, the replay log). *)
 let test_vec_basics () =
   let v = Vec.create () in
@@ -140,6 +184,9 @@ let () =
           Alcotest.test_case "queue mix" `Quick test_queue_mix;
           Alcotest.test_case "initial keys" `Quick test_initial_keys_distinct;
           QCheck_alcotest.to_alcotest prop_initial_keys;
+          QCheck_alcotest.to_alcotest prop_initial_keys_oracle;
+          Alcotest.test_case "initial keys bad sizes" `Quick
+            test_initial_keys_bad_sizes;
         ] );
       ( "vec",
         [
