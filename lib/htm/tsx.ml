@@ -22,14 +22,14 @@ type backend = Htm | Stm
    program's store order, which is unobservable through the heap. *)
 type txn = {
   owner : int;
-  lines : int Vec.t; (* union footprint, for capacity *)
-  read_lines : int Vec.t;
-  write_lines : int Vec.t;
+  lines : Ivec.t; (* union footprint, for capacity *)
+  read_lines : Ivec.t;
+  write_lines : Ivec.t;
   read_versions : (int, int) Hashtbl.t; (* STM: line -> version at 1st read *)
   mutable rv : int; (* STM: global-clock snapshot at transaction start *)
   set_occ : int array; (* distinct lines per cache set *)
-  w_addr : int Vec.t; (* buffered stores, insertion order *)
-  w_val : int Vec.t;
+  w_addr : Ivec.t; (* buffered stores, insertion order *)
+  w_val : Ivec.t;
   mutable doomed : Htm_stats.abort_reason option;
 }
 
@@ -225,7 +225,7 @@ let my_txn t = t.txns.(tid t)
 
 let in_txn t = my_txn t <> None
 
-let footprint txn = Vec.length txn.lines
+let footprint txn = Ivec.length txn.lines
 
 let data_set_lines t = match my_txn t with Some x -> footprint x | None -> 0
 
@@ -286,7 +286,7 @@ let note_write t txn line =
   let w = Array.unsafe_get ch ix in
   let m = t.tid_mask.(txn.owner) in
   if w land m = 0 then begin
-    Vec.push txn.write_lines line;
+    Ivec.push txn.write_lines line;
     Array.unsafe_set ch ix (w lor m);
     t.idx_gen <- t.idx_gen + 1;
     let hw = Array.unsafe_get t.tid_word txn.owner + 1 in
@@ -324,14 +324,14 @@ let unindex t txn =
   end;
   let tw = t.tid_word.(txn.owner) in
   let tm = lnot t.tid_mask.(txn.owner) in
-  for i = 0 to Vec.length txn.read_lines - 1 do
-    let line = Vec.get txn.read_lines i in
+  for i = 0 to Ivec.length txn.read_lines - 1 do
+    let line = Ivec.get txn.read_lines i in
     let ch = bitset_chunk t.line_readers line in
     let ix = bitset_ix line tw in
     ch.(ix) <- ch.(ix) land tm
   done;
-  for i = 0 to Vec.length txn.write_lines - 1 do
-    let line = Vec.get txn.write_lines i in
+  for i = 0 to Ivec.length txn.write_lines - 1 do
+    let line = Ivec.get txn.write_lines i in
     let ch = bitset_chunk t.line_writers line in
     let ix = bitset_ix line tw in
     ch.(ix) <- ch.(ix) land tm
@@ -348,7 +348,7 @@ let do_abort t txn reason =
       "txn" (fun () ->
         Printf.sprintf "abort:%s lines=%d"
           (Htm_stats.reason_to_string reason)
-          (Vec.length txn.lines));
+          (Ivec.length txn.lines));
   (* The abort-handling latency itself is wasted work: charge it while the
      profiler still considers the transaction open, then resolve.  The
      forensics stamp reads the pending pot after that charge, so the
@@ -551,8 +551,10 @@ let charge_coherence t ~me ~line ~is_write =
 
 let effective_ways t =
   let ways = t.cache.Cache.ways - t.cache.Cache.reserved_ways in
-  if Sched.sibling_active t.sched (tid t) then max 1 (ways / 2)
-  else max 1 ways
+  let ways = if Sched.sibling_active t.sched (tid t) then ways / 2 else ways in
+  (* Not [max 1 ways]: [Stdlib.max] is polymorphic, a [caml_greaterequal]
+     C call on every newly touched line. *)
+  if ways >= 1 then ways else 1
 
 (* Fused track+note for the two dominant access paths: one index/mask
    computation and one bitset-load pair serves the footprint-membership
@@ -583,9 +585,9 @@ let track_note_read t txn line =
         end;
         txn.set_occ.(set) <- occ
       end;
-      Vec.push txn.lines line
+      Ivec.push txn.lines line
     end;
-    Vec.push txn.read_lines line;
+    Ivec.push txn.read_lines line;
     Array.unsafe_set rch ix (r lor m);
     t.idx_gen <- t.idx_gen + 1;
     let hw = Array.unsafe_get t.tid_word txn.owner + 1 in
@@ -613,9 +615,9 @@ let track_note_write t txn line =
         end;
         txn.set_occ.(set) <- occ
       end;
-      Vec.push txn.lines line
+      Ivec.push txn.lines line
     end;
-    Vec.push txn.write_lines line;
+    Ivec.push txn.write_lines line;
     Array.unsafe_set wch ix (w lor m);
     t.idx_gen <- t.idx_gen + 1;
     let hw = Array.unsafe_get t.tid_word txn.owner + 1 in
@@ -654,11 +656,11 @@ let start t =
   let txn =
     match t.pool.(me) with
     | Some txn ->
-        Vec.clear txn.lines;
-        Vec.clear txn.read_lines;
-        Vec.clear txn.write_lines;
-        Vec.clear txn.w_addr;
-        Vec.clear txn.w_val;
+        Ivec.clear txn.lines;
+        Ivec.clear txn.read_lines;
+        Ivec.clear txn.write_lines;
+        Ivec.clear txn.w_addr;
+        Ivec.clear txn.w_val;
         (* Only the backend that populates each table pays its reset. *)
         if t.backend = Htm then
           Array.fill txn.set_occ 0 (Array.length txn.set_occ) 0
@@ -670,14 +672,14 @@ let start t =
         let txn =
           {
             owner = me;
-            lines = Vec.create ();
-            read_lines = Vec.create ();
-            write_lines = Vec.create ();
+            lines = Ivec.create ();
+            read_lines = Ivec.create ();
+            write_lines = Ivec.create ();
             read_versions = Hashtbl.create 32;
             rv = t.stm_clock;
             set_occ = Array.make t.cache.Cache.sets 0;
-            w_addr = Vec.create ();
-            w_val = Vec.create ();
+            w_addr = Ivec.create ();
+            w_val = Ivec.create ();
             doomed = None;
           }
         in
@@ -695,9 +697,9 @@ let start t =
 (* Index of [addr] in the write buffer, or -1.  Linear: the buffer holds at
    most one slot per written address and segments write a handful. *)
 let write_index txn addr =
-  let n = Vec.length txn.w_addr in
+  let n = Ivec.length txn.w_addr in
   let i = ref 0 in
-  while !i < n && Vec.get txn.w_addr !i <> addr do incr i done;
+  while !i < n && Ivec.get txn.w_addr !i <> addr do incr i done;
   if !i < n then !i else -1
 
 let txn_read t txn addr =
@@ -712,7 +714,7 @@ let txn_read t txn addr =
   | Stm -> stm_note_read t txn line);
   let v =
     let i = write_index txn addr in
-    if i >= 0 then Vec.get txn.w_val i
+    if i >= 0 then Ivec.get txn.w_val i
     else Heap.read t.heap ~tid:txn.owner addr
   in
   let miss = charge_coherence t ~me:txn.owner ~line ~is_write:false in
@@ -724,10 +726,10 @@ let txn_read t txn addr =
 
 let txn_buffer_write txn addr v =
   let i = write_index txn addr in
-  if i >= 0 then Vec.set txn.w_val i v
+  if i >= 0 then Ivec.set txn.w_val i v
   else begin
-    Vec.push txn.w_addr addr;
-    Vec.push txn.w_val v
+    Ivec.push txn.w_addr addr;
+    Ivec.push txn.w_val v
   end
 
 let txn_write t txn addr v =
@@ -774,19 +776,20 @@ let commit t =
                line (TL2). *)
             (costs t).htm_commit
             + (Hashtbl.length txn.read_versions * (costs t).load)
-            + (Vec.length txn.write_lines * (costs t).cas)
+            + (Ivec.length txn.write_lines * (costs t).cas)
       in
       Sched.consume t.sched commit_cost;
       check_doomed t txn;
       if t.backend = Stm then stm_validate t txn;
       let me = txn.owner in
-      for i = 0 to Vec.length txn.w_addr - 1 do
-        Heap.write t.heap ~tid:me (Vec.get txn.w_addr i) (Vec.get txn.w_val i)
+      for i = 0 to Ivec.length txn.w_addr - 1 do
+        Heap.write t.heap ~tid:me (Ivec.get txn.w_addr i)
+          (Ivec.get txn.w_val i)
       done;
-      if t.backend = Stm && Vec.length txn.write_lines > 0 then begin
+      if t.backend = Stm && Ivec.length txn.write_lines > 0 then begin
         t.stm_clock <- t.stm_clock + 1;
-        for i = 0 to Vec.length txn.write_lines - 1 do
-          bump_line_version t (Vec.get txn.write_lines i)
+        for i = 0 to Ivec.length txn.write_lines - 1 do
+          bump_line_version t (Ivec.get txn.write_lines i)
         done
       end;
       t.txns.(me) <- None;
@@ -857,7 +860,7 @@ let nt_cas t addr ~expect desired =
       track_note_read t txn line;
       let cur =
         let i = write_index txn addr in
-        if i >= 0 then Vec.get txn.w_val i
+        if i >= 0 then Ivec.get txn.w_val i
         else Heap.read t.heap ~tid:txn.owner addr
       in
       let ok = cur = expect in
@@ -914,7 +917,7 @@ let nt_fetch_add t addr delta =
       doom_conflicting t ~me:txn.owner ~line ~against_readers:true;
       let cur =
         let i = write_index txn addr in
-        if i >= 0 then Vec.get txn.w_val i
+        if i >= 0 then Ivec.get txn.w_val i
         else Heap.read t.heap ~tid:txn.owner addr
       in
       txn_buffer_write txn addr (cur + delta);

@@ -154,8 +154,10 @@ let claim t base size =
 (* Sizes are rounded up to the arena chunk granularity (cache-line sized by
    default), like any allocator that wants to avoid false sharing between
    objects handed to different threads.  Bases are always at least 2-aligned
-   so the low pointer bit stays free for list deletion marks. *)
-let effective_align t = max 2 t.align
+   so the low pointer bit stays free for list deletion marks.  Not
+   [max 2 t.align]: [Stdlib.max] is polymorphic, a [caml_greaterequal] C
+   call, and this runs twice per alloc. *)
+let effective_align t = if t.align >= 2 then t.align else 2
 
 let chunk_size t size =
   let a = effective_align t in

@@ -20,6 +20,10 @@ let get t i =
   if i < 0 || i >= t.len then invalid_arg "Ivec.get";
   Array.unsafe_get t.data i
 
+let set t i x =
+  if i < 0 || i >= t.len then invalid_arg "Ivec.set";
+  Array.unsafe_set t.data i x
+
 let truncate t n =
   if n < 0 || n > t.len then invalid_arg "Ivec.truncate";
   t.len <- n

@@ -6,15 +6,18 @@ exception Signal_interrupt
 
 type _ Effect.t += Consume : int -> unit Effect.t
 
+(* Constant constructors only, so a state change is a plain int store with
+   no write barrier.  The continuation of a [Suspended], [Doomed] or
+   [Signalled] thread lives in the scheduler's [conts] slot for its tid. *)
 type state =
-  | Not_started of (int -> unit)
-  | Suspended of (unit, unit) continuation
+  | Not_started
+  | Suspended
   | Running
   | Finished
   | Crashed
-  | Doomed of (unit, unit) continuation
+  | Doomed
       (* crash requested while suspended; discontinued when next picked *)
-  | Signalled of (unit, unit) continuation
+  | Signalled
       (* signal delivered while suspended; discontinued with
          [Signal_interrupt] when next picked, modelling siglongjmp out of
          the interrupted operation *)
@@ -23,6 +26,7 @@ type thread = {
   tid : int;
   lcore : int;
   sib : int; (* SMT sibling lcore, -1 if none (cached from the topology) *)
+  body : int -> unit;
   mutable state : state;
   mutable slice_used : int;
   mutable consumed : int;
@@ -33,10 +37,6 @@ type thread = {
   mutable signal_handler : (unit -> unit) option;
       (* runs synchronously at delivery (in the sender's context — the
          simulated handler only mutates shared scheme state) *)
-  mutable self_opt : thread option;
-      (* == Some this, built once at registration: [dispatch] runs once per
-         resumption, and assigning a fresh [Some th] there was a minor
-         allocation per resume *)
 }
 
 (* Flat ring run queue, one per lcore.  Thread membership never grows after
@@ -119,7 +119,13 @@ type t = {
          lcore's queue and clock on every cycle charge. *)
   mutable preempt_hooks : (int -> unit) list;
   mutable context_switches : int;
-  mutable cur : thread option;
+  mutable conts : (unit, unit) continuation array;
+      (* Per tid: the continuation the thread's last yield captured.
+         Empty until the run's first yield, which creates it filled with
+         that continuation: there is no other way to obtain a value of
+         this type.  A yield thus allocates only the continuation and
+         stores it with one write barrier. *)
+  mutable cur : int; (* tid of the running thread, -1 in scheduler context *)
   mutable started : bool;
 }
 
@@ -152,7 +158,8 @@ let create ?(topology = Topology.create ()) ?(costs = Costs.default)
     next_lc = -1;
     preempt_hooks = [];
     context_switches = 0;
-    cur = None;
+    conts = [||];
+    cur = -1;
     started = false;
   }
 
@@ -171,15 +178,14 @@ let add_thread t body =
       tid;
       lcore;
       sib = Topology.sibling_ix t.topo lcore;
-      state = Not_started body;
+      body;
+      state = Not_started;
       slice_used = 0;
       consumed = 0;
       rng = Rng.split t.rng;
       signal_handler = None;
-      self_opt = None;
     }
   in
-  th.self_opt <- Some th;
   t.live_on.(lcore) <- t.live_on.(lcore) + 1;
   t.threads <- th :: t.threads;
   t.n_registered <- tid + 1;
@@ -192,28 +198,26 @@ let on_preempt t f = t.preempt_hooks <- f :: t.preempt_hooks
 let fire_preempt t tid = List.iter (fun f -> f tid) t.preempt_hooks
 
 let current t =
-  match t.cur with
-  | Some th -> th.tid
-  | None -> invalid_arg "Sched.current: no thread running"
+  if t.cur < 0 then invalid_arg "Sched.current: no thread running";
+  t.cur
 
+(* [cur] is a registered tid whenever it is not -1, so the unchecked
+   access is in range. *)
 let cur_thread t =
-  match t.cur with
-  | Some th -> th
-  | None -> invalid_arg "Sched.consume: no thread running"
+  if t.cur < 0 then invalid_arg "Sched.consume: no thread running";
+  Array.unsafe_get t.arr t.cur
 
 let lcore_of t tid = t.arr.(tid).lcore
 
 let now t =
-  match t.cur with
-  | Some th -> t.clocks.(th.lcore)
-  | None -> invalid_arg "Sched.now: no thread running"
+  if t.cur < 0 then invalid_arg "Sched.now: no thread running";
+  t.clocks.((Array.unsafe_get t.arr t.cur).lcore)
 
 let global_time t = Array.fold_left max 0 t.clocks
 
 let now_or_global t =
-  match t.cur with
-  | Some th -> t.clocks.(th.lcore)
-  | None -> global_time t
+  if t.cur >= 0 then t.clocks.((Array.unsafe_get t.arr t.cur).lcore)
+  else global_time t
 
 (* Every transition into Finished or Crashed must go through here exactly
    once, so the per-lcore live counts stay exact. *)
@@ -244,15 +248,15 @@ let crash t tid =
     Trace.no_detail;
   (match th.state with
   | Finished | Crashed -> ()
-  | Not_started _ ->
+  | Not_started ->
       fire_preempt t tid;
       mark_dead t th Crashed
-  | Suspended k | Signalled k ->
+  | Suspended | Signalled ->
       (* A crash beats a pending signal: the victim dies before the
          handler's unwind would have resumed it. *)
       fire_preempt t tid;
-      th.state <- Doomed k
-  | Doomed _ -> ()
+      th.state <- Doomed
+  | Doomed -> ()
   | Running ->
       (* Self-crash: unwind immediately. *)
       fire_preempt t tid;
@@ -278,8 +282,8 @@ let signal t tid =
       Trace.no_detail;
   (match th.signal_handler with Some f -> f () | None -> ());
   match th.state with
-  | Suspended k -> th.state <- Signalled k
-  | Signalled _ | Not_started _ | Finished | Crashed | Doomed _ -> ()
+  | Suspended -> th.state <- Signalled
+  | Signalled | Not_started | Finished | Crashed | Doomed -> ()
   | Running ->
       (* Self-signal: unwind immediately. *)
       raise Signal_interrupt
@@ -428,9 +432,13 @@ let remove_from_queue t th =
 
 let handler t th =
   (* Hoisted out of [effc]: building this closure inside the [Consume]
-     branch allocated it afresh on every single yield. *)
+     branch allocated it afresh on every single yield.  Every thread is
+     registered before the first yield ([add_thread] is refused once [run]
+     starts), so the [conts] it creates has a slot for every tid. *)
   let on_consume (k : (unit, unit) continuation) =
-    th.state <- Suspended k;
+    if Array.length t.conts = 0 then t.conts <- Array.make t.n_registered k
+    else Array.unsafe_set t.conts th.tid k;
+    th.state <- Suspended;
     maybe_preempt t th
   in
   let on_consume_some = Some on_consume in
@@ -459,27 +467,30 @@ let handler t th =
         | _ -> None);
   }
 
+(* [Suspended] is only entered by a yield, and [Doomed] and [Signalled]
+   only from [Suspended], so in all three the thread's [conts] slot holds
+   its continuation. *)
 let dispatch t th =
-  t.cur <- th.self_opt;
+  t.cur <- th.tid;
   recompute_next_event t th;
   (match th.state with
-  | Not_started body ->
+  | Not_started ->
       th.state <- Running;
-      match_with (fun () -> body th.tid) () (handler t th)
-  | Suspended k ->
+      match_with (fun () -> th.body th.tid) () (handler t th)
+  | Suspended ->
       th.state <- Running;
-      continue k ()
-  | Doomed k ->
+      continue (Array.unsafe_get t.conts th.tid) ()
+  | Doomed ->
       th.state <- Running;
       (* Unwind with Thread_crashed; the handler marks it Crashed. *)
-      discontinue k Thread_crashed
-  | Signalled k ->
+      discontinue t.conts.(th.tid) Thread_crashed
+  | Signalled ->
       th.state <- Running;
       (* Unwind with Signal_interrupt; a recovery-capable scheme catches
          it inside its operation wrapper and restarts the operation. *)
-      discontinue k Signal_interrupt
+      discontinue t.conts.(th.tid) Signal_interrupt
   | Running | Finished | Crashed -> assert false);
-  t.cur <- None
+  t.cur <- -1
 
 let run t =
   assert (not t.started);
@@ -516,7 +527,7 @@ let run t =
     | _ -> (
         dispatch t th;
         match th.state with
-        | Suspended _ ->
+        | Suspended ->
             let nl = t.next_lc in
             if nl >= 0 then begin
               let cn = t.clocks.(nl) and cl = t.clocks.(lc) in

@@ -200,6 +200,75 @@ let test_alloc_budget_consume () =
     true
     (!words <= 8.0)
 
+(* The scheduler switch: two threads on two single-thread lcores run in
+   lockstep, so every [consume 1] crosses the other lcore's clock and
+   performs the scheduling effect (2n yields for n charges per thread).
+   A yield may allocate no more than a bare Deep perform/continue round
+   trip, which allocates only the continuation.  Both sides are measured
+   as the difference between two run lengths, which cancels thread start,
+   handler set-up and teardown. *)
+type _ Effect.t += Bare_yield : unit Effect.t
+
+let bare_round_trip_words n =
+  let open Effect.Deep in
+  let resume = Some (fun (k : (unit, unit) continuation) -> continue k ()) in
+  let w0 = Gc.minor_words () in
+  match_with
+    (fun () ->
+      for _ = 1 to n do
+        Effect.perform Bare_yield
+      done)
+    ()
+    {
+      retc = (fun () -> ());
+      exnc = raise;
+      effc =
+        (fun (type a) (e : a Effect.t) ->
+          match e with
+          | Bare_yield -> (resume : ((a, unit) continuation -> unit) option)
+          | _ -> None);
+    };
+  Gc.minor_words () -. w0
+
+let switch_words n =
+  let sched =
+    Sched.create ~topology:(Topology.create ~cores:2 ~smt:1 ()) ~seed:5 ()
+  in
+  (* A charge that returns to a different thread than the last one to
+     return proves the yield. *)
+  let last = ref (-1) and handovers = ref 0 in
+  let body tid =
+    for _ = 1 to n do
+      Sched.consume sched 1;
+      if !last <> tid then incr handovers;
+      last := tid
+    done
+  in
+  ignore (Sched.add_thread sched body);
+  ignore (Sched.add_thread sched body);
+  let w0 = Gc.minor_words () in
+  Sched.run sched;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every charge hands over" (2 * n) !handovers;
+  words
+
+let test_alloc_budget_switch () =
+  let n1 = 5_000 and n2 = 15_000 in
+  ignore (bare_round_trip_words n2);
+  let bare =
+    (bare_round_trip_words n2 -. bare_round_trip_words n1)
+    /. float_of_int (n2 - n1)
+  in
+  let per_yield =
+    (switch_words n2 -. switch_words n1) /. float_of_int (2 * (n2 - n1))
+  in
+  (* The 0.01 is rounding slack only: one more box per yield is 2 words. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "switch: %.4f minor words/yield <= bare round trip %.4f"
+       per_yield bare)
+    true
+    (per_yield <= bare +. 0.01)
+
 (* ------------------------------------------------------------------ *)
 (* Same-seed identity goldens                                          *)
 (* ------------------------------------------------------------------ *)
@@ -299,6 +368,7 @@ let () =
           quick "nt access path" test_alloc_budget_nt;
           quick "txn segment path" test_alloc_budget_txn;
           quick "consume fast path" test_alloc_budget_consume;
+          quick "scheduler switch" test_alloc_budget_switch;
         ] );
       ( "identity",
         [
