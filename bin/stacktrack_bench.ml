@@ -17,13 +17,17 @@ let structure_conv =
   let print ppf s = Format.fprintf ppf "%s" (Experiment.structure_name s) in
   Arg.conv (parse, print)
 
-(* An integer option with a lower bound: a value below it is a usage error
-   that names the option, like a malformed integer. *)
-let int_at_least lo =
+(* An integer option bounded to [lo, hi]: a value outside them is a usage
+   error that names the option, like a malformed integer. *)
+let int_within lo hi =
   let parse s =
     match Arg.conv_parser Arg.int s with
-    | Ok n when n < lo ->
-        Error (`Msg (Printf.sprintf "must be at least %d, got %d" lo n))
+    | Ok n when n < lo || n > hi ->
+        Error
+          (`Msg
+             (if hi = max_int then
+                Printf.sprintf "must be at least %d, got %d" lo n
+              else Printf.sprintf "must be between %d and %d, got %d" lo hi n))
     | r -> r
   in
   Arg.conv (parse, Arg.conv_printer Arg.int)
@@ -195,7 +199,13 @@ let run_cmd =
             ^ "."))
   in
   let threads =
-    Arg.(value & opt int 8 & info [ "threads"; "t" ] ~doc:"Worker threads.")
+    Arg.(
+      value
+      & opt (int_within 1 St_sim.Topology.max_threads) 8
+      & info [ "threads"; "t" ]
+          ~doc:
+            (Printf.sprintf "Worker threads (1 to %d)."
+               St_sim.Topology.max_threads))
   in
   let duration =
     Arg.(
@@ -205,25 +215,27 @@ let run_cmd =
   let keys =
     Arg.(
       value
-      & opt (int_at_least 1) 1024
+      & opt (int_within 1 max_int) 1024
       & info [ "keys" ] ~doc:"Key range for sets (at least 1).")
   in
   let init =
     Arg.(
       value
-      & opt (int_at_least 0) 512
+      & opt (int_within 0 max_int) 512
       & info [ "init" ]
           ~doc:"Initial structure size (at least 0; capped at --keys).")
   in
   let mutations =
     Arg.(
-      value & opt int 20 & info [ "mutations"; "m" ] ~doc:"Mutation percentage.")
+      value
+      & opt (int_within 0 100) 20
+      & info [ "mutations"; "m" ] ~doc:"Mutation percentage (0 to 100).")
   in
   let seed = Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~doc:"RNG seed.") in
   let buckets =
     Arg.(
       value
-      & opt (int_at_least 1) 512
+      & opt (int_within 1 max_int) 512
       & info [ "buckets" ] ~doc:"Hash-table buckets (at least 1).")
   in
   let forced_slow =

@@ -85,7 +85,6 @@ and env = {
   mutable region_depth : int; (* user-defined atomic regions (sec 5.5) *)
 }
 
-let name = "stacktrack"
 let stats t = t.stats
 let scheme_stats t = t.st
 let runtime t = t.rt
@@ -98,7 +97,7 @@ let create ?(cfg = St_config.default) rt =
     stats = Guard.make_stats ();
     st = Scheme_stats.create ();
     slow_path_count = 0;
-    threads = Array.make 256 None;
+    threads = Array.make Topology.max_threads None;
   }
 
 let create_thread s ~tid =

@@ -3,16 +3,13 @@
     The StackTrack engine logs one entry per primitive access (read, write,
     CAS, random draw, allocation, retire) to make segment replay after a
     hardware abort deterministic.  Entries are packed into immediate [int]s
-    — kind tag in the low {!tag_bits} bits, payload shifted above — so the
+    — kind tag in the low 3 bits, payload shifted above — so the
     log is a flat [int Vec.t] and the per-access push never allocates.
 
     Round-trip contract: [payload (pack ~tag p) = p] for any [p] in
     [[{!min_payload}, {!max_payload}]] (the shift-decode is arithmetic, so
     signs survive).  Simulated words and addresses are far inside the
     range. *)
-
-val tag_bits : int
-val tag_mask : int
 
 (** {2 Kind tags} *)
 

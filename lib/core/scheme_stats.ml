@@ -47,10 +47,6 @@ let avg_segment_length t =
   if t.segments = 0 then 0.
   else float_of_int t.segment_len_sum /. float_of_int t.segments
 
-let avg_stack_depth t =
-  if t.inspections = 0 then 0.
-  else float_of_int t.stack_words /. float_of_int t.inspections
-
 let pp ppf t =
   Format.fprintf ppf
     "ops=%d (fast=%d slow=%d) segments=%d avg_splits/op=%.2f avg_len=%.2f \

@@ -37,7 +37,4 @@ val avg_splits_per_op : t -> float
 val avg_segment_length : t -> float
 (** Mean basic blocks per committed segment. *)
 
-val avg_stack_depth : t -> float
-(** Mean exposed words per inspected stack (scan-behaviour analysis). *)
-
 val pp : Format.formatter -> t -> unit

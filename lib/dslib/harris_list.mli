@@ -19,19 +19,6 @@ val key_off : int
 val next_off : int
 val node_size : int
 
-val head_key : int
-(** Sentinel key of the list head, smaller than any workload key. *)
-
-(** {2 Operation / frame-slot identifiers} *)
-
-val op_contains : int
-val op_insert : int
-val op_delete : int
-val l_pred : int
-val l_curr : int
-val l_next : int
-val l_node : int
-
 type t = { head : St_mem.Word.addr }
 
 (** {2 Raw (pre-concurrency) construction and inspection} *)

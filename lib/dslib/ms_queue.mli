@@ -6,21 +6,6 @@
     the old dummy, so retirement is unique.  [head] and [tail] are padded
     onto separate cache lines (see the .ml). *)
 
-(** {2 Layout} *)
-
-val value_off : int
-val next_off : int
-val node_size : int
-val head_off : int
-val tail_off : int
-val root_size : int
-
-val op_enqueue : int
-val op_dequeue : int
-val op_peek : int
-val l_a : int
-val l_b : int
-
 type t = { root : St_mem.Word.addr }
 
 val create_raw : St_mem.Heap.t -> t

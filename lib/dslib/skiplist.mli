@@ -7,39 +7,11 @@
     before retiring the node.  See the .ml header for the hazard-slot map
     used under pointer-announcement schemes. *)
 
-val max_level : int
-
-(** {2 Node layout} *)
-
-val key_off : int
-val level_off : int
-val next_off : int -> int
-(** [next_off l] is the offset of the level-[l] forward pointer. *)
-
-val node_size : int -> int
-val head_key : int
-
-(** {2 Operation / frame-slot / hazard-slot identifiers} *)
-
-val op_contains : int
-val op_insert : int
-val op_delete : int
-val l_pred : int -> int
-val l_succ : int -> int
-val l_node : int
-val l_curr : int
-val pred_slot : int -> int
-val succ_slot : int -> int
-val node_slot : int
-
 type t = { head : St_mem.Word.addr }
 
 (** {2 Raw construction and inspection} *)
 
 val create_raw : St_mem.Heap.t -> t
-
-val random_level : St_sim.Rng.t -> int
-(** Geometric tower height in [\[1, max_level\]], p = 1/2. *)
 
 val populate_raw :
   St_mem.Heap.t ->

@@ -2,18 +2,6 @@
     paper's four benchmarks because safe reclamation is precisely what
     makes its pop CAS sound (see the .ml header). *)
 
-val value_off : int
-val next_off : int
-val node_size : int
-val top_off : int
-val root_size : int
-
-val op_push : int
-val op_pop : int
-val op_top : int
-val l_node : int
-val l_top : int
-
 type t = { root : St_mem.Word.addr }
 
 val create_raw : St_mem.Heap.t -> t

@@ -7,11 +7,6 @@
     every drift.  [bench/analyze.exe] turns a non-empty drift list into
     a nonzero exit. *)
 
-val flatten : Json_out.t -> (string * Json_out.t) list
-(** Leaf paths in document order.  Object members join with ['.'],
-    list elements index as [path[i]]; containers themselves contribute
-    no entry. *)
-
 (** {2 Tolerances} *)
 
 type tolerances = { default : float; rules : (string * float) list }

@@ -12,10 +12,8 @@
     carries the ring's recorded/dropped totals, so a truncated trace is
     detectable from the file alone. *)
 
-val to_json : ?pid:int -> St_sim.Trace.t -> Json_out.t
-(** The full trace document; [pid] (default 0) labels the process row. *)
-
 val to_string : ?pid:int -> St_sim.Trace.t -> string
+(** The full trace document; [pid] (default 0) labels the process row. *)
 
 val write_file : ?pid:int -> string -> St_sim.Trace.t -> unit
 (** [write_file path trace] writes {!to_string} to [path]. *)

@@ -328,23 +328,24 @@ let make_instance rt = function
         extras = no_extras;
       }
   | Debra ->
+      let s = Debra.create ~blocked:Wait rt in
       {
-        packed = Packed ((module Debra : Guard.S with type t = Debra.t), Debra.create rt);
+        packed = Packed ((module Debra : Guard.S with type t = Debra.t), s);
         note_link = ignore;
         st_handle = None;
         extras = no_extras;
       }
   | Debra_plus ->
-      let s = Debra_plus.create rt in
+      let s = Debra.create ~blocked:(Neutralize 100_000) rt in
       {
-        packed = Packed ((module Debra_plus : Guard.S with type t = Debra_plus.t), s);
+        packed = Packed ((module Debra : Guard.S with type t = Debra.t), s);
         note_link = ignore;
         st_handle = None;
         extras =
           (fun () ->
             [
-              ("neutralizations", Debra_plus.neutralizations s);
-              ("recoveries", Debra_plus.recoveries s);
+              ("neutralizations", Debra.neutralizations s);
+              ("recoveries", Debra.recoveries s);
             ]);
       }
   | Hazard_eras ->

@@ -219,9 +219,6 @@ type result = {
           tables ({!St_htm.Tsx.line_table_words}); never emitted to JSON. *)
 }
 
-val throughput_of : ops:int -> makespan:int -> float
-(** Operations per million virtual cycles ([0.] when [makespan = 0]). *)
-
 val run : config -> result
 (** Run one experiment to completion.  Deterministic in [cfg]; touches no
     state outside the values it creates, so concurrent calls from

@@ -18,7 +18,5 @@ type t =
 
 val to_string : t -> string
 
-val to_channel : out_channel -> t -> unit
-(** Writes the value followed by a newline. *)
-
 val write_file : string -> t -> unit
+(** Writes the value followed by a newline. *)

@@ -64,19 +64,3 @@ let push t s =
 
 let count t = t.n
 let samples t = List.rev t.rev_samples
-
-let aborts s =
-  s.conflict_aborts + s.capacity_aborts + s.interrupt_aborts
-  + s.explicit_aborts
-
-let pp_sample ppf s =
-  Format.fprintf ppf
-    "[%10d] ops=%d live=%d pending=%d commits=%d aborts=%d scans=%d" s.time
-    s.ops s.live_objects s.pending_frees s.commits (aborts s) s.scans
-
-let pp_lifecycle_sample ppf s =
-  Format.fprintf ppf
-    "[%10d] limbo=%d (%d words) live=%d words quarantine=%d retired=%d \
-     freed=%d"
-    s.lc_time s.limbo_objects s.limbo_words s.live_words s.quarantine
-    s.lc_retired s.lc_freed

@@ -62,9 +62,3 @@ val count : t -> int
 
 val samples : t -> sample list
 (** In push order (oldest first). *)
-
-val aborts : sample -> int
-(** Sum of the four abort counters. *)
-
-val pp_sample : Format.formatter -> sample -> unit
-val pp_lifecycle_sample : Format.formatter -> lifecycle_sample -> unit

@@ -7,16 +7,13 @@
     reports/CSV/JSON to the sequential driver.  See DESIGN.md "Parallel
     driver". *)
 
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()] — what [jobs = 0] resolves to. *)
-
 val run : ?jobs:int -> (unit -> 'a) list -> 'a list
 (** [run ~jobs tasks] executes every task and returns their results in the
     order the tasks were given, regardless of completion order.
 
     - [jobs = 1] (default): tasks run sequentially in the calling domain
       (no domains are spawned).
-    - [jobs = 0]: use {!default_jobs}.
+    - [jobs = 0]: use [Domain.recommended_domain_count ()].
     - [jobs > 1]: at most [jobs] domains run tasks concurrently (the
       calling domain participates as one of them); tasks are claimed
       dynamically in submission order.

@@ -16,25 +16,6 @@
       census, retire→free lag summary + sparse histogram, the per-quantum
       limbo/footprint series, and the watchdog stagnation report. *)
 
-val of_config : Experiment.config -> Json_out.t
-val of_htm : St_htm.Htm_stats.t -> Json_out.t
-val of_reclaim : St_reclaim.Guard.stats -> Json_out.t
-val of_scheme_stats : Stacktrack.Scheme_stats.t -> Json_out.t
-val of_latency : Latency.t -> Json_out.t
-
-val of_latency_hist : Latency.t -> Json_out.t
-(** The full sparse histogram: a list of [{low, count}] objects, one per
-    populated bucket, ascending lower bound. *)
-
-val of_metrics_sample : Metrics.sample -> Json_out.t
-val of_profile : St_sim.Profile.snapshot -> Json_out.t
-val of_heat_row : Experiment.heat_row -> Json_out.t
-val of_lifecycle_sample : Metrics.lifecycle_sample -> Json_out.t
-val of_watchdog : St_sim.Watchdog.report -> Json_out.t
-
-val of_lifecycle : Experiment.lifecycle_summary -> Json_out.t
-(** The [reclaim_lifecycle] section. *)
-
 val encode : Experiment.result -> Json_out.t
 (** The complete result document. *)
 
@@ -48,10 +29,6 @@ val flame_lines : Experiment.result -> string list
     nonzero cycles — tid ascending, accounts in {!St_sim.Profile.accounts}
     order, an [idle] frame last.  Empty for unprofiled runs.  Feed to
     [flamegraph.pl] or speedscope. *)
-
-val flame_string : Experiment.result -> string
-(** {!flame_lines} joined with newlines (trailing newline; [""] when
-    empty). *)
 
 val write_flame_file : string -> Experiment.result list -> unit
 (** Concatenate the collapsed stacks of several runs into one file. *)

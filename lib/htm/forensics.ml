@@ -3,7 +3,8 @@
    Hashtbl growth (per-line / per-segment tables) and never draws RNG or
    charges cycles, so it cannot perturb a run. *)
 
-let max_threads = 256
+open St_sim
+
 let max_retry_depth = 64
 
 type segment = {
@@ -37,7 +38,7 @@ let ints_per_decision = 7
 
 type t = {
   enabled : bool;
-  conflict_pairs : int array;  (* victim * max_threads + aborter *)
+  conflict_pairs : int array;  (* victim * Topology.max_threads + aborter *)
   capacity_pairs : int array;
   interrupt_victims : int array;
   doomed_lines : (int, int) Hashtbl.t;
@@ -56,12 +57,15 @@ type t = {
 }
 
 let make ~enabled ~timeline_capacity =
-  let dim = if enabled then max_threads * max_threads else 0 in
+  let dim =
+    if enabled then Topology.max_threads * Topology.max_threads else 0
+  in
   {
     enabled;
     conflict_pairs = Array.make dim 0;
     capacity_pairs = Array.make dim 0;
-    interrupt_victims = Array.make (if enabled then max_threads else 0) 0;
+    interrupt_victims =
+      Array.make (if enabled then Topology.max_threads else 0) 0;
     doomed_lines = Hashtbl.create (if enabled then 64 else 0);
     conflict_dooms = 0;
     capacity_dooms = 0;
@@ -104,7 +108,7 @@ let bump_line t line =
 
 let on_conflict_doom t ~victim ~aborter ~line =
   if t.enabled then begin
-    let i = (victim * max_threads) + aborter in
+    let i = (victim * Topology.max_threads) + aborter in
     t.conflict_pairs.(i) <- t.conflict_pairs.(i) + 1;
     t.conflict_dooms <- t.conflict_dooms + 1;
     bump_line t line
@@ -112,7 +116,7 @@ let on_conflict_doom t ~victim ~aborter ~line =
 
 let on_capacity_doom t ~victim ~aborter =
   if t.enabled then begin
-    let i = (victim * max_threads) + aborter in
+    let i = (victim * Topology.max_threads) + aborter in
     t.capacity_pairs.(i) <- t.capacity_pairs.(i) + 1;
     t.capacity_dooms <- t.capacity_dooms + 1
   end
@@ -191,7 +195,8 @@ let iter_pairs pairs f =
   Array.iteri
     (fun i n ->
       if n <> 0 then
-        f ~victim:(i / max_threads) ~aborter:(i mod max_threads) n)
+        f ~victim:(i / Topology.max_threads)
+          ~aborter:(i mod Topology.max_threads) n)
     pairs
 
 let iter_conflict_pairs t f = iter_pairs t.conflict_pairs f

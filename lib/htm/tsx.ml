@@ -39,12 +39,11 @@ let doomed_conflict = Some Htm_stats.Conflict
 let doomed_capacity = Some Htm_stats.Capacity
 let doomed_interrupt = Some Htm_stats.Interrupt
 
-let max_threads = 256
 
-(* Thread-id bitsets for the per-line conflict index: [max_threads] bits
-   packed into native ints. *)
+(* Thread-id bitsets for the per-line conflict index:
+   [Topology.max_threads] bits packed into native ints. *)
 let bits_per_word = Sys.int_size
-let bitset_words = (max_threads + bits_per_word - 1) / bits_per_word
+let bitset_words = (Topology.max_threads + bits_per_word - 1) / bits_per_word
 
 (* Chunk geometry of the line tables (state + two conflict bitsets). *)
 let lines_per_chunk_shift = 12
@@ -154,11 +153,12 @@ let create ?(cache = Cache.create ()) ?(backend = Htm)
       backend;
       heatmap;
       forensics;
-      txns = Array.make max_threads None;
-      pool = Array.make max_threads None;
+      txns = Array.make Topology.max_threads None;
+      pool = Array.make Topology.max_threads None;
       line_versions = Hashtbl.create 4096;
       stm_clock = 0;
-      stats = Array.init max_threads (fun _ -> Htm_stats.create ());
+      stats =
+        Array.init Topology.max_threads (fun _ -> Htm_stats.create ());
       evict_rng = Rng.split (Sched.rng sched);
       line_state = Array.make 4 [||];
       line_readers = Array.make 4 [||];
@@ -167,18 +167,21 @@ let create ?(cache = Cache.create ()) ?(backend = Htm)
       coh_tid = -1;
       coh_line = -1;
       coh_st = -1;
-      tid_word = Array.init max_threads (fun tid -> tid / bits_per_word);
-      tid_mask = Array.init max_threads (fun tid -> 1 lsl (tid mod bits_per_word));
+      tid_word =
+        Array.init Topology.max_threads (fun tid -> tid / bits_per_word);
+      tid_mask =
+        Array.init Topology.max_threads (fun tid ->
+            1 lsl (tid mod bits_per_word));
       nw = 1;
       idx_gen = 0;
       fp_tid = -1;
       fp_line = -1;
       fp_gen = -1;
       fp_write = false;
-      sib_ix = Array.make max_threads (-2);
+      sib_ix = Array.make Topology.max_threads (-2);
       act_tids =
         Array.init (Topology.lcores (Sched.topology sched)) (fun _ ->
-            Array.make max_threads 0);
+            Array.make Topology.max_threads 0);
       act_len = Array.make (Topology.lcores (Sched.topology sched)) 0;
       tally = Hashtbl.create 64;
     }
@@ -213,7 +216,7 @@ let total_stats t =
   (* Merge only the threads the scheduler knows about: sweeping the full
      [max_threads] slots allocated a 256-element array + list per call even
      for a 2-thread run (the metrics sampler calls this on every tick). *)
-  let n = min max_threads (Sched.n_threads t.sched) in
+  let n = min Topology.max_threads (Sched.n_threads t.sched) in
   let rec take i acc = if i < 0 then acc else take (i - 1) (t.stats.(i) :: acc) in
   Htm_stats.merge (take (n - 1) [])
 

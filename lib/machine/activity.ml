@@ -1,15 +1,15 @@
-let max_threads = 256
 
 type t = {
   slots : Ctx.t option array;
   mutable count : int;
   mutable high : int;
       (* 1 + highest tid ever registered: [iter] scans [0, high) instead of
-         all [max_threads] slots.  Monotone — a deregistered tid may leave a
-         [None] hole below the watermark, which [iter] skips. *)
+         all [Topology.max_threads] slots.  Monotone — a deregistered tid
+         may leave a [None] hole below the watermark, which [iter] skips. *)
 }
 
-let create () = { slots = Array.make max_threads None; count = 0; high = 0 }
+let create () =
+  { slots = Array.make St_sim.Topology.max_threads None; count = 0; high = 0 }
 
 let register t ctx =
   let tid = Ctx.tid ctx in

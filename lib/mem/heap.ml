@@ -212,10 +212,6 @@ let base_of t v =
 
 let birth_ix t addr = if is_allocated t addr then tbl_get t.birth addr else 0
 
-let birth_of t addr =
-  let b = birth_ix t addr in
-  if b <> 0 then Some (b - 1) else None
-
 let free t ~tid addr =
   if not (in_heap t addr) then Shadow.record t.shadow Bad_free ~addr ~tid
   else if tbl_get t.owner addr <> addr then

@@ -74,17 +74,12 @@ val owner_of : t -> Word.value -> Word.addr
     This is the form the reclamation scan loops use — called once per
     exposed word per scan, it must not allocate a [Some] per query. *)
 
-val birth_of : t -> Word.addr -> int option
-(** Allocation sequence number of the live object based at [addr].
-    Allocation order is seed-deterministic, so the birth index is a stable
-    object name across runs and [--jobs] counts — the contention heatmap
-    uses it to label hot lines. *)
-
 val birth_ix : t -> Word.addr -> int
-(** Option-free birth query with a 0 sentinel: [1 +] the allocation
-    sequence number of the live object based at [addr], or [0] when no live
-    object is based there.  [birth_of] is [birth_ix - 1] boxed; hot paths
-    use this form. *)
+(** Birth query with a 0 sentinel: [1 +] the allocation sequence number of
+    the live object based at [addr], or [0] when no live object is based
+    there.  Allocation order is seed-deterministic, so the birth index is
+    a stable object name across runs and [--jobs] counts — the contention
+    heatmap uses it to label hot lines. *)
 
 (** {2 Raw access (used by the HTM layer)} *)
 

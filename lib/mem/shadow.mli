@@ -25,5 +25,4 @@ val count_kind : t -> kind -> int
 val first : t -> violation list
 (** Up to the first 16 violations, in order of occurrence. *)
 
-val kind_to_string : kind -> string
 val pp_violation : Format.formatter -> violation -> unit

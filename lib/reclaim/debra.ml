@@ -1,5 +1,6 @@
-(** DEBRA (Brown, PODC 2015): distributed epoch-based reclamation with
-    amortized constant-time instrumentation.
+(** DEBRA and DEBRA+ (Brown, PODC 2015): distributed epoch-based
+    reclamation with amortized constant-time instrumentation, and its
+    neutralizing variant.
 
     Like classic epoch reclamation, each thread announces "inside an
     operation at epoch e" on operation begin and "quiescent" on operation
@@ -17,25 +18,51 @@
     pointers by a factor of the traversal length, and competitive with
     plain epochs while distributing the reclamation work.
 
-    The failure mode is inherited from epochs, and deliberately kept: a
-    thread that crashes (or stalls forever) while announced inside an
-    operation blocks the epoch-advance check at its rotating-index
-    position for every peer, the epoch never advances again, and limbo
-    bags grow without bound.  DEBRA+ ({!Debra_plus}) closes exactly this
-    hole with neutralization signals. *)
+    An epoch check goes Start → LoadEpochs → Ready | Blocked, and the two
+    schemes differ only in what Blocked does — the [blocked] policy, read
+    only where a peer is found announced inside an operation below the
+    current epoch:
+
+    - [Wait] (DEBRA) keeps epoch reclamation's failure mode, deliberately:
+      a thread that crashes (or stalls forever) while announced inside an
+      operation parks the rotating check on itself for every peer, the
+      epoch never advances again, and limbo bags grow without bound.
+    - [Neutralize patience] (DEBRA+) closes exactly this hole.  A check
+      parked on the same peer for [patience] cycles {e neutralizes} it
+      with a simulated POSIX signal ({!Sched.signal}).  The handler marks
+      the victim quiescent — safe, because the victim's interrupted
+      operation unwinds with {!Sched.Signal_interrupt} at its next resume
+      and restarts from scratch ({!Simple.Make}), so references acquired
+      by the interrupted attempt are never used again.  A crashed victim
+      never resumes at all, which is equally safe and is precisely the
+      robustness story: the epoch advances past the corpse and limbo
+      backlog stays bounded where DEBRA's grows without bound.
+
+    Neutralization costs: the signaller pays a context-switch charge per
+    signal (the pthread_kill syscall); the victim pays by re-running its
+    operation.  A neutralization that lands between a victim's allocation
+    and publication leaks that node (visible in [leaked]) — the price of
+    restart semantics, shared with real DEBRA+ unless every operation is
+    written against the recovery API. *)
 
 open St_sim
 open St_mem
 open St_htm
+
+type blocked = Wait | Neutralize of int
 
 (* announce.(tid) = (last observed epoch lsl 1) lor (1 if inside an op) *)
 
 type scheme = {
   rt : Guard.runtime;
   stats : Guard.stats;
+  blocked : blocked;
   mutable epoch : int; (* global epoch clock *)
   announce : int array; (* indexed by tid *)
+  neutralized : bool array; (* set by the handler, cleared on recovery *)
   registered : int Vec.t; (* tids, in registration order *)
+  mutable neutralizations : int; (* signals delivered *)
+  mutable recoveries : int; (* restarts observed by live victims *)
 }
 
 let bags_count = 3
@@ -49,9 +76,10 @@ module Hooks = struct
     bags : Word.addr Vec.t array; (* limbo bags, indexed by epoch mod 3 *)
     mutable my_epoch : int; (* epoch the bags are synced to *)
     mutable check_idx : int; (* rotating peer index for amortized advance *)
+    mutable blocked_on : int; (* peer the check is parked on, -1 if none *)
+    mutable blocked_since : int;
   }
 
-  let name = "debra"
   let runtime t = t.rt
   let stats t = t.stats
 
@@ -59,17 +87,34 @@ module Hooks = struct
     (* Dedupe: a re-registered tid must not be checked twice per round. *)
     if not (Vec.exists (fun t -> t = tid) s.registered) then
       Vec.push s.registered tid;
+    (match s.blocked with
+    | Wait -> ()
+    | Neutralize _ ->
+        let sched = s.rt.Guard.sched in
+        (* The handler runs synchronously at delivery, in the signaller's
+           context: all it publishes is the quiescent announcement the
+           victim itself would have written. *)
+        Sched.set_signal_handler sched ~tid (fun () ->
+            s.announce.(tid) <- (s.announce.(tid) asr 1) lsl 1;
+            s.neutralized.(tid) <- true;
+            s.neutralizations <- s.neutralizations + 1;
+            let tr = Sched.trace sched in
+            if Trace.on tr then
+              Trace.instant tr ~time:(Sched.now_or_global sched) ~tid
+                Trace.Reclaim "neutralize" Trace.no_detail));
     {
       s;
       tid;
       bags = Array.init bags_count (fun _ -> Vec.create ());
       my_epoch = 0;
       check_idx = 0;
+      blocked_on = -1;
+      blocked_since = 0;
     }
 
   (* Free one limbo bag in a batch.  Nodes are popped before each free so
-     an unwind mid-batch (thread crash, or DEBRA+ neutralization) can
-     never double-free on the restarted operation's re-rotation. *)
+     an unwind mid-batch (thread crash, or neutralization) can never
+     double-free on the restarted operation's re-rotation. *)
   let free_bag th bag =
     let s = th.s in
     let sched = s.rt.Guard.sched in
@@ -108,14 +153,29 @@ module Hooks = struct
           free_bag th th.bags.(m mod bags_count)
         done;
       th.my_epoch <- e;
-      th.check_idx <- 0
+      th.check_idx <- 0;
+      th.blocked_on <- -1
+    end
+
+  (* Neutralize [peer]: deliver the signal while it is provably announced
+     inside an operation.  The announcement re-check, the delivery and
+     the handler all run in this scheduler step (no [consume] between),
+     so the victim cannot complete its operation in the window.  The
+     syscall cost is charged after delivery. *)
+  let neutralize th peer =
+    let s = th.s in
+    let sched = s.rt.Guard.sched in
+    if s.announce.(peer) land 1 = 1 then begin
+      Sched.signal sched peer;
+      Sched.consume sched (Sched.costs sched).context_switch
     end
 
   (* The amortized epoch-advance check: inspect a single peer per
      operation.  Quiescent peers and peers announced at [e] pass; once
      every peer has passed for the same epoch, bump the global clock.  A
      peer stuck announced below [e] (preempted for a long time, or
-     crashed) parks the rotating index on itself — the DEBRA stall. *)
+     crashed) parks the rotating index on itself — the DEBRA stall, which
+     [Neutralize] ends after [patience] cycles parked on the same peer. *)
   let advance_check th e =
     let s = th.s in
     let sched = s.rt.Guard.sched in
@@ -128,6 +188,7 @@ module Hooks = struct
       Sched.consume sched costs.load;
       s.stats.Guard.scan_words <- s.stats.Guard.scan_words + 1;
       if peer = th.tid || a land 1 = 0 || a asr 1 >= e then begin
+        th.blocked_on <- -1;
         th.check_idx <- th.check_idx + 1;
         if th.check_idx >= n && s.epoch = e then begin
           (* Saw every peer quiescent or at [e]: advance the clock. *)
@@ -136,12 +197,30 @@ module Hooks = struct
           Sched.consume sched costs.cas
         end
       end
+      else
+        match s.blocked with
+        | Wait -> ()
+        | Neutralize patience ->
+            let now = Sched.now sched in
+            if th.blocked_on <> peer then begin
+              th.blocked_on <- peer;
+              th.blocked_since <- now
+            end
+            else if now - th.blocked_since > patience then begin
+              neutralize th peer;
+              th.blocked_on <- -1
+            end
     end
 
   let on_begin th ~op_id:_ =
     let s = th.s in
     let sched = s.rt.Guard.sched in
     let costs = Sched.costs sched in
+    if s.neutralized.(th.tid) then begin
+      (* We were neutralized and unwound: this is the recovery path. *)
+      s.neutralized.(th.tid) <- false;
+      s.recoveries <- s.recoveries + 1
+    end;
     let e = s.epoch in
     Sched.consume sched costs.load;
     if e <> th.my_epoch then sync_bags th e;
@@ -152,8 +231,8 @@ module Hooks = struct
   let on_end th =
     let s = th.s in
     (* Quiescent announcement first, then the charge: the store is already
-       visible at the thread's next suspension point, so a neutralizer
-       (DEBRA+) deciding synchronously never signals a finished body. *)
+       visible at the thread's next suspension point, so a synchronous
+       neutralizer never signals a finished body. *)
     s.announce.(th.tid) <- th.my_epoch lsl 1;
     Sched.consume s.rt.Guard.sched (Sched.costs s.rt.Guard.sched).store
 
@@ -175,16 +254,18 @@ module Hooks = struct
 
   (* Between-operations drain: with no peer announced inside an operation
      the epoch can be advanced directly; three rounds cycle every bag out.
-     A peer stuck inside an operation (crashed) blocks this too —
-    quiescing cannot recover what the epoch cannot prove dead. *)
+     A peer stuck inside an operation (crashed) stops the drain under
+     [Wait] — quiescing cannot recover what the epoch cannot prove dead.
+     [Neutralize] neutralizes it on sight instead (always sound — at worst
+     it restarts an operation). *)
   let quiesce th =
     let s = th.s in
     let sched = s.rt.Guard.sched in
     let costs = Sched.costs sched in
     if Array.exists (fun bag -> Vec.length bag > 0) th.bags then
-      let blocked = ref false in
+      let stuck = ref false in
       for _round = 1 to bags_count do
-        if not !blocked then begin
+        if not !stuck then begin
           let e = s.epoch in
           Sched.consume sched costs.load;
           sync_bags th e;
@@ -194,9 +275,11 @@ module Hooks = struct
             s.stats.Guard.scan_words <- s.stats.Guard.scan_words + 1;
             let a = s.announce.(peer) in
             if peer <> th.tid && a land 1 = 1 && a asr 1 < e then
-              blocked := true
+              match s.blocked with
+              | Wait -> stuck := true
+              | Neutralize _ -> neutralize th peer
           done;
-          if not !blocked then begin
+          if not !stuck then begin
             if s.epoch = e then begin
               s.epoch <- e + 1;
               Sched.consume sched costs.cas
@@ -213,11 +296,18 @@ end
 
 include Simple.Make (Hooks)
 
-let create rt =
+let neutralizations s = s.neutralizations
+let recoveries s = s.recoveries
+
+let create ~blocked rt =
   {
     rt;
     stats = Guard.make_stats ();
+    blocked;
     epoch = 0;
-    announce = Array.make 256 0;
+    announce = Array.make Topology.max_threads 0;
+    neutralized = Array.make Topology.max_threads false;
     registered = Vec.create ();
+    neutralizations = 0;
+    recoveries = 0;
   }

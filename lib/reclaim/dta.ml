@@ -55,7 +55,6 @@ module Hooks = struct
     mutable hops : int;
   }
 
-  let name = "dta"
   let runtime t = t.rt
   let stats t = t.stats
 
@@ -254,8 +253,8 @@ let create ?(batch = 4) ?(k = 16) ?(window = 48) ?(patience = 30_000) rt =
     k;
     window;
     patience;
-    timestamps = Array.make 256 0;
-    rings = Array.init 256 (fun _ -> Array.make window 0);
-    frozen = Array.make 256 false;
+    timestamps = Array.make Topology.max_threads 0;
+    rings = Array.init Topology.max_threads (fun _ -> Array.make window 0);
+    frozen = Array.make Topology.max_threads false;
     registered = [];
   }

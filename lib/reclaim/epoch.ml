@@ -33,7 +33,6 @@ module Hooks = struct
 
   type thread = { s : scheme; tid : int; buffer : St_mem.Word.addr Vec.t }
 
-  let name = "epoch"
   let runtime t = t.rt
   let stats t = t.stats
 
@@ -163,6 +162,6 @@ let create ?(batch = 2) ?(patience = 250_000) rt =
     stats = Guard.make_stats ();
     batch;
     patience;
-    timestamps = Array.make 256 0;
+    timestamps = Array.make Topology.max_threads 0;
     registered = [];
   }

@@ -103,21 +103,6 @@ let mean_lag stats =
   if stats.freed = 0 then 0.
   else float_of_int stats.lag_sum /. float_of_int stats.freed
 
-let merge_stats ss =
-  let acc = make_stats () in
-  List.iter
-    (fun s ->
-      acc.retired <- acc.retired + s.retired;
-      acc.freed <- acc.freed + s.freed;
-      acc.scans <- acc.scans + s.scans;
-      acc.scan_words <- acc.scan_words + s.scan_words;
-      acc.stall_cycles <- acc.stall_cycles + s.stall_cycles;
-      acc.protect_fences <- acc.protect_fences + s.protect_fences;
-      acc.lag_sum <- acc.lag_sum + s.lag_sum;
-      if s.lag_max > acc.lag_max then acc.lag_max <- s.lag_max)
-    ss;
-  acc
-
 module type S = sig
   type t
   (** Scheme instance, shared by all threads of a run. *)
@@ -127,8 +112,6 @@ module type S = sig
 
   type env
   (** Handle threaded through one data-structure operation. *)
-
-  val name : string
 
   val create_thread : t -> tid:int -> thread
   (** Must be called from within the simulated thread's body. *)

@@ -110,10 +110,6 @@ val note_free : stats -> now:int -> int -> unit
 
 val mean_lag : stats -> float
 
-val merge_stats : stats list -> stats
-(** Sum counters and lag aggregates ([retire_stamp] and [lifecycle] of the
-    result are fresh/disabled). *)
-
 (** {1 The scheme interface} *)
 
 module type S = sig
@@ -125,8 +121,6 @@ module type S = sig
 
   type env
   (** Handle threaded through one data-structure operation. *)
-
-  val name : string
 
   val create_thread : t -> tid:int -> thread
   (** Must be called from within the simulated thread's body. *)

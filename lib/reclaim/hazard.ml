@@ -38,7 +38,6 @@ module Hooks = struct
     scan_scratch : (int, unit) Hashtbl.t; (* protected-set table, reused *)
   }
 
-  let name = "hazards"
   let runtime t = t.rt
   let stats t = t.stats
 
@@ -182,6 +181,6 @@ let create ?(batch = 16) rt =
     rt;
     stats = Guard.make_stats ();
     batch;
-    hazards = Array.init 256 (fun _ -> Array.make slots_per_thread 0);
+    hazards = Array.init Topology.max_threads (fun _ -> Array.make slots_per_thread 0);
     registered = [];
   }

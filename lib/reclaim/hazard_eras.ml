@@ -56,7 +56,6 @@ module Hooks = struct
     snap_hi : int array;
   }
 
-  let name = "hazard-eras"
   let runtime t = t.rt
   let stats t = t.stats
 
@@ -67,8 +66,8 @@ module Hooks = struct
       s;
       tid;
       buffer = Vec.create ();
-      snap_lo = Array.make 256 0;
-      snap_hi = Array.make 256 0;
+      snap_lo = Array.make Topology.max_threads 0;
+      snap_hi = Array.make Topology.max_threads 0;
     }
 
   let on_begin th ~op_id:_ =
@@ -238,7 +237,7 @@ let create ?(batch = 16) ?(era_freq = 8) rt =
     batch;
     era_freq;
     era = 1;
-    reservations = Array.init 256 (fun _ -> Array.make 2 0);
+    reservations = Array.init Topology.max_threads (fun _ -> Array.make 2 0);
     birth_eras = Array.make 1024 0;
     retire_count = 0;
     registered = [];

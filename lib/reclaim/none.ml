@@ -10,7 +10,6 @@ module Hooks = struct
   type t = { rt : Guard.runtime; stats : Guard.stats }
   type thread = t
 
-  let name = "original"
   let runtime t = t.rt
   let stats t = t.stats
   let create_thread t ~tid:_ = t

@@ -37,7 +37,6 @@ module Hooks = struct
 
   type thread = { s : scheme; tid : int; held : int array }
 
-  let name = "refcount"
   let runtime t = t.rt
   let stats t = t.stats
   let create_thread s ~tid = { s; tid; held = Array.make held_slots 0 }

@@ -1,10 +1,12 @@
 (** Functor factoring out everything the non-HTM schemes share.
 
     The baselines (none, immediate, epoch, hazard pointers, reference
-    counting, drop-the-anchor) all execute operation bodies exactly once,
-    keep operation locals in a plain array, and access simulated memory
-    non-transactionally.  They differ only in the protection, retirement and
-    (for reference counting) store hooks, supplied via {!HOOKS}. *)
+    counting, drop-the-anchor, DEBRA/DEBRA+, Hazard Eras) all execute
+    operation bodies once — unless a neutralizing reclaimer signals the
+    thread mid-operation, which restarts it — keep operation locals in a
+    plain array, and access simulated memory non-transactionally.  They
+    differ only in the protection, retirement and (for reference counting)
+    store hooks, supplied via {!HOOKS}. *)
 
 open St_sim
 open St_mem
@@ -14,7 +16,6 @@ module type HOOKS = sig
   type t
   type thread
 
-  val name : string
   val runtime : t -> Guard.runtime
   val stats : t -> Guard.stats
   val create_thread : t -> tid:int -> thread
@@ -36,9 +37,7 @@ module type HOOKS = sig
       schemes stamp the node's birth era on the way out. *)
 end
 
-(* Unsealed implementation shared by [Make] and [Make_recoverable]; the
-   sealed functors below pick an operation-wrapper discipline on top. *)
-module Impl (H : HOOKS) = struct
+module Make (H : HOOKS) : Guard.S with type t = H.t = struct
   type t = H.t
 
   type thread = {
@@ -50,8 +49,6 @@ module Impl (H : HOOKS) = struct
 
   type env = thread
 
-  let name = H.name
-
   let create_thread t ~tid =
     let rt = H.runtime t in
     {
@@ -61,18 +58,30 @@ module Impl (H : HOOKS) = struct
       rng = Sched.thread_rng rt.Guard.sched tid;
     }
 
-  let hook_thread th = th.h
-
   (* No cleanup on exceptions: the only exception that crosses an operation
-     is thread destruction (Sched.Thread_crashed), and a crashed thread must
-     NOT look quiescent — its epoch timestamp stays odd and its hazards stay
-     published, which is precisely the failure mode the paper analyses. *)
-  let run_op th ~op_id f =
-    H.on_begin th.h ~op_id;
-    Array.fill th.locals 0 (Array.length th.locals) 0;
-    let r = f th in
-    H.on_end th.h;
-    r
+     uncaught is thread destruction (Sched.Thread_crashed), and a crashed
+     thread must NOT look quiescent — its epoch timestamp stays odd and its
+     hazards stay published, which is precisely the failure mode the paper
+     analyses.
+
+     The simulated-signal unwind ([Sched.Signal_interrupt]) delivered by a
+     neutralizing reclaimer restarts the operation from scratch:
+     re-announce ([on_begin]), clear the frame locals, re-run the body.
+     The interrupted attempt never resumes, so references it held are dead
+     — which is what makes the neutralizer's quiescent announcement of this
+     thread sound.  A scheme that signals must only do so to threads
+     announced as inside an operation (between [on_begin]'s announcement
+     and [on_end]'s quiescence), so a completed body is never re-run. *)
+  let rec run_op th ~op_id f =
+    match
+      H.on_begin th.h ~op_id;
+      Array.fill th.locals 0 (Array.length th.locals) 0;
+      let r = f th in
+      H.on_end th.h;
+      r
+    with
+    | r -> r
+    | exception Sched.Signal_interrupt -> run_op th ~op_id f
 
   let read env addr = Tsx.nt_read env.rt.Guard.tsx addr
   let write env addr v = H.write env.h addr v
@@ -91,42 +100,4 @@ module Impl (H : HOOKS) = struct
   let retire env addr = H.retire env.h addr
   let quiesce th = H.quiesce th.h
   let stats = H.stats
-end
-
-module Make (H : HOOKS) : sig
-  include Guard.S with type t = H.t
-
-  val hook_thread : thread -> H.thread
-end =
-  Impl (H)
-
-module Make_recoverable (H : HOOKS) : sig
-  include Guard.S with type t = H.t
-
-  val hook_thread : thread -> H.thread
-end = struct
-  include Impl (H)
-
-  (* Like [Impl.run_op], but catches the simulated-signal unwind
-     ([Sched.Signal_interrupt]) delivered by a neutralizing reclaimer and
-     restarts the operation from scratch: re-announce ([on_begin]), clear
-     the frame locals, re-run the body.  The interrupted attempt never
-     resumes, so references it held are dead — which is what makes the
-     neutralizer's quiescent-announcement of this thread sound.  A scheme
-     using this wrapper must only deliver signals to threads that are
-     announced as inside an operation (between [on_begin]'s announcement
-     and [on_end]'s quiescence), so a completed body is never re-run. *)
-  let run_op th ~op_id f =
-    let rec attempt () =
-      match
-        H.on_begin th.h ~op_id;
-        Array.fill th.locals 0 (Array.length th.locals) 0;
-        let r = f th in
-        H.on_end th.h;
-        r
-      with
-      | r -> r
-      | exception Sched.Signal_interrupt -> attempt ()
-    in
-    attempt ()
 end

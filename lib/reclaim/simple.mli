@@ -1,10 +1,12 @@
 (** Functor factoring out everything the non-HTM schemes share.
 
-    The baselines (none, immediate, epoch, hazard pointers, reference
-    counting, drop-the-anchor) all execute operation bodies exactly once,
-    keep operation locals in a plain array, and access simulated memory
-    non-transactionally.  They differ only in the protection, retirement
-    and (for reference counting) store hooks, supplied via {!HOOKS}.
+    Every scheme except StackTrack is [Simple.Make] over its hooks:
+    {!None}, {!Immediate}, {!Epoch}, {!Hazard}, {!Refcount}, {!Dta},
+    {!Debra} (both policies) and {!Hazard_eras}.  They all execute
+    operation bodies once, keep operation locals in a plain array, and
+    access simulated memory non-transactionally.  They differ only in the
+    protection, retirement and (for reference counting) store hooks,
+    supplied via {!HOOKS}.
 
     Hook obligations for the uniform bookkeeping (see the retire/free hook
     contract in [Guard]): the supplied [retire] must call
@@ -18,7 +20,6 @@ module type HOOKS = sig
   type t
   type thread
 
-  val name : string
   val runtime : t -> Guard.runtime
   val stats : t -> Guard.stats
   val create_thread : t -> tid:int -> thread
@@ -40,22 +41,11 @@ module type HOOKS = sig
       schemes (Hazard Eras) stamp the node's birth era on the way out. *)
 end
 
-module Make (H : HOOKS) : sig
-  include Guard.S with type t = H.t
-
-  val hook_thread : thread -> H.thread
-  (** Unwrap the scheme-specific per-thread state (tests use this to poke
-      at hazard slots, epoch records, etc.). *)
-end
-
-module Make_recoverable (H : HOOKS) : sig
-  include Guard.S with type t = H.t
-
-  val hook_thread : thread -> H.thread
-end
-(** Like {!Make}, but [run_op] catches {!Sched.Signal_interrupt} — the
-    unwind a neutralizing reclaimer (DEBRA+) delivers to a stalled thread —
-    and restarts the operation from scratch: [on_begin] again, fresh frame
-    locals, body re-run.  Hooks used with this wrapper must only signal
-    threads announced as inside an operation, so a completed body is never
-    re-executed. *)
+module Make (H : HOOKS) : Guard.S with type t = H.t
+(** [run_op] catches {!St_sim.Sched.Signal_interrupt} — the unwind a
+    neutralizing reclaimer (DEBRA+) delivers to a stalled thread — and
+    restarts the operation from scratch: [on_begin] again, fresh frame
+    locals, body re-run.  Hooks that signal must only signal threads
+    announced as inside an operation, so a completed body is never
+    re-executed.  Only DEBRA+ ever signals, so for every other scheme the
+    body runs exactly once. *)

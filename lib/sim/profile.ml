@@ -42,8 +42,6 @@ let account_name = function
   | Coherence -> "coherence"
   | Ctx_switch -> "ctx_switch"
 
-let account_names = List.map account_name accounts
-
 (* Per-thread ledger.  [pending_txn] holds cycles charged while a
    transaction is open; they are classified only at commit (useful work) or
    abort (wasted speculation) — the distinction the paper's Figure 3 abort
@@ -60,7 +58,6 @@ type ledger = {
   mutable charged : int; (* everything this ledger ever absorbed *)
 }
 
-let max_threads = 256
 
 type t = { enabled : bool; ledgers : ledger array }
 
@@ -75,7 +72,10 @@ let make_ledger () =
   }
 
 let create ?(enabled = false) () =
-  { enabled; ledgers = Array.init max_threads (fun _ -> make_ledger ()) }
+  {
+    enabled;
+    ledgers = Array.init Topology.max_threads (fun _ -> make_ledger ());
+  }
 
 let enabled t = t.enabled
 
@@ -140,7 +140,7 @@ let pending_txn t ~tid = if t.enabled then t.ledgers.(tid).pending_txn else 0
 let wasted_cycles t ~n_threads =
   if not t.enabled then 0
   else begin
-    let n = min n_threads max_threads in
+    let n = min n_threads Topology.max_threads in
     let acc = ref 0 in
     for tid = 0 to n - 1 do
       acc := !acc + t.ledgers.(tid).counts.(account_index Wasted_txn)
@@ -167,7 +167,7 @@ type snapshot = { makespan : int; threads : thread_snapshot list }
 let snapshot t ~consumed ~makespan =
   let threads =
     List.init
-      (min (Array.length consumed) max_threads)
+      (min (Array.length consumed) Topology.max_threads)
       (fun tid ->
         let l = t.ledgers.(tid) in
         let cycles = Array.copy l.counts in

@@ -38,10 +38,7 @@ val account_index : account -> int
 val account_name : account -> string
 (** Stable snake_case name used in JSON and flamegraph output. *)
 
-val account_names : string list
-
 val n_accounts : int
-val max_threads : int
 
 type t
 

@@ -231,8 +231,6 @@ let sibling_active t tid =
   let sib = t.arr.(tid).sib in
   sib >= 0 && t.live_on.(sib) > 0
 
-let thread_consumed t tid = t.arr.(tid).consumed
-
 let consumed_by_thread t =
   Array.map (fun th -> th.consumed) t.arr
 

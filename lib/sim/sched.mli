@@ -24,9 +24,9 @@ exception Thread_crashed
 exception Signal_interrupt
 (** Raised inside a fiber that was {!signal}led while suspended, at its
     next resume point — the simulated siglongjmp out of the interrupted
-    operation.  Unlike {!Thread_crashed} it is meant to be caught: a
-    recovery-capable scheme (DEBRA+) catches it in its operation wrapper
-    and restarts the operation on the recovery path. *)
+    operation.  Unlike {!Thread_crashed} it is meant to be caught: the
+    non-HTM schemes' shared operation wrapper ([St_reclaim.Simple.Make])
+    catches it and restarts the operation on the recovery path. *)
 
 val create :
   ?topology:Topology.t ->
@@ -158,14 +158,12 @@ val sibling_active : t -> int -> bool
 val context_switches : t -> int
 (** Total preemptions performed so far. *)
 
-val thread_consumed : t -> int -> int
-(** Total cycles thread [tid] has advanced its core's clock by (consume
-    charges plus context-switch overhead attributed to it).  The
-    scheduler's own ledger, independent of {!Profile} accounting — the
-    conservation test compares the two.  Only valid after {!run} starts. *)
-
 val consumed_by_thread : t -> int array
-(** {!thread_consumed} for every registered thread, indexed by tid. *)
+(** Total cycles each registered thread has advanced its core's clock by
+    (consume charges plus context-switch overhead attributed to it),
+    indexed by tid.  The scheduler's own ledger, independent of
+    {!Profile} accounting — the conservation test compares the two.  Only
+    valid after {!run} starts. *)
 
 val n_threads : t -> int
 (** Number of registered threads (valid before and after {!run}). *)

@@ -1,3 +1,5 @@
+let max_threads = 256
+
 type t = {
   cores : int;
   smt : int;
@@ -31,7 +33,5 @@ let sibling t lc =
   if s < 0 then None else Some s
 
 let core_of t lc = lc / t.smt
-
-let l1_of = core_of
 
 let placement t i = t.place.(i mod Array.length t.place)

@@ -6,6 +6,11 @@
     spreads CPU-bound threads: one per physical core first, then the second
     hyperthread of each core, then time-multiplexed. *)
 
+val max_threads : int
+(** Upper bound on thread ids: every tid-indexed table in the simulator
+    (profiler ledgers, HTM transaction slots, activity array, reclamation
+    announcements) has this many slots, and the CLI rejects more threads. *)
+
 type t = private {
   cores : int;
   smt : int;
@@ -31,12 +36,6 @@ val sibling_ix : t -> int -> int
 
 val core_of : t -> int -> int
 (** Physical core of a logical core. *)
-
-val l1_of : t -> int -> int
-(** L1-cache domain of a logical core.  SMT siblings share one L1 (the
-    mechanism behind halved transactional associativity and sibling
-    cache-pressure eviction); on this model the L1 domain coincides with
-    the physical core. *)
 
 val placement : t -> int -> int
 (** [placement t i] is the logical core that the [i]-th thread is pinned to.

@@ -19,7 +19,7 @@ type event = {
 }
 
 type t = {
-  mutable enabled : bool;
+  enabled : bool;
   capacity : int;
   ring : event option array;
   mutable next : int; (* total events ever recorded *)
@@ -29,9 +29,7 @@ let create ?(capacity = 4096) ~enabled () =
   assert (capacity > 0);
   { enabled; capacity; ring = Array.make capacity None; next = 0 }
 
-let enabled t = t.enabled
 let[@inline] on t = t.enabled
-let enable t b = t.enabled <- b
 let no_detail () = ""
 
 let record t ~time ~tid ~phase category name detail =

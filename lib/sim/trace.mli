@@ -47,15 +47,11 @@ type t
 val create : ?capacity:int -> enabled:bool -> unit -> t
 (** [capacity] is the ring size (default 4096 events). *)
 
-val enabled : t -> bool
-
 val on : t -> bool
-(** Cheap alias of {!enabled} for guarding hot call sites: the emit
+(** Whether the trace records.  Guard hot call sites with it: the emit
     functions already skip work when disabled, but the detail {e closure}
     built at the call site still allocates — wrap closure-building sites in
     [if Trace.on tr then ...] so a disabled trace costs one load. *)
-
-val enable : t -> bool -> unit
 
 val no_detail : unit -> string
 (** The empty detail thunk, for events that need no payload. *)

@@ -124,18 +124,42 @@ let figure_args text =
   in
   scan [] words
 
+(* Lines (1-based) that cite a figure in the form [`bench <name>`], the
+   command line of the figure binary that [stacktrack_bench figures]
+   replaced. *)
+let old_bench_commands text =
+  let pat = "`bench " in
+  let has_pat line =
+    let n = String.length line and m = String.length pat in
+    let rec at i = i + m <= n && (String.sub line i m = pat || at (i + 1)) in
+    at 0
+  in
+  String.split_on_char '\n' text
+  |> List.mapi (fun i line -> (i + 1, line))
+  |> List.filter_map (fun (i, line) ->
+         if has_pat line then Some (Printf.sprintf "%d: %s" i line) else None)
+
 let test_documented_names_resolve () =
   List.iter
     (fun path ->
-      let used = figure_args (read_file path) in
+      let text = read_file path in
+      let used = figure_args text in
       Alcotest.(check bool) (path ^ " names figures") true (used <> []);
       List.iter
         (fun name ->
           Alcotest.(check bool)
             (Printf.sprintf "%s: figure %S resolves" path name)
             true (resolves name))
-        used)
-    [ "../README.md"; "../DESIGN.md"; "../.github/workflows/ci.yml" ]
+        used;
+      Alcotest.(check (list string))
+        (path ^ ": no `bench <name>` commands")
+        [] (old_bench_commands text))
+    [
+      "../README.md";
+      "../DESIGN.md";
+      "../EXPERIMENTS.md";
+      "../.github/workflows/ci.yml";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* The CLI                                                             *)

@@ -393,9 +393,11 @@ let run_cli ?(seconds = 30.) args =
   Sys.remove out;
   (status, text)
 
-(* A negative --init used to spin forever drawing keys, and a zero key
-   range or bucket count died on an assertion ("internal error"); each is
-   now a usage error that names its flag. *)
+(* A negative --init used to spin forever drawing keys; a zero key range
+   or bucket count, and a mutation percentage outside 0..100, died on an
+   assertion ("internal error"); more threads than the simulator's tid
+   tables hold died with [Invalid_argument], and zero threads ran nothing.
+   Each is now a usage error (cmdliner's exit 124) that names its flag. *)
 let test_cli_bad_sizes () =
   List.iter
     (fun (args, flag) ->
@@ -403,7 +405,7 @@ let test_cli_bad_sizes () =
       match run_cli ("run" :: args) with
       | None, _ -> Alcotest.failf "%s: still running after the timeout" name
       | Some code, out ->
-          checkb (name ^ ": exits non-zero") true (code <> 0);
+          checki (name ^ ": usage-error exit") 124 code;
           checkb (name ^ ": no internal error") false
             (contains out "internal error");
           checkb (name ^ ": names " ^ flag) true (contains out flag))
@@ -412,6 +414,11 @@ let test_cli_bad_sizes () =
       ([ "--keys"; "0" ], "--keys");
       ([ "--structure"; "hash"; "--buckets"; "0" ], "--buckets");
       ([ "--structure"; "hash"; "--buckets=-4" ], "--buckets");
+      ([ "--threads"; "257" ], "--threads");
+      ([ "--threads=-3" ], "--threads");
+      ([ "--threads"; "0" ], "--threads");
+      ([ "--mutations=-5" ], "--mutations");
+      ([ "--mutations"; "150" ], "--mutations");
     ]
 
 let () =

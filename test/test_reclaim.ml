@@ -283,7 +283,7 @@ let test_debra_frees_after_epoch_advance () =
      check trivially passes), so a node retired at epoch e is freed when
      its bag rotates back around — within three subsequent operations. *)
   let sched, heap, rt = world () in
-  let s = Debra.create rt in
+  let s = Debra.create ~blocked:Wait rt in
   let _ =
     Sched.add_thread sched (fun tid ->
         let th = Debra.create_thread s ~tid in
@@ -305,7 +305,7 @@ let test_debra_crash_stalls_like_epoch () =
      crashes while announced inside an operation parks the rotating
      advance check forever, so bags never rotate and nothing frees. *)
   let sched, _heap, rt = world () in
-  let s = Debra.create rt in
+  let s = Debra.create ~blocked:Wait rt in
   let victim =
     Sched.add_thread sched (fun tid ->
         let th = Debra.create_thread s ~tid in
@@ -327,6 +327,52 @@ let test_debra_crash_stalls_like_epoch () =
   checki "nothing reclaimed after crash" 0 (Debra.stats s).Guard.freed;
   checki "all retirements stuck in bags" 10 (Debra.stats s).Guard.retired
 
+(* Thread 0 crashes inside an operation; thread 1 retires 10 nodes and
+   then quiesces.  Returns (freed, neutralizations) just before and just
+   after [quiesce]. *)
+let quiesce_past_corpse blocked =
+  let sched, _heap, rt = world () in
+  let s = Debra.create ~blocked rt in
+  let counts () = ((Debra.stats s).Guard.freed, Debra.neutralizations s) in
+  let before = ref (-1, -1) in
+  let victim =
+    Sched.add_thread sched (fun tid ->
+        let th = Debra.create_thread s ~tid in
+        Debra.run_op th ~op_id:1 (fun _env -> Sched.consume sched 1_000_000))
+  in
+  let _ =
+    Sched.add_thread sched (fun tid ->
+        let th = Debra.create_thread s ~tid in
+        Sched.consume sched 500;
+        Sched.crash sched victim;
+        Sched.consume sched 1_000;
+        for i = 1 to 10 do
+          Debra.run_op th ~op_id:(i + 1) (fun env ->
+              Debra.retire env (Debra.alloc env ~size:2))
+        done;
+        before := counts ();
+        Debra.quiesce th)
+  in
+  Sched.run sched;
+  (!before, counts ())
+
+let test_debra_quiesce_past_crashed_peer () =
+  (* With infinite patience the advance check never neutralizes, so only
+     [quiesce]'s peer loop can get past the corpse: [Wait] stops the drain
+     there, [Neutralize] neutralizes the corpse on sight and drains. *)
+  let (freed0, neut0), (freed, neut) = quiesce_past_corpse Wait in
+  checki "wait: nothing freed before quiesce" 0 freed0;
+  checki "wait: no neutralization before quiesce" 0 neut0;
+  checki "wait: quiesce frees nothing past the corpse" 0 freed;
+  checki "wait: quiesce never neutralizes" 0 neut;
+  let (freed0, neut0), (freed, neut) =
+    quiesce_past_corpse (Neutralize max_int)
+  in
+  checki "neutralize: nothing freed before quiesce" 0 freed0;
+  checki "neutralize: advance check never neutralized" 0 neut0;
+  checki "neutralize: quiesce neutralized the corpse once" 1 neut;
+  checki "neutralize: quiesce drained every bag" 10 freed
+
 (* ------------------------------------------------------------------ *)
 (* DEBRA+                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -337,45 +383,45 @@ let test_debra_plus_neutralizes_crashed_thread () =
      corpse's announcement is cleared, the epoch advances, and the limbo
      bags drain. *)
   let sched, _heap, rt = world () in
-  let s = Debra_plus.create ~patience:5_000 rt in
+  let s = Debra.create ~blocked:(Neutralize 5_000) rt in
   let victim =
     Sched.add_thread sched (fun tid ->
-        let th = Debra_plus.create_thread s ~tid in
-        Debra_plus.run_op th ~op_id:1 (fun _env ->
+        let th = Debra.create_thread s ~tid in
+        Debra.run_op th ~op_id:1 (fun _env ->
             Sched.consume sched 1_000_000))
   in
   let _ =
     Sched.add_thread sched (fun tid ->
-        let th = Debra_plus.create_thread s ~tid in
+        let th = Debra.create_thread s ~tid in
         Sched.consume sched 500;
         Sched.crash sched victim;
         Sched.consume sched 1_000;
         for i = 1 to 30 do
-          Debra_plus.run_op th ~op_id:(i + 1) (fun env ->
-              let n = Debra_plus.alloc env ~size:2 in
-              Debra_plus.retire env n);
+          Debra.run_op th ~op_id:(i + 1) (fun env ->
+              let n = Debra.alloc env ~size:2 in
+              Debra.retire env n);
           Sched.consume sched 1_000
         done;
-        Debra_plus.quiesce th)
+        Debra.quiesce th)
   in
   Sched.run sched;
-  checkb "the corpse was neutralized" true (Debra_plus.neutralizations s >= 1);
+  checkb "the corpse was neutralized" true (Debra.neutralizations s >= 1);
   checkb "reclamation resumed after neutralization" true
-    ((Debra_plus.stats s).Guard.freed > 0);
-  checki "a crashed victim never recovers" 0 (Debra_plus.recoveries s)
+    ((Debra.stats s).Guard.freed > 0);
+  checki "a crashed victim never recovers" 0 (Debra.recoveries s)
 
 let test_debra_plus_live_victim_restarts () =
   (* A live victim neutralized mid-operation unwinds and re-runs its
      operation body: the first attempt is interrupted, a later attempt
      completes, and the recovery is counted. *)
   let sched, _heap, rt = world () in
-  let s = Debra_plus.create ~patience:5_000 rt in
+  let s = Debra.create ~blocked:(Neutralize 5_000) rt in
   let attempts = ref 0 in
   let completed = ref false in
   let _ =
     Sched.add_thread sched (fun tid ->
-        let th = Debra_plus.create_thread s ~tid in
-        Debra_plus.run_op th ~op_id:1 (fun _env ->
+        let th = Debra.create_thread s ~tid in
+        Debra.run_op th ~op_id:1 (fun _env ->
             incr attempts;
             (* Only the first attempt stalls; a restart finishes fast. *)
             if !attempts = 1 then Sched.consume sched 1_000_000
@@ -384,20 +430,20 @@ let test_debra_plus_live_victim_restarts () =
   in
   let _ =
     Sched.add_thread sched (fun tid ->
-        let th = Debra_plus.create_thread s ~tid in
+        let th = Debra.create_thread s ~tid in
         Sched.consume sched 1_000;
         for i = 1 to 20 do
-          Debra_plus.run_op th ~op_id:(i + 1) (fun env ->
-              let n = Debra_plus.alloc env ~size:2 in
-              Debra_plus.retire env n);
+          Debra.run_op th ~op_id:(i + 1) (fun env ->
+              let n = Debra.alloc env ~size:2 in
+              Debra.retire env n);
           Sched.consume sched 1_000
         done)
   in
   Sched.run sched;
-  checkb "victim was neutralized" true (Debra_plus.neutralizations s >= 1);
+  checkb "victim was neutralized" true (Debra.neutralizations s >= 1);
   checkb "victim restarted its operation" true (!attempts >= 2);
   checkb "victim completed on the recovery path" true !completed;
-  checkb "recovery counted" true (Debra_plus.recoveries s >= 1)
+  checkb "recovery counted" true (Debra.recoveries s >= 1)
 
 (* ------------------------------------------------------------------ *)
 (* Hazard Eras                                                         *)
@@ -617,6 +663,8 @@ let () =
             test_debra_frees_after_epoch_advance;
           Alcotest.test_case "crash stalls like epoch" `Quick
             test_debra_crash_stalls_like_epoch;
+          Alcotest.test_case "quiesce past crashed peer" `Quick
+            test_debra_quiesce_past_crashed_peer;
         ] );
       ( "debra+",
         [
