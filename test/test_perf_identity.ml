@@ -326,6 +326,14 @@ let identity_cases =
         (identity_cfg Experiment.List_s Experiment.stacktrack_default 12) with
         Experiment.lifecycle = true;
       } );
+    (* The observed views of the per-line contention record: the heat rows
+       of [profile] and the doomed lines of [forensics], in their orders. *)
+    ( "goldens/identity_queue_st_observed.json",
+      {
+        (identity_cfg Experiment.Queue_s Experiment.stacktrack_default 8) with
+        Experiment.profile = true;
+        forensics = true;
+      } );
   ]
 
 let test_identity_goldens () =
