@@ -106,9 +106,9 @@ let print_result (r : Experiment.result) =
         "capacity" "owner";
       List.iter
         (fun (row : Experiment.heat_row) ->
-          printf "    %8d %10d %10d %10d  %s@." row.heat.St_htm.Heatmap.line
-            row.heat.St_htm.Heatmap.touches row.heat.St_htm.Heatmap.conflicts
-            row.heat.St_htm.Heatmap.capacity
+          printf "    %8d %10d %10d %10d  %s@." row.heat.St_htm.Tsx.line
+            row.heat.St_htm.Tsx.touches row.heat.St_htm.Tsx.conflicts
+            row.heat.St_htm.Tsx.capacity
             (Option.value ~default:"-" row.owner))
         rows
   | _ -> ());
@@ -119,9 +119,9 @@ let print_result (r : Experiment.result) =
     in
     go n l
   in
-  (* Conflict-doom tally is always recorded (it is the cross-check twin of
-     the forensics matrix), so the doomed-by table prints whenever there
-     were conflict dooms, flagged run or not. *)
+  (* Conflict dooms are always counted in the Tsx per-line record, so the
+     doomed-by table prints whenever there were conflict dooms, flagged run
+     or not. *)
   (match r.Experiment.conflict_lines with
   | [] -> ()
   | lines ->
@@ -253,10 +253,28 @@ let run_cmd =
       value & flag
       & info [ "hash-scan" ] ~doc:"StackTrack: single-pass hash scan (sec 5.2).")
   in
+  (* The bound on --crash ids depends on --threads, so it is checked once
+     both are parsed; an id outside the workers is still a usage error. *)
   let crash =
-    Arg.(
-      value & opt (list int) []
-      & info [ "crash" ] ~doc:"Thread ids to crash at 25% of the run.")
+    let ids =
+      Arg.(
+        value & opt (list int) []
+        & info [ "crash" ]
+            ~doc:
+              "Worker thread ids (0 to threads-1) to crash at 25% of the \
+               run.")
+    in
+    let within threads ids =
+      match List.find_opt (fun tid -> tid < 0 || tid >= threads) ids with
+      | Some tid ->
+          `Error
+            ( true,
+              Printf.sprintf
+                "option '--crash': thread id %d is not a worker (0 to %d)" tid
+                (threads - 1) )
+      | None -> `Ok ids
+    in
+    Term.(ret (const within $ threads $ ids))
   in
   let zipf =
     Arg.(
@@ -283,15 +301,17 @@ let run_cmd =
   in
   let trace_capacity =
     Arg.(
-      value & opt int 1_000_000
+      value
+      & opt (int_within 1 max_int) 1_000_000
       & info [ "trace-capacity" ] ~docv:"N"
           ~doc:
-            "Ring capacity (events) of the recorded trace; the oldest \
-             events are dropped beyond this.")
+            "Ring capacity (events, at least 1) of the recorded trace; the \
+             oldest events are dropped beyond this.")
   in
   let metrics_interval =
     Arg.(
-      value & opt int 0
+      value
+      & opt (int_within 0 max_int) 0
       & info [ "metrics-interval" ] ~docv:"N"
           ~doc:
             "Sample machine-wide counters every $(docv) virtual cycles \

@@ -88,7 +88,6 @@ and env = {
 let stats t = t.stats
 let scheme_stats t = t.st
 let runtime t = t.rt
-let config t = t.cfg
 
 let create ?(cfg = St_config.default) rt =
   {

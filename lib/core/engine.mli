@@ -38,7 +38,6 @@ val scheme_stats : t -> Scheme_stats.t
     traffic) behind Figures 3-5. *)
 
 val runtime : t -> St_reclaim.Guard.runtime
-val config : t -> St_config.t
 
 val atomic_region : env -> (unit -> 'a) -> 'a
 (** Programmer-defined transactional region (§5.5): the body executes

@@ -14,9 +14,6 @@ type tolerances = { default : float; rules : (string * float) list }
     unmatched paths use [default].  A tolerance of [infinity] ignores
     the path entirely, including presence/type mismatches. *)
 
-val exact : tolerances
-(** Zero tolerance everywhere — byte-level numeric equality. *)
-
 val tol_for : tolerances -> string -> float
 (** Resolve the tolerance for one path: the longest rule whose path
     equals the metric path or is a ['.' / '\['] -delimited prefix of it
@@ -36,8 +33,9 @@ type drift = {
 
 val diff : ?tols:tolerances -> Json_out.t -> Json_out.t -> drift list
 (** All out-of-tolerance leaves between two artifacts, in first-document
-    order (second-side-only paths last).  Empty means "within
-    tolerance" — the gate passes. *)
+    order (second-side-only paths last).  [tols] defaults to zero
+    tolerance everywhere.  Empty means "within tolerance" — the gate
+    passes. *)
 
 val pp_drift : Format.formatter -> drift -> unit
 (** One line: path, both values, and the relative delta vs tolerance. *)

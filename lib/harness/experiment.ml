@@ -98,10 +98,11 @@ type config = {
       (** Event sink wired into the simulated machine; [None] (default)
           installs a disabled trace, so instrumentation costs nothing. *)
   profile : bool;
-      (** Enable the cycle-attribution profiler and the cache-line
-          contention heatmap.  Both do pure arithmetic at existing charge
-          sites (no RNG draws, no extra consumes), so the simulation result
-          is identical with this on or off. *)
+      (** Enable the cycle-attribution profiler, and with it the touch
+          counts of the per-line contention record behind the heat rows.
+          Both do pure arithmetic at existing charge sites (no RNG draws, no
+          extra consumes), so the simulation result is identical with this
+          on or off. *)
   lifecycle : bool;
       (** Enable the memory-lifecycle ledger (per-object alloc/retire/free
           stamps), its limbo/footprint time series, and the
@@ -145,7 +146,7 @@ let default_config =
     forensics = false;
   }
 
-type heat_row = { heat : Heatmap.row; owner : string option }
+type heat_row = { heat : Tsx.line_stats; owner : string option }
 
 type doomed_pair = { victim : int; aborter : int; dooms : int }
 
@@ -222,13 +223,13 @@ type result = {
   profile : St_sim.Profile.snapshot option;
       (** Per-thread cycle accounts; [Some] iff [cfg.profile]. *)
   heatmap : heat_row list option;
-      (** Top-N contention heatmap, hot lines annotated with the live
-          object owning them; [Some] iff [cfg.profile]. *)
+      (** The 16 hottest lines of the per-line record, annotated with the
+          live object owning them; [Some] iff [cfg.profile]. *)
   lifecycle : lifecycle_summary option;  (** [Some] iff [cfg.lifecycle]. *)
   forensics : forensics_summary option;  (** [Some] iff [cfg.forensics]. *)
   conflict_lines : (int * int) list;
-      (** Per-cache-line conflict-doom counts from [Tsx.conflict_tally]
-          (always recorded), (line, dooms) sorted dooms-descending then
+      (** Per-cache-line conflict-doom counts from the per-line record
+          (always counted), (line, dooms) sorted dooms-descending then
           line-ascending.  Feeds the text report's doomed-by table; never
           emitted to JSON, so artifacts are unchanged. *)
   extras : (string * int) list;
@@ -377,7 +378,6 @@ let run cfg =
      abort cause, so it turns the profiler's bookkeeping on internally;
      [result.profile] stays gated on [cfg.profile] alone. *)
   let profile = Profile.create ~enabled:(cfg.profile || cfg.forensics) () in
-  let heatmap = Heatmap.create ~enabled:cfg.profile () in
   let forensics =
     if cfg.forensics then Forensics.create () else Forensics.disabled
   in
@@ -388,8 +388,7 @@ let run cfg =
   let shadow = Shadow.create () in
   let heap = Heap.create ~initial_words:(1 lsl 18) ~shadow () in
   let tsx =
-    Tsx.create ~cache:cfg.cache ~backend:cfg.backend ~heatmap ~forensics ~sched
-      ~heap ()
+    Tsx.create ~cache:cfg.cache ~backend:cfg.backend ~forensics ~sched ~heap ()
   in
   let rt = Guard.make_runtime ~sched ~tsx in
   let setup_rng = Rng.create ~seed:(cfg.seed lxor 0x5EED) in
@@ -658,13 +657,34 @@ let run cfg =
            ~makespan)
     else None
   in
+  (* The per-line record's three views (heat rows, the forensics doomed
+     lines and [conflict_lines]) are each one fold and one sort, built only
+     when the run emits them.  Heat rows put the hottest lines first:
+     conflicts are what the paper's abort analysis cares about, so they
+     dominate the order, and the line number breaks ties. *)
+  let conflicted f =
+    Tsx.fold_lines tsx
+      (fun s acc -> if s.conflicts = 0 then acc else f s :: acc)
+      []
+  in
   let heatmap_rows =
-    if cfg.profile then
+    if not cfg.profile then None
+    else begin
+      let rec top n = function
+        | (s : Tsx.line_stats) :: rest when n > 0 ->
+            { heat = s; owner = owner_of_line s.line } :: top (n - 1) rest
+        | _ -> []
+      in
       Some
-        (List.map
-           (fun (h : Heatmap.row) -> { heat = h; owner = owner_of_line h.line })
-           (Heatmap.snapshot ~top:16 heatmap))
-    else None
+        (top 16
+           (List.sort
+              (fun (a : Tsx.line_stats) b ->
+                if a.conflicts <> b.conflicts then
+                  compare b.conflicts a.conflicts
+                else if a.touches <> b.touches then compare b.touches a.touches
+                else compare a.line b.line)
+              (Tsx.fold_lines tsx List.cons [])))
+    end
   in
   let lifecycle_summary =
     if not cfg.lifecycle then None
@@ -716,17 +736,9 @@ let run cfg =
         let pot = Profile.pending_txn profile ~tid in
         if pot > 0 then Forensics.on_unresolved forensics ~wasted:pot
       done;
-      (* Two cross-checks, both fatal on divergence (an instrumentation
-         hole, not a property of the scheme under test): the who-doomed-whom
-         matrix against the Tsx per-line conflict tally (same stamp site),
-         and the per-cause wasted-cycle split against the profiler's
-         independent wasted account. *)
-      (match
-         Forensics.cross_check_tally forensics (Tsx.conflict_tally tsx)
-       with
-      | Some msg ->
-          failwith ("abort forensics diverged from conflict tally: " ^ msg)
-      | None -> ());
+      (* The per-cause wasted-cycle split must equal the profiler's
+         independent wasted account; a divergence is an instrumentation
+         hole, not a property of the scheme under test, so it is fatal. *)
       let snap =
         Profile.snapshot profile
           ~consumed:(Sched.consumed_by_thread sched)
@@ -754,16 +766,14 @@ let run cfg =
         List.rev !acc
       in
       let doomed_lines =
-        let acc = ref [] in
-        Forensics.iter_doomed_lines forensics (fun ~line dooms ->
-            acc :=
-              {
-                dl_line = line;
-                dl_dooms = dooms;
-                dl_owner = owner_of_line line;
-              }
-              :: !acc);
-        List.rev !acc
+        List.sort
+          (fun a b -> compare a.dl_line b.dl_line)
+          (conflicted (fun s ->
+               {
+                 dl_line = s.line;
+                 dl_dooms = s.conflicts;
+                 dl_owner = owner_of_line s.line;
+               }))
       in
       let causes =
         [
@@ -841,9 +851,7 @@ let run cfg =
       List.sort
         (fun (l1, n1) (l2, n2) ->
           if n1 <> n2 then compare n2 n1 else compare l1 l2)
-        (Hashtbl.fold
-           (fun line n acc -> (line, n) :: acc)
-           (Tsx.conflict_tally tsx) []);
+        (conflicted (fun s -> (s.line, s.conflicts)));
     extras = inst.extras ();
     resident_words = Heap.resident_words heap;
     line_table_words = Tsx.line_table_words tsx;

@@ -68,8 +68,9 @@ type config = {
           installs a disabled trace, so instrumentation costs nothing.
           A trace is single-run state: give each run its own. *)
   profile : bool;
-      (** Enable the cycle-attribution profiler and the cache-line
-          contention heatmap.  Both do pure arithmetic at existing charge
+      (** Enable the cycle-attribution profiler, and with it the touch
+          counts of the per-line contention record ({!St_htm.Tsx.line_stats})
+          behind the heat rows.  Both do pure arithmetic at existing charge
           sites (no RNG draws, no extra consumes), so the simulation
           result is identical with this on or off. *)
   lifecycle : bool;
@@ -93,10 +94,10 @@ type config = {
 
 val default_config : config
 
-type heat_row = { heat : St_htm.Heatmap.row; owner : string option }
-(** A contention-heatmap row plus the owning live object, formatted
-    ["obj#<birth>@<base>+<offset>"] ([None] when the line's object was
-    freed before the end of the run). *)
+type heat_row = { heat : St_htm.Tsx.line_stats; owner : string option }
+(** A line of the per-line contention record plus the owning live object,
+    formatted ["obj#<birth>@<base>+<offset>"] ([None] when the line's
+    object was freed before the end of the run). *)
 
 type lifecycle_summary = {
   lc_allocs : int;
@@ -137,7 +138,9 @@ type forensics_summary = {
   fx_interrupt_dooms : int;
   fx_conflict_pairs : doomed_pair list;  (** Victim-major ascending. *)
   fx_capacity_pairs : doomed_pair list;
-  fx_doomed_lines : doomed_line_row list;  (** Line ascending. *)
+  fx_doomed_lines : doomed_line_row list;
+      (** The per-line record's lines with conflict dooms, line
+          ascending. *)
   fx_delivered : (string * int) list;
       (** Delivered aborts per cause (conflict/capacity/interrupt/explicit);
           sums to the {!St_htm.Htm_stats} abort total. *)
@@ -162,10 +165,8 @@ type forensics_summary = {
       (** Final per-segment limit table; [[]] for non-StackTrack schemes. *)
 }
 (** Everything [cfg.forensics] adds to a run.  Before this summary is
-    built, the who-doomed-whom matrix is cross-checked against
-    [Tsx.conflict_tally] (same stamp site) and the per-cause wasted-cycle
-    split against the profiler's wasted account; a divergence raises
-    [Failure]. *)
+    built, the per-cause wasted-cycle split is cross-checked against the
+    profiler's wasted account; a divergence raises [Failure]. *)
 
 type result = {
   cfg : config;
@@ -195,15 +196,16 @@ type result = {
           the conservation invariant: accounts sum to each thread's clock
           advance ({!St_sim.Profile.conserved}). *)
   heatmap : heat_row list option;
-      (** Top-N contention heatmap; [Some] iff [cfg.profile]. *)
+      (** The 16 hottest lines of the per-line record: conflicts
+          descending, then touches descending, then line ascending; [Some]
+          iff [cfg.profile]. *)
   lifecycle : lifecycle_summary option;  (** [Some] iff [cfg.lifecycle]. *)
   forensics : forensics_summary option;  (** [Some] iff [cfg.forensics]. *)
   conflict_lines : (int * int) list;
-      (** Per-cache-line conflict-doom counts from
-          [St_htm.Tsx.conflict_tally] (always recorded), (line, dooms)
-          sorted dooms-descending then line-ascending.  Feeds the text
-          report's doomed-by table; never emitted to JSON, so unflagged
-          artifacts are unchanged. *)
+      (** Per-cache-line conflict-doom counts from the per-line record
+          (always counted), (line, dooms) sorted dooms-descending then
+          line-ascending.  Feeds the text report's doomed-by table; never
+          emitted to JSON, so unflagged artifacts are unchanged. *)
   extras : (string * int) list;
       (** Scheme-specific end-of-run counters — DEBRA+ reports
           [neutralizations]/[recoveries], Hazard Eras its final [era];

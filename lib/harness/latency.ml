@@ -97,7 +97,3 @@ let merge ts =
       if t.max_v > acc.max_v then acc.max_v <- t.max_v)
     ts;
   acc
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%.0f p50=%d p95=%d p99=%d max=%d" t.count
-    (mean t) (percentile t 50.) (percentile t 95.) (percentile t 99.) t.max_v

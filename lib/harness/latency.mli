@@ -45,6 +45,3 @@ val nonzero_buckets : t -> (int * int) list
     bound order — the sparse histogram form exported to result JSON. *)
 
 val merge : t list -> t
-
-val pp : Format.formatter -> t -> unit
-(** One-line summary: count, mean, p50/p95/p99, max. *)

@@ -49,18 +49,3 @@ type lifecycle_sample = {
   lc_retired : int;  (** Cumulative retirements (ledger view). *)
   lc_freed : int;  (** Cumulative frees (ledger view). *)
 }
-
-type t = { interval : int; mutable rev_samples : sample list; mutable n : int }
-
-let create ~interval =
-  assert (interval > 0);
-  { interval; rev_samples = []; n = 0 }
-
-let interval t = t.interval
-
-let push t s =
-  t.rev_samples <- s :: t.rev_samples;
-  t.n <- t.n + 1
-
-let count t = t.n
-let samples t = List.rev t.rev_samples

@@ -49,16 +49,3 @@ type lifecycle_sample = {
     sampler (one per scheduler quantum when the feature is enabled).
     Distinct from {!sample} so the machine-counter series is byte-for-byte
     unchanged when the feature is off. *)
-
-type t
-(** An accumulating series of samples. *)
-
-val create : interval:int -> t
-(** [interval] must be positive. *)
-
-val interval : t -> int
-val push : t -> sample -> unit
-val count : t -> int
-
-val samples : t -> sample list
-(** In push order (oldest first). *)

@@ -143,10 +143,10 @@ let of_profile (p : Profile.snapshot) =
 let of_heat_row (h : Experiment.heat_row) =
   Json_out.Obj
     [
-      ("line", Json_out.Int h.heat.Heatmap.line);
-      ("touches", Json_out.Int h.heat.Heatmap.touches);
-      ("conflicts", Json_out.Int h.heat.Heatmap.conflicts);
-      ("capacity", Json_out.Int h.heat.Heatmap.capacity);
+      ("line", Json_out.Int h.heat.Tsx.line);
+      ("touches", Json_out.Int h.heat.Tsx.touches);
+      ("conflicts", Json_out.Int h.heat.Tsx.conflicts);
+      ("capacity", Json_out.Int h.heat.Tsx.capacity);
       ( "owner",
         match h.owner with
         | Some s -> Json_out.String s
@@ -390,7 +390,6 @@ let encode (r : Experiment.result) =
     @ tail)
 
 let to_string r = Json_out.to_string (encode r)
-let write_file path r = Json_out.write_file path (encode r)
 
 (* ------------------------------------------------------------------ *)
 (* Flamegraph collapsed-stack export                                   *)

@@ -20,7 +20,6 @@ val encode : Experiment.result -> Json_out.t
 (** The complete result document. *)
 
 val to_string : Experiment.result -> string
-val write_file : string -> Experiment.result -> unit
 
 (** {2 Flamegraph collapsed-stack export} *)
 

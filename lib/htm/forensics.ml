@@ -1,7 +1,7 @@
 (* Flat-int-array abort forensics ledger.  The disabled singleton makes
-   every hook one load + branch; enabled recording allocates only on
-   Hashtbl growth (per-line / per-segment tables) and never draws RNG or
-   charges cycles, so it cannot perturb a run. *)
+   every hook one load + branch; enabled recording allocates only in the
+   per-segment table and never draws RNG or charges cycles, so it cannot
+   perturb a run. *)
 
 open St_sim
 
@@ -41,14 +41,13 @@ type t = {
   conflict_pairs : int array;  (* victim * Topology.max_threads + aborter *)
   capacity_pairs : int array;
   interrupt_victims : int array;
-  doomed_lines : (int, int) Hashtbl.t;
   mutable conflict_dooms : int;
   mutable capacity_dooms : int;
   mutable interrupt_dooms : int;
   delivered : int array;  (* indexed by cause *)
   wasted : int array;
   mutable wasted_unresolved : int;
-  segments : (int, seg_cell) Hashtbl.t;  (* op_id * 4096 + split *)
+  segments : (int * int, seg_cell) Hashtbl.t;  (* (op_id, split) *)
   retry_depths : int array;  (* index = depth, last bucket clamps *)
   timeline : int array;
   timeline_cap : int;
@@ -66,7 +65,6 @@ let make ~enabled ~timeline_capacity =
     capacity_pairs = Array.make dim 0;
     interrupt_victims =
       Array.make (if enabled then Topology.max_threads else 0) 0;
-    doomed_lines = Hashtbl.create (if enabled then 64 else 0);
     conflict_dooms = 0;
     capacity_dooms = 0;
     interrupt_dooms = 0;
@@ -99,19 +97,11 @@ let cause_index = function
 (* Recording                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let bump_line t line =
-  let n = match Hashtbl.find_opt t.doomed_lines line with
-    | Some n -> n
-    | None -> 0
-  in
-  Hashtbl.replace t.doomed_lines line (n + 1)
-
-let on_conflict_doom t ~victim ~aborter ~line =
+let on_conflict_doom t ~victim ~aborter =
   if t.enabled then begin
     let i = (victim * Topology.max_threads) + aborter in
     t.conflict_pairs.(i) <- t.conflict_pairs.(i) + 1;
-    t.conflict_dooms <- t.conflict_dooms + 1;
-    bump_line t line
+    t.conflict_dooms <- t.conflict_dooms + 1
   end
 
 let on_capacity_doom t ~victim ~aborter =
@@ -137,10 +127,10 @@ let on_abort_delivered t ~tid:_ ~cause ~wasted =
 let on_unresolved t ~wasted =
   if t.enabled then t.wasted_unresolved <- t.wasted_unresolved + wasted
 
-let seg_key ~op_id ~split = (op_id * 4096) + split
-
+(* Keyed by the pair: [split] counts an operation's segments and has no
+   upper bound, so no packing of the two into one int is safe. *)
 let seg_cell t ~op_id ~split =
-  let key = seg_key ~op_id ~split in
+  let key = (op_id, split) in
   match Hashtbl.find_opt t.segments key with
   | Some c -> c
   | None ->
@@ -202,13 +192,6 @@ let iter_pairs pairs f =
 let iter_conflict_pairs t f = iter_pairs t.conflict_pairs f
 let iter_capacity_pairs t f = iter_pairs t.capacity_pairs f
 
-let sorted_lines tbl =
-  let lines = Hashtbl.fold (fun line n acc -> (line, n) :: acc) tbl [] in
-  List.sort (fun (a, _) (b, _) -> compare a b) lines
-
-let iter_doomed_lines t f =
-  List.iter (fun (line, n) -> f ~line n) (sorted_lines t.doomed_lines)
-
 let delivered t cause = t.delivered.(cause_index cause)
 let wasted_by_cause t cause = t.wasted.(cause_index cause)
 let wasted_unresolved t = t.wasted_unresolved
@@ -219,10 +202,10 @@ let wasted_total t =
 let segments t =
   let rows =
     Hashtbl.fold
-      (fun key c acc ->
+      (fun (op_id, split) c acc ->
         {
-          op_id = key / 4096;
-          split = key mod 4096;
+          op_id;
+          split;
           aborts = c.s_aborts;
           chains = c.s_chains;
           depth_sum = c.s_depth_sum;
@@ -258,42 +241,3 @@ let iter_timeline t f =
 
 let timeline_length t = t.timeline_len
 let timeline_dropped t = t.timeline_dropped
-
-let cross_check_tally t tally =
-  if not t.enabled then None
-  else begin
-    let divergence = ref None in
-    let note msg = if !divergence = None then divergence := Some msg in
-    (* Per-line: every tally count must match the forensics line count. *)
-    List.iter
-      (fun (line, n) ->
-        let tallied =
-          match Hashtbl.find_opt tally line with Some n -> n | None -> 0
-        in
-        if tallied <> n then
-          note
-            (Printf.sprintf
-               "line %d: forensics saw %d conflict dooms, tally saw %d" line
-               n tallied))
-      (sorted_lines t.doomed_lines);
-    Hashtbl.iter
-      (fun line n ->
-        if n <> 0 && not (Hashtbl.mem t.doomed_lines line) then
-          note
-            (Printf.sprintf
-               "line %d: tally saw %d conflict dooms, forensics saw none"
-               line n))
-      tally;
-    (* Totals: matrix = per-line = tally. *)
-    let matrix_total = Array.fold_left ( + ) 0 t.conflict_pairs in
-    let tally_total = Hashtbl.fold (fun _ n acc -> acc + n) tally 0 in
-    if matrix_total <> t.conflict_dooms then
-      note
-        (Printf.sprintf "conflict matrix sums to %d but counter says %d"
-           matrix_total t.conflict_dooms);
-    if tally_total <> t.conflict_dooms then
-      note
-        (Printf.sprintf "tally sums to %d but forensics counted %d"
-           tally_total t.conflict_dooms);
-    !divergence
-  end

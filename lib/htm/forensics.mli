@@ -1,18 +1,18 @@
 (** Abort forensics: who-doomed-whom attribution, retry chains, and
     split-predictor decision timelines.
 
-    The HTM layer counts aborts ({!Htm_stats}) and heats lines
-    ({!Heatmap}); this ledger answers the questions those aggregates
-    cannot: {e which thread} doomed which victim, {e which segment}
-    (op id, split index) keeps aborting, how deep the retry chains run,
-    where the wasted cycles went per abort cause, and every shrink/grow
-    decision the split-length predictor made on the way to its final
-    limits (paper §5.3, Figure 4).
+    The HTM layer counts aborts ({!Htm_stats}) and keeps a per-line
+    contention record ([Tsx.line_stats]); this ledger answers the
+    questions those aggregates cannot: {e which thread} doomed which
+    victim, {e which segment} (op id, split index) keeps aborting, how
+    deep the retry chains run, where the wasted cycles went per abort
+    cause, and every shrink/grow decision the split-length predictor
+    made on the way to its final limits (paper §5.3, Figure 4).
 
     Disabled by default; the disabled singleton records nothing and
     costs one load + branch per hook.  Recording performs no RNG draws
     and no cycle charges, so enabling it never perturbs a run — the
-    same contract as {!Heatmap} and [St_mem.Lifecycle].
+    same contract as the per-line record and [St_mem.Lifecycle].
 
     Two families of events feed the ledger:
 
@@ -43,10 +43,10 @@ val enabled : t -> bool
 
 (** {1 Recording — doom sites (Tsx)} *)
 
-val on_conflict_doom : t -> victim:int -> aborter:int -> line:int -> unit
+val on_conflict_doom : t -> victim:int -> aborter:int -> unit
 (** Requester-wins conflict: [aborter]'s access doomed [victim]'s
-    transaction on cache [line].  Same stamp site as the per-line
-    [Tsx.conflict_tally], so the matrix total equals the tally total. *)
+    transaction.  The line is counted in the Tsx per-line record at the
+    same site, so the matrix total equals the record's conflict total. *)
 
 val on_capacity_doom : t -> victim:int -> aborter:int -> unit
 (** Pressure eviction: [aborter]'s footprint growth evicted [victim]'s
@@ -103,10 +103,6 @@ val iter_conflict_pairs : t -> (victim:int -> aborter:int -> int -> unit) -> uni
 
 val iter_capacity_pairs : t -> (victim:int -> aborter:int -> int -> unit) -> unit
 
-val iter_doomed_lines : t -> (line:int -> int -> unit) -> unit
-(** Conflict dooms per cache line, line ascending.  Totals match
-    [conflict_dooms] and the conflict-pair matrix. *)
-
 val delivered : t -> Htm_stats.abort_reason -> int
 val wasted_by_cause : t -> Htm_stats.abort_reason -> int
 
@@ -152,9 +148,3 @@ val iter_timeline : t -> (decision -> unit) -> unit
 
 val timeline_length : t -> int
 val timeline_dropped : t -> int
-
-val cross_check_tally : t -> (int, int) Hashtbl.t -> string option
-(** [cross_check_tally t tally] compares the conflict doom matrix
-    against [Tsx.conflict_tally]'s per-line counts (same stamp site):
-    [None] when both the per-line counts and the totals agree, else a
-    human-readable description of the first divergence. *)

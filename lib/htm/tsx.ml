@@ -50,6 +50,13 @@ let lines_per_chunk_shift = 12
 let lines_per_chunk = 1 lsl lines_per_chunk_shift
 let line_ix_mask = lines_per_chunk - 1
 
+type line_stats = {
+  line : int;
+  mutable touches : int;
+  mutable conflicts : int;
+  mutable capacity : int;
+}
+
 type t = {
   sched : Sched.t;
   heap : Heap.t;
@@ -134,24 +141,22 @@ type t = {
      list cell per segment). *)
   act_tids : int array array;
   act_len : int array;
-  (* Debug facility: per-line conflict-doom tally (per manager, populated
-     on every conflict doom).  Used to pinpoint hot lines when diagnosing
-     contention storms. *)
-  tally : (int, int) Hashtbl.t;
-  heatmap : Heatmap.t;
+  (* The per-line contention record: one cell per line that saw a counted
+     event, so its size tracks the contended lines, not the address space.
+     Touches are counted only when the scheduler's profiler is on. *)
+  per_line : (int, line_stats) Hashtbl.t;
+  count_touches : bool;
   forensics : Forensics.t;
 }
 
 let create ?(cache = Cache.create ()) ?(backend = Htm)
-    ?(heatmap = Heatmap.create ()) ?(forensics = Forensics.disabled) ~sched
-    ~heap () =
+    ?(forensics = Forensics.disabled) ~sched ~heap () =
   let t =
     {
       sched;
       heap;
       cache;
       backend;
-      heatmap;
       forensics;
       txns = Array.make Topology.max_threads None;
       pool = Array.make Topology.max_threads None;
@@ -183,7 +188,10 @@ let create ?(cache = Cache.create ()) ?(backend = Htm)
         Array.init (Topology.lcores (Sched.topology sched)) (fun _ ->
             Array.make Topology.max_threads 0);
       act_len = Array.make (Topology.lcores (Sched.topology sched)) 0;
-      tally = Hashtbl.create 64;
+      (* Sized so that the few hundred lines of an unprofiled run never
+         resize it. *)
+      per_line = Hashtbl.create 1024;
+      count_touches = Profile.enabled (Sched.profile sched);
     }
   in
   (* A timer interrupt / context switch clears the speculative cache state:
@@ -204,11 +212,8 @@ let create ?(cache = Cache.create ()) ?(backend = Htm)
   t
 
 let heap t = t.heap
-let sched t = t.sched
 let cache t = t.cache
 let stats t ~tid = t.stats.(tid)
-let conflict_tally t = t.tally
-let heatmap t = t.heatmap
 let forensics t = t.forensics
 let profile t = Sched.profile t.sched
 
@@ -274,6 +279,35 @@ let[@inline] bitset_chunk d line =
   Array.unsafe_get d (line lsr lines_per_chunk_shift)
 
 let[@inline] bitset_ix line w = ((line land line_ix_mask) * bitset_words) + w
+
+(* ---- Per-line contention record ----------------------------------- *)
+
+(* [line]'s cell, created on its first counted event.  Exception-style
+   lookup: [find_opt] would box a [Some] per call, and with touches on
+   this runs on every memory access. *)
+let line_stats t line =
+  match Hashtbl.find t.per_line line with
+  | s -> s
+  | exception Not_found ->
+      let s = { line; touches = 0; conflicts = 0; capacity = 0 } in
+      Hashtbl.add t.per_line line s;
+      s
+
+let touch t line =
+  if t.count_touches then begin
+    let s = line_stats t line in
+    s.touches <- s.touches + 1
+  end
+
+let fold_lines t f acc = Hashtbl.fold (fun _ s acc -> f s acc) t.per_line acc
+
+let conflict_tally t =
+  let tally = Hashtbl.create 64 in
+  Hashtbl.iter
+    (fun line s ->
+      if s.conflicts > 0 then Hashtbl.replace tally line s.conflicts)
+    t.per_line;
+  tally
 
 (* ---- Conflict-index maintenance ---------------------------------- *)
 
@@ -370,7 +404,7 @@ let check_doomed t txn =
 (* Requester-wins conflict resolution: doom every *other* active transaction
    for which [line] is in a conflicting set.  The per-line reverse index
    makes this O(transactions on the line); a transaction holding the line
-   in both sets is visited once by each pass but doomed (and tallied) only
+   in both sets is visited once by each pass but doomed (and counted) only
    once, as in the old full scan. *)
 (* Doom every other active transaction whose bit is set for [line] in
    [flat].  Bits are visited in ascending tid order (matching the old
@@ -391,15 +425,10 @@ let doom_from t ~me ~line flat =
            match Array.unsafe_get t.txns !other with
            | Some txn when txn.doomed = None ->
                txn.doomed <- doomed_conflict;
-               Heatmap.conflict t.heatmap line;
+               let s = line_stats t line in
+               s.conflicts <- s.conflicts + 1;
                Forensics.on_conflict_doom t.forensics ~victim:!other
-                 ~aborter:me ~line;
-               let n =
-                 match Hashtbl.find t.tally line with
-                 | n -> n
-                 | exception Not_found -> 0
-               in
-               Hashtbl.replace t.tally line (n + 1)
+                 ~aborter:me
            | _ -> ());
         x := !x lsr 1;
         incr other
@@ -579,7 +608,8 @@ let track_note_read t txn line =
         let set = Cache.set_of t.cache line in
         let occ = txn.set_occ.(set) + 1 in
         if occ > effective_ways t then begin
-          Heatmap.capacity t.heatmap line;
+          let s = line_stats t line in
+          s.capacity <- s.capacity + 1;
           (* Associativity overflow is self-inflicted: the transaction's own
              footprint no longer fits the set. *)
           Forensics.on_capacity_doom t.forensics ~victim:txn.owner
@@ -609,7 +639,8 @@ let track_note_write t txn line =
         let set = Cache.set_of t.cache line in
         let occ = txn.set_occ.(set) + 1 in
         if occ > effective_ways t then begin
-          Heatmap.capacity t.heatmap line;
+          let s = line_stats t line in
+          s.capacity <- s.capacity + 1;
           (* Associativity overflow is self-inflicted: the transaction's own
              footprint no longer fits the set. *)
           Forensics.on_capacity_doom t.forensics ~victim:txn.owner
@@ -710,7 +741,7 @@ let txn_read t txn addr =
   check_doomed t txn;
   let line = Cache.line_of t.cache addr in
   ensure_lines t line;
-  Heatmap.touch t.heatmap line;
+  touch t line;
   track_note_read t txn line;
   (match t.backend with
   | Htm -> doom_conflicting t ~me:txn.owner ~line ~against_readers:false
@@ -740,7 +771,7 @@ let txn_write t txn addr v =
   check_doomed t txn;
   let line = Cache.line_of t.cache addr in
   ensure_lines t line;
-  Heatmap.touch t.heatmap line;
+  touch t line;
   track_note_write t txn line;
   (match t.backend with
   | Htm -> doom_conflicting t ~me:txn.owner ~line ~against_readers:true
@@ -823,7 +854,7 @@ let nt_read t addr =
       pressure_evict t ~me;
       let line = Cache.line_of t.cache addr in
       ensure_lines t line;
-      Heatmap.touch t.heatmap line;
+      touch t line;
       doom_conflicting t ~me ~line ~against_readers:false;
       let v = Heap.read t.heap ~tid:me addr in
       let miss = charge_coherence t ~me ~line ~is_write:false in
@@ -838,7 +869,7 @@ let nt_write t addr v =
       pressure_evict t ~me;
       let line = Cache.line_of t.cache addr in
       ensure_lines t line;
-      Heatmap.touch t.heatmap line;
+      touch t line;
       doom_conflicting t ~me ~line ~against_readers:true;
       Heap.write t.heap ~tid:me addr v;
       if t.backend = Stm then begin
@@ -859,7 +890,7 @@ let nt_cas t addr ~expect desired =
       check_doomed t txn;
       let line = Cache.line_of t.cache addr in
       ensure_lines t line;
-      Heatmap.touch t.heatmap line;
+      touch t line;
       track_note_read t txn line;
       let cur =
         let i = write_index txn addr in
@@ -890,7 +921,7 @@ let nt_cas t addr ~expect desired =
       let me = tid t in
       let line = Cache.line_of t.cache addr in
       ensure_lines t line;
-      Heatmap.touch t.heatmap line;
+      touch t line;
       let cur = Heap.read t.heap ~tid:me addr in
       let ok = cur = expect in
       doom_conflicting t ~me ~line ~against_readers:ok;
@@ -914,7 +945,7 @@ let nt_fetch_add t addr delta =
       check_doomed t txn;
       let line = Cache.line_of t.cache addr in
       ensure_lines t line;
-      Heatmap.touch t.heatmap line;
+      touch t line;
       track_note_read t txn line;
       note_write t txn line;
       doom_conflicting t ~me:txn.owner ~line ~against_readers:true;
@@ -931,7 +962,7 @@ let nt_fetch_add t addr delta =
       let me = tid t in
       let line = Cache.line_of t.cache addr in
       ensure_lines t line;
-      Heatmap.touch t.heatmap line;
+      touch t line;
       doom_conflicting t ~me ~line ~against_readers:true;
       let cur = Heap.read t.heap ~tid:me addr in
       Heap.write t.heap ~tid:me addr (cur + delta);

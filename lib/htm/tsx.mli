@@ -23,7 +23,12 @@
     other threads discover the abort when they next run.
 
     All operations charge virtual cycles and yield to the scheduler, so every
-    call site is a potential interleaving point. *)
+    call site is a potential interleaving point.
+
+    The manager also keeps the run's one per-line contention record
+    ({!line_stats}): conflict dooms and associativity overflows per cache
+    line on every run, and touches when the scheduler's profiler is on.
+    The harness derives every per-line report from it. *)
 
 type t
 
@@ -42,7 +47,6 @@ exception Abort of Htm_stats.abort_reason
 val create :
   ?cache:Cache.t ->
   ?backend:backend ->
-  ?heatmap:Heatmap.t ->
   ?forensics:Forensics.t ->
   sched:St_sim.Sched.t ->
   heap:St_mem.Heap.t ->
@@ -50,13 +54,13 @@ val create :
   t
 (** Creates the HTM manager and registers its preemption hook with the
     scheduler.  [n_threads] contexts are lazily sized from the scheduler.
-    [heatmap] (default: disabled) receives per-line touch/conflict/capacity
-    tallies from every memory access.  [forensics] (default: the disabled
-    singleton) is stamped at every doom site (who-doomed-whom attribution)
-    and in the abort delivery funnel (per-cause wasted-cycle split). *)
+    Whether the per-line record counts touches is read here, once, from
+    the scheduler's profiler ({!line_stats}).  [forensics] (default: the
+    disabled singleton) is stamped at every doom site (who-doomed-whom
+    attribution) and in the abort delivery funnel (per-cause wasted-cycle
+    split). *)
 
 val heap : t -> St_mem.Heap.t
-val sched : t -> St_sim.Sched.t
 val cache : t -> Cache.t
 
 (** {2 Transactional operations}  All take the calling thread from the
@@ -113,14 +117,30 @@ val alloc : t -> size:int -> St_mem.Word.addr
 
 (** {2 Observation} *)
 
-val conflict_tally : t -> (int, int) Hashtbl.t
-(** Debug: per-line conflict-doom counts of this manager.  Owned by the
-    manager (not a module-level global), so several managers can coexist in
-    one process — e.g. a parallel sweep runner — without corrupting each
-    other's tallies. *)
+type line_stats = private {
+  line : int;
+  mutable touches : int;  (** Memory accesses; counted under the profiler. *)
+  mutable conflicts : int;
+      (** Conflict dooms: requester-wins resolution chose a victim on this
+          line. *)
+  mutable capacity : int;
+      (** Associativity overflows this line triggered.  Pressure evictions
+          doom a whole transaction, not a line, and are not counted. *)
+}
+(** The per-line contention record: one cell per cache line that saw a
+    counted event.  Conflicts and capacity overflows are always counted;
+    touches only when the scheduler's profiler is enabled.  Counting is
+    pure arithmetic (no RNG draws, no cycle charges), so it never perturbs
+    a run.  The record is owned by the manager, so several managers can
+    coexist in one process (a parallel sweep runner) without sharing
+    counts. *)
 
-val heatmap : t -> Heatmap.t
-(** The contention heatmap this manager records into. *)
+val fold_lines : t -> (line_stats -> 'a -> 'a) -> 'a -> 'a
+(** Fold over every cell of the record, in no particular order. *)
+
+val conflict_tally : t -> (int, int) Hashtbl.t
+(** A fresh table of the record's nonzero conflict counts, line to dooms.
+    Kept for the benchmark's doom-walk fixture; use {!fold_lines}. *)
 
 val forensics : t -> Forensics.t
 (** The abort-forensics ledger this manager stamps.  The engine layers

@@ -94,7 +94,6 @@ let create ?(initial_words = 1 lsl 16) ?(quarantine = 128) ?(align = 4)
 
 let shadow t = t.shadow
 let set_lifecycle t lc = t.lifecycle <- lc
-let lifecycle t = t.lifecycle
 let coverage t = t.chunks lsl chunk_shift
 
 let add_chunk t =

@@ -45,8 +45,6 @@ val set_lifecycle : t -> Lifecycle.t -> unit
     (double/bad free) never stamp — the ledger stays an exact census of
     real objects while {!Shadow} reports the violation. *)
 
-val lifecycle : t -> Lifecycle.t
-
 (** {2 Allocation} *)
 
 val alloc : t -> tid:int -> size:int -> Word.addr
@@ -78,8 +76,8 @@ val birth_ix : t -> Word.addr -> int
 (** Birth query with a 0 sentinel: [1 +] the allocation sequence number of
     the live object based at [addr], or [0] when no live object is based
     there.  Allocation order is seed-deterministic, so the birth index is
-    a stable object name across runs and [--jobs] counts — the contention
-    heatmap uses it to label hot lines. *)
+    a stable object name across runs and [--jobs] counts — the heat rows
+    and doomed lines of a run use it to label hot cache lines. *)
 
 (** {2 Raw access (used by the HTM layer)} *)
 

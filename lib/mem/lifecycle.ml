@@ -55,7 +55,6 @@ let create ?(capacity = 1 lsl 12) ~now ~resolve () =
   assert (capacity >= 1);
   make ~enabled:true ~now ~resolve ~capacity
 
-let enabled t = t.enabled
 
 let ensure_capacity t needed =
   let cap = Array.length t.alloc_time in

@@ -45,8 +45,6 @@ val create :
     unsafe schemes on the floor (those are the shadow checker's report to
     make).  [capacity] (default 4096 objects) grows by doubling. *)
 
-val enabled : t -> bool
-
 (** {1 Hooks} *)
 
 val on_alloc : t -> birth:int -> words:int -> unit

@@ -36,5 +36,3 @@ let default =
     free = 40;
     coherence_miss = 70;
   }
-
-let scaled ~num ~den c = c * num / den

@@ -31,9 +31,3 @@ type t = {
 }
 
 val default : t
-
-val scaled : num:int -> den:int -> int -> int
-(** [scaled ~num ~den c] is [c * num / den] — the rational cycle-scaling
-    helper (e.g. a hyperthreading slowdown multiplier).  It needs nothing
-    from a cost table, so it takes none; [Sched.penalize] strength-reduces
-    its own division inline rather than calling this. *)

@@ -38,8 +38,6 @@ val account_index : account -> int
 val account_name : account -> string
 (** Stable snake_case name used in JSON and flamegraph output. *)
 
-val n_accounts : int
-
 type t
 
 val create : ?enabled:bool -> unit -> t

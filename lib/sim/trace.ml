@@ -91,7 +91,3 @@ let dump ?last t ppf =
           e.name e.detail
     | None -> ()
   done
-
-let clear t =
-  Array.fill t.ring 0 t.capacity None;
-  t.next <- 0

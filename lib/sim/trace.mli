@@ -56,18 +56,6 @@ val on : t -> bool
 val no_detail : unit -> string
 (** The empty detail thunk, for events that need no payload. *)
 
-val record :
-  t ->
-  time:int ->
-  tid:int ->
-  phase:phase ->
-  category ->
-  string ->
-  (unit -> string) ->
-  unit
-(** [record t ~time ~tid ~phase category name detail] appends an event;
-    [detail] is only forced when the trace is enabled. *)
-
 val instant :
   t -> time:int -> tid:int -> category -> string -> (unit -> string) -> unit
 
@@ -99,5 +87,3 @@ val events : t -> event list
 val dump : ?last:int -> t -> Format.formatter -> unit
 (** Print up to [last] most recent events (default: all retained), oldest
     first. *)
-
-val clear : t -> unit

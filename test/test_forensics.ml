@@ -1,14 +1,13 @@
 (* Abort forensics: the who-doomed-whom ledger must attribute every doom
    and delivered abort without perturbing the run, and its books must
    balance against the two independent records kept elsewhere — the Tsx
-   per-line conflict tally and the profiler's wasted-cycle account.
+   per-line contention record and the profiler's wasted-cycle account.
 
    Four groups:
 
    - Ledger unit tests: the disabled singleton records nothing; matrices,
      per-cause buckets, segment aggregates, depth clamping, and the
-     bounded decision timeline all count exactly what was stamped; the
-     tally cross-check reports seeded divergences.
+     bounded decision timeline all count exactly what was stamped.
 
    - Predictor decisions: the [on_adjust] callback fires exactly on limit
      changes (not on clamped adjustments), and the limits it reports
@@ -16,10 +15,10 @@
 
    - Full-run conservation: all ten schemes, plus crashed-thread and
      oversubscribed schedules, each balance delivered aborts against
-     [Htm_stats], the conflict matrix against the always-on conflict
-     tally, and the per-cause wasted split against the profiler.
-     (Experiment.run itself cross-checks both and raises on divergence,
-     so completing at all is half the test.)
+     [Htm_stats], the conflict matrix against the per-line record's
+     conflict counts, and the per-cause wasted split against the
+     profiler.  (Experiment.run itself cross-checks the wasted split and
+     raises on divergence, so completing at all is part of the test.)
 
    - Flag gating: htm_forensics appears in result JSON iff the flag was
      set, and an unflagged identity run still reproduces its committed
@@ -44,7 +43,7 @@ let test_disabled_singleton () =
   let t = Forensics.disabled in
   Alcotest.(check bool) "disabled" false (Forensics.enabled t);
   (* Every hook must be a no-op, not a crash. *)
-  Forensics.on_conflict_doom t ~victim:1 ~aborter:2 ~line:42;
+  Forensics.on_conflict_doom t ~victim:1 ~aborter:2;
   Forensics.on_capacity_doom t ~victim:1 ~aborter:2;
   Forensics.on_interrupt_doom t ~victim:1;
   Forensics.on_abort_delivered t ~tid:1 ~cause:Htm_stats.Conflict ~wasted:99;
@@ -58,11 +57,11 @@ let test_disabled_singleton () =
   Alcotest.(check int) "no timeline" 0 (Forensics.timeline_length t);
   Alcotest.(check (list pass)) "no segments" [] (Forensics.segments t)
 
-let test_matrices_and_lines () =
+let test_matrices () =
   let t = Forensics.create () in
-  Forensics.on_conflict_doom t ~victim:3 ~aborter:1 ~line:100;
-  Forensics.on_conflict_doom t ~victim:3 ~aborter:1 ~line:100;
-  Forensics.on_conflict_doom t ~victim:0 ~aborter:2 ~line:200;
+  Forensics.on_conflict_doom t ~victim:3 ~aborter:1;
+  Forensics.on_conflict_doom t ~victim:3 ~aborter:1;
+  Forensics.on_conflict_doom t ~victim:0 ~aborter:2;
   Forensics.on_capacity_doom t ~victim:5 ~aborter:5;
   Forensics.on_interrupt_doom t ~victim:4;
   Alcotest.(check int) "conflict dooms" 3 (Forensics.conflict_dooms t);
@@ -74,13 +73,7 @@ let test_matrices_and_lines () =
   Alcotest.(check (list (triple int int int)))
     "conflict matrix, victim-major ascending"
     [ (0, 2, 1); (3, 1, 2) ]
-    (List.rev !pairs);
-  let lines = ref [] in
-  Forensics.iter_doomed_lines t (fun ~line n -> lines := (line, n) :: !lines);
-  Alcotest.(check (list (pair int int)))
-    "doomed lines ascending"
-    [ (100, 2); (200, 1) ]
-    (List.rev !lines)
+    (List.rev !pairs)
 
 let test_wasted_buckets () =
   let t = Forensics.create () in
@@ -129,6 +122,18 @@ let test_segments_and_depths () =
     [ (0, 1); (1, 1); (2, 1); (Forensics.max_retry_depth, 1) ]
     (List.rev !hist)
 
+(* A segment index is a per-operation counter with no upper bound: split
+   4096 of op 1 must not alias split 0 of op 2. *)
+let test_segment_keys_unbounded () =
+  let t = Forensics.create () in
+  Forensics.on_segment_abort t ~op_id:1 ~split:4096;
+  Alcotest.(check (list (pair int int)))
+    "op 1, split 4096"
+    [ (1, 4096) ]
+    (List.map
+       (fun (s : Forensics.segment) -> (s.Forensics.op_id, s.Forensics.split))
+       (Forensics.segments t))
+
 let test_timeline_capacity () =
   let t = Forensics.create ~timeline_capacity:2 () in
   for i = 0 to 4 do
@@ -149,27 +154,6 @@ let test_timeline_capacity () =
       Alcotest.(check bool) "shrink" false d0.Forensics.d_grow;
       Alcotest.(check int) "second time" 1 d1.Forensics.d_time
   | l -> Alcotest.failf "expected 2 decisions, got %d" (List.length l)
-
-let test_cross_check_tally () =
-  let t = Forensics.create () in
-  Forensics.on_conflict_doom t ~victim:1 ~aborter:0 ~line:7;
-  Forensics.on_conflict_doom t ~victim:2 ~aborter:0 ~line:7;
-  Forensics.on_conflict_doom t ~victim:1 ~aborter:2 ~line:9;
-  let tally = Hashtbl.create 8 in
-  Hashtbl.replace tally 7 2;
-  Hashtbl.replace tally 9 1;
-  Alcotest.(check (option string))
-    "agreeing tally passes" None
-    (Forensics.cross_check_tally t tally);
-  Hashtbl.replace tally 9 5;
-  Alcotest.(check bool)
-    "seeded count divergence caught" true
-    (Forensics.cross_check_tally t tally <> None);
-  Hashtbl.replace tally 9 1;
-  Hashtbl.replace tally 11 1;
-  Alcotest.(check bool)
-    "extra tally line caught" true
-    (Forensics.cross_check_tally t tally <> None)
 
 (* ------------------------------------------------------------------ *)
 (* Predictor decision notifications                                    *)
@@ -226,13 +210,14 @@ let test_predictor_notify () =
 (* Full-run conservation                                               *)
 (* ------------------------------------------------------------------ *)
 
-let forensics_cfg ?(crash = []) ?(threads = 8) scheme =
+let forensics_cfg ?(crash = []) ?(threads = 8) ?(profile = false) scheme =
   {
     Experiment.default_config with
     scheme;
     threads;
     duration = 300_000;
     crash_tids = crash;
+    profile;
     forensics = true;
   }
 
@@ -255,8 +240,9 @@ let check_books name (r : Experiment.result) =
     (List.assoc "interrupt" fx.Experiment.fx_delivered);
   chk "delivered explicit aborts" h.Htm_stats.explicit_aborts
     (List.assoc "explicit" fx.Experiment.fx_delivered);
-  (* Conflict matrix vs the always-on Tsx tally (satellite cross-check):
-     matrix total = doomed-lines total = tally total. *)
+  (* Conflict matrix vs the Tsx per-line record (the two are counted at
+     the same doom site): matrix total = doomed-lines total = the
+     record's conflict total. *)
   let matrix_total =
     List.fold_left
       (fun acc (p : Experiment.doomed_pair) -> acc + p.Experiment.dooms)
@@ -272,6 +258,24 @@ let check_books name (r : Experiment.result) =
     (List.fold_left
        (fun acc (l : Experiment.doomed_line_row) -> acc + l.Experiment.dl_dooms)
        0 fx.Experiment.fx_doomed_lines);
+  (* With the profiler on, the heat rows are a third view of the same
+     record: each row's conflicts are its line's doomed-lines count. *)
+  Option.iter
+    (List.iter (fun (row : Experiment.heat_row) ->
+         let line = row.Experiment.heat.Tsx.line in
+         chk
+           (Printf.sprintf "heat row %d conflicts = its doomed-line dooms"
+              line)
+           (match
+              List.find_opt
+                (fun (l : Experiment.doomed_line_row) ->
+                  l.Experiment.dl_line = line)
+                fx.Experiment.fx_doomed_lines
+            with
+           | Some l -> l.Experiment.dl_dooms
+           | None -> 0)
+           row.Experiment.heat.Tsx.conflicts))
+    r.Experiment.heatmap;
   (* Wasted-cycle conservation: per-cause buckets + unresolved residue =
      the profiler's independent wasted account. *)
   chk "wasted split sums to total" fx.Experiment.fx_wasted_total
@@ -364,7 +368,7 @@ let test_books_oversubscribed () =
   List.iter
     (fun (name, scheme) ->
       check_books (name ^ " x12")
-        (Experiment.run (forensics_cfg ~threads:12 scheme)))
+        (Experiment.run (forensics_cfg ~threads:12 ~profile:true scheme)))
     [
       ("epoch", Experiment.Epoch);
       ("stacktrack", Experiment.stacktrack_default);
@@ -376,7 +380,8 @@ let test_stacktrack_has_traffic () =
      run actually dooms transactions, attributes wasted cycles, and moves
      predictor limits. *)
   let r =
-    Experiment.run (forensics_cfg ~threads:12 Experiment.stacktrack_default)
+    Experiment.run
+      (forensics_cfg ~threads:12 ~profile:true Experiment.stacktrack_default)
   in
   let fx = summary_of r in
   Alcotest.(check bool)
@@ -395,7 +400,13 @@ let test_stacktrack_has_traffic () =
     (Latency.count fx.Experiment.fx_retry_hist > 0);
   Alcotest.(check bool)
     "predictor made decisions" true
-    (fx.Experiment.fx_timeline <> [])
+    (fx.Experiment.fx_timeline <> []);
+  Alcotest.(check bool)
+    "heat rows carry conflict dooms" true
+    (List.exists
+       (fun (row : Experiment.heat_row) ->
+         row.Experiment.heat.Tsx.conflicts > 0)
+       (Option.value ~default:[] r.Experiment.heatmap))
 
 (* ------------------------------------------------------------------ *)
 (* Flag gating                                                         *)
@@ -476,11 +487,11 @@ let () =
       ( "ledger",
         [
           quick "disabled singleton records nothing" test_disabled_singleton;
-          quick "matrices and doomed lines" test_matrices_and_lines;
+          quick "doom counters and conflict matrix" test_matrices;
           quick "wasted buckets conserve" test_wasted_buckets;
           quick "segments and depth histogram" test_segments_and_depths;
+          quick "segment keys past 4096 splits" test_segment_keys_unbounded;
           quick "timeline capacity bound" test_timeline_capacity;
-          quick "tally cross-check" test_cross_check_tally;
         ] );
       ( "predictor",
         [ quick "on_adjust fires exactly on changes" test_predictor_notify ] );

@@ -397,8 +397,13 @@ let run_cli ?(seconds = 30.) args =
    or bucket count, and a mutation percentage outside 0..100, died on an
    assertion ("internal error"); more threads than the simulator's tid
    tables hold died with [Invalid_argument], and zero threads ran nothing.
-   Each is now a usage error (cmdliner's exit 124) that names its flag. *)
+   A --crash id past the workers either died out of bounds or crashed the
+   crash injector itself, a trace capacity below 1 died on an assertion,
+   and a negative metrics interval silently turned sampling off.  Each is
+   now a usage error (cmdliner's exit 124) that names its flag. *)
 let test_cli_bad_sizes () =
+  let trace = Filename.temp_file "bad_capacity" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove trace) @@ fun () ->
   List.iter
     (fun (args, flag) ->
       let name = String.concat " " ("run" :: args) in
@@ -419,6 +424,12 @@ let test_cli_bad_sizes () =
       ([ "--threads"; "0" ], "--threads");
       ([ "--mutations=-5" ], "--mutations");
       ([ "--mutations"; "150" ], "--mutations");
+      ([ "--crash"; "9"; "--threads"; "4" ], "--crash");
+      ([ "--crash=-1" ], "--crash");
+      ([ "--crash"; "4"; "--threads"; "4" ], "--crash");
+      ([ "--trace-capacity"; "0"; "--trace-out"; trace ], "--trace-capacity");
+      ([ "--trace-capacity=-1"; "--trace-out"; trace ], "--trace-capacity");
+      ([ "--metrics-interval=-5" ], "--metrics-interval");
     ]
 
 let () =

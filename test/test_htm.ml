@@ -11,9 +11,10 @@ let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
 
 (* Build a world: scheduler + heap + tsx.  Threads are added by the test. *)
-let world ?cache ?(quantum = 50_000) ?(cores = 4) ?(smt = 2) () =
+let world ?cache ?profile ?(quantum = 50_000) ?(cores = 4) ?(smt = 2) () =
   let sched =
-    Sched.create ~topology:(Topology.create ~cores ~smt ()) ~quantum ~seed:7 ()
+    Sched.create ~topology:(Topology.create ~cores ~smt ()) ~quantum ?profile
+      ~seed:7 ()
   in
   let heap = Heap.create ~shadow:(Shadow.create ()) () in
   let tsx = Tsx.create ?cache ~sched ~heap () in
@@ -401,10 +402,11 @@ let test_txn_cas_coherence_cost () =
   Sched.run sched
 
 let test_two_managers_independent_tallies () =
-  (* Two coexisting managers keep independent conflict tallies: the tally
-     used to be a module-level global that [Tsx.create] reset, so a second
-     manager in the same process (a parallel sweep runner) wiped and then
-     polluted the first one's counts. *)
+  (* Two coexisting managers keep independent per-line records: the
+     conflict counts used to live in a module-level global that
+     [Tsx.create] reset, so a second manager in the same process (a
+     parallel sweep runner) wiped and then polluted the first one's
+     counts. *)
   let conflict_on (sched, heap, tsx) =
     let addr = Heap.alloc heap ~tid:0 ~size:2 in
     let _ =
@@ -426,17 +428,71 @@ let test_two_managers_independent_tallies () =
   in
   let ((_, _, tsx1) as w1) = world () in
   conflict_on w1;
-  let dooms tsx =
-    Hashtbl.fold (fun _ n acc -> acc + n) (Tsx.conflict_tally tsx) 0
-  in
+  let dooms tsx = Tsx.fold_lines tsx (fun s acc -> acc + s.Tsx.conflicts) 0 in
   checki "first manager tallied the doom" 1 (dooms tsx1);
-  (* Creating a second manager must not reset the first one's tally. *)
+  (* Creating a second manager must not reset the first one's record. *)
   let ((_, _, tsx2) as w2) = world () in
   checki "first manager's tally survives a second create" 1 (dooms tsx1);
   checki "second manager starts clean" 0 (dooms tsx2);
   conflict_on w2;
   checki "second manager tallies its own doom" 1 (dooms tsx2);
   checki "first manager unaffected by second's conflicts" 1 (dooms tsx1)
+
+(* The per-line record counts conflict dooms and associativity overflows
+   on every run, and touches only when the scheduler's profiler is on. *)
+let test_line_record_touch_switch () =
+  let record ~profiled =
+    let profile = Profile.create ~enabled:profiled () in
+    let sched, heap, tsx =
+      world ~cache:(det_cache ~sets:4 ~ways:2) ~profile ~cores:2 ~smt:1 ()
+    in
+    let a = Heap.alloc heap ~tid:0 ~size:2 in
+    (* Three lines of one set (4 sets of 8-word lines): the third
+       overflows the set's two ways. *)
+    let in_set i = a + 8 + (i * 4 * 8) in
+    let _ =
+      Sched.add_thread sched (fun _ ->
+          Tsx.start tsx;
+          ignore (Tsx.read tsx a);
+          Sched.consume sched 1000;
+          (* Doomed by the other thread's store: aborts before touching. *)
+          (try ignore (Tsx.read tsx a) with Tsx.Abort _ -> ());
+          Tsx.start tsx;
+          try
+            for i = 0 to 2 do
+              ignore (Tsx.read tsx (in_set i))
+            done
+          with Tsx.Abort _ -> ())
+    in
+    let _ =
+      Sched.add_thread sched (fun _ ->
+          Sched.consume sched 100;
+          Tsx.nt_write tsx a 9)
+    in
+    Sched.run sched;
+    let cell addr =
+      let line = Cache.line_of (Tsx.cache tsx) addr in
+      Tsx.fold_lines tsx
+        (fun (s : Tsx.line_stats) acc ->
+          if s.line = line then (s.touches, s.conflicts, s.capacity) else acc)
+        (0, 0, 0)
+    in
+    let touches = Tsx.fold_lines tsx (fun s acc -> acc + s.Tsx.touches) 0 in
+    (cell a, cell (in_set 2), touches)
+  in
+  let counts = Alcotest.(triple int int int) in
+  let doomed, overflowed, touches = record ~profiled:false in
+  Alcotest.check counts "unprofiled: the conflict doom, no touches" (0, 1, 0)
+    doomed;
+  Alcotest.check counts "unprofiled: the overflow, no touches" (0, 0, 1)
+    overflowed;
+  checki "unprofiled: no line touched" 0 touches;
+  let doomed, overflowed, touches = record ~profiled:true in
+  Alcotest.check counts "profiled: the read and the store touch" (2, 1, 0)
+    doomed;
+  Alcotest.check counts "profiled: the overflowing read touches" (1, 0, 1)
+    overflowed;
+  checki "profiled: every access touches" 5 touches
 
 (* ------------------------------------------------------------------ *)
 (* Determinism golden: fig1-list-shaped run                             *)
@@ -669,6 +725,8 @@ let () =
             test_txn_cas_coherence_cost;
           Alcotest.test_case "independent tallies" `Quick
             test_two_managers_independent_tallies;
+          Alcotest.test_case "line record touch switch" `Quick
+            test_line_record_touch_switch;
           Alcotest.test_case "fig1 slice stats pinned" `Quick
             test_fig1_slice_stats_pinned;
         ] );

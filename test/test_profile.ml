@@ -190,7 +190,7 @@ let test_flame_lines () =
     "unprofiled run has no flame" []
     (Result_json.flame_lines unprofiled)
 
-(* Heatmap rows are capped, sorted by conflicts then touches, and carry
+(* Heat rows are capped, sorted by conflicts then touches, and carry
    owner names for live objects. *)
 let test_heatmap_shape () =
   let r =
@@ -204,8 +204,8 @@ let test_heatmap_shape () =
       let keys =
         List.map
           (fun (row : Experiment.heat_row) ->
-            ( row.heat.St_htm.Heatmap.conflicts,
-              row.heat.St_htm.Heatmap.touches ))
+            ( row.heat.St_htm.Tsx.conflicts,
+              row.heat.St_htm.Tsx.touches ))
           rows
       in
       let sorted_desc =
