@@ -210,16 +210,19 @@ let test_predictor_notify () =
 (* Full-run conservation                                               *)
 (* ------------------------------------------------------------------ *)
 
-let forensics_cfg ?(crash = []) ?(threads = 8) ?(profile = false) scheme =
+let forensics_cfg ?(crash = []) ?(threads = 8) scheme =
   {
     Experiment.default_config with
     scheme;
     threads;
     duration = 300_000;
     crash_tids = crash;
-    profile;
     forensics = true;
   }
+
+(* Forensics with the profiler's heat rows too: the third view of the
+   per-line record that [check_books] compares. *)
+let profiled (cfg : Experiment.config) = { cfg with profile = true }
 
 let summary_of (r : Experiment.result) =
   match r.Experiment.forensics with
@@ -368,7 +371,7 @@ let test_books_oversubscribed () =
   List.iter
     (fun (name, scheme) ->
       check_books (name ^ " x12")
-        (Experiment.run (forensics_cfg ~threads:12 ~profile:true scheme)))
+        (Experiment.run (profiled (forensics_cfg ~threads:12 scheme))))
     [
       ("epoch", Experiment.Epoch);
       ("stacktrack", Experiment.stacktrack_default);
@@ -381,7 +384,7 @@ let test_stacktrack_has_traffic () =
      predictor limits. *)
   let r =
     Experiment.run
-      (forensics_cfg ~threads:12 ~profile:true Experiment.stacktrack_default)
+      (profiled (forensics_cfg ~threads:12 Experiment.stacktrack_default))
   in
   let fx = summary_of r in
   Alcotest.(check bool)

@@ -11,10 +11,9 @@ let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
 
 (* Build a world: scheduler + heap + tsx.  Threads are added by the test. *)
-let world ?cache ?profile ?(quantum = 50_000) ?(cores = 4) ?(smt = 2) () =
+let world ?cache ?(quantum = 50_000) ?(cores = 4) ?(smt = 2) () =
   let sched =
-    Sched.create ~topology:(Topology.create ~cores ~smt ()) ~quantum ?profile
-      ~seed:7 ()
+    Sched.create ~topology:(Topology.create ~cores ~smt ()) ~quantum ~seed:7 ()
   in
   let heap = Heap.create ~shadow:(Shadow.create ()) () in
   let tsx = Tsx.create ?cache ~sched ~heap () in
@@ -442,10 +441,14 @@ let test_two_managers_independent_tallies () =
    on every run, and touches only when the scheduler's profiler is on. *)
 let test_line_record_touch_switch () =
   let record ~profiled =
-    let profile = Profile.create ~enabled:profiled () in
-    let sched, heap, tsx =
-      world ~cache:(det_cache ~sets:4 ~ways:2) ~profile ~cores:2 ~smt:1 ()
+    let sched =
+      Sched.create
+        ~topology:(Topology.create ~cores:2 ~smt:1 ())
+        ~profile:(Profile.create ~enabled:profiled ())
+        ~seed:7 ()
     in
+    let heap = Heap.create ~shadow:(Shadow.create ()) () in
+    let tsx = Tsx.create ~cache:(det_cache ~sets:4 ~ways:2) ~sched ~heap () in
     let a = Heap.alloc heap ~tid:0 ~size:2 in
     (* Three lines of one set (4 sets of 8-word lines): the third
        overflows the set's two ways. *)
