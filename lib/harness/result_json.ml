@@ -378,13 +378,6 @@ let encode (r : Experiment.result) =
       ("final_size", Json_out.Int r.final_size);
       ("leaked", Json_out.Int r.leaked);
       ("violations", Json_out.Int r.violations);
-      ( "live_samples",
-        Json_out.List
-          (List.map
-             (fun (t, live) ->
-               Json_out.Obj
-                 [ ("time", Json_out.Int t); ("live", Json_out.Int live) ])
-             r.live_samples) );
       ("metrics", Json_out.List (List.map of_metrics_sample r.metrics));
     ]
     @ tail)
