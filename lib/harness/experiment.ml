@@ -87,13 +87,11 @@ type config = {
   cache : Cache.t;
   backend : Tsx.backend;  (** HTM (default) or the TL2-style STM. *)
   crash_tids : int list;  (** Threads crashed at ~25% of the run. *)
-  sample_live : int;
-      (** Sampling interval (cycles) for the live-object profile; 0 = off.
-          Subsumed by [metrics_interval] (which also captures live
-          objects); kept as the lightweight single-series knob. *)
   metrics_interval : int;
       (** Sampling interval (cycles) for the full {!Metrics} time series
-          (throughput, abort mix, pending frees, scans...); 0 = off. *)
+          (throughput, live objects, abort mix, pending frees, scans...);
+          0 = off.  Like [lifecycle], a probe of the harness sampler
+          thread, so a sampled run is a different schedule. *)
   trace : St_sim.Trace.t option;
       (** Event sink wired into the simulated machine; [None] (default)
           installs a disabled trace, so instrumentation costs nothing. *)
@@ -106,10 +104,11 @@ type config = {
   lifecycle : bool;
       (** Enable the memory-lifecycle ledger (per-object alloc/retire/free
           stamps), its limbo/footprint time series, and the
-          stalled-reclamation watchdog.  Unlike [profile], this registers
-          an extra sampler thread (one observation per scheduler quantum),
-          so a flagged run is a {e different schedule} from an unflagged
-          one — byte-identity is only promised for unflagged runs. *)
+          stalled-reclamation watchdog.  Unlike [profile], this is a probe
+          of the harness sampler thread (one observation per scheduler
+          quantum), so a flagged run is a {e different schedule} from an
+          unflagged one — byte-identity is only promised for unflagged
+          runs. *)
   forensics : bool;
       (** Enable the abort-forensics ledger: who-doomed-whom attribution,
           per-cause wasted-cycle split, per-segment retry chains, and the
@@ -138,7 +137,6 @@ let default_config =
     cache = Cache.create ();
     backend = Tsx.Htm;
     crash_tids = [];
-    sample_live = 0;
     metrics_interval = 0;
     trace = None;
     profile = false;
@@ -215,8 +213,6 @@ type result = {
   final_size : int;  (** Structure size after the run (raw count). *)
   leaked : int;  (** Live heap objects beyond the structure's final needs. *)
   latency : Latency.t;  (** Per-operation latency distribution (cycles). *)
-  live_samples : (int * int) list;
-      (** (time, live objects) samples when [sample_live] > 0. *)
   metrics : Metrics.sample list;
       (** Full counter time series when [metrics_interval] > 0. *)
   peak_live : int;
@@ -264,84 +260,32 @@ type instance = {
 
 module None_scheme = St_reclaim.None
 
-let no_extras () = []
+(* A scheme with no special treatment; the others override one field. *)
+let instance (type a) (module G : Guard.S with type t = a) (s : a) =
+  {
+    packed = Packed ((module G), s);
+    note_link = ignore;
+    st_handle = None;
+    extras = (fun () -> []);
+  }
 
 let make_instance rt = function
-  | Original ->
-      {
-        packed =
-          Packed
-            ( (module None_scheme : Guard.S with type t = None_scheme.t),
-              None_scheme.create rt );
-        note_link = ignore;
-        st_handle = None;
-        extras = no_extras;
-      }
-  | Hazards ->
-      {
-        packed =
-          Packed ((module Hazard : Guard.S with type t = Hazard.t), Hazard.create rt);
-        note_link = ignore;
-        st_handle = None;
-        extras = no_extras;
-      }
-  | Epoch ->
-      {
-        packed =
-          Packed ((module Epoch : Guard.S with type t = Epoch.t), Epoch.create rt);
-        note_link = ignore;
-        st_handle = None;
-        extras = no_extras;
-      }
+  | Original -> instance (module None_scheme) (None_scheme.create rt)
+  | Hazards -> instance (module Hazard) (Hazard.create rt)
+  | Epoch -> instance (module Epoch) (Epoch.create rt)
   | Stacktrack_s cfg ->
       let s = Stacktrack.Engine.create ~cfg rt in
-      {
-        packed =
-          Packed
-            ( (module Stacktrack.Engine : Guard.S with type t = Stacktrack.Engine.t),
-              s );
-        note_link = ignore;
-        st_handle = Some s;
-        extras = no_extras;
-      }
-  | Dta ->
-      {
-        packed = Packed ((module Dta : Guard.S with type t = Dta.t), Dta.create rt);
-        note_link = ignore;
-        st_handle = None;
-        extras = no_extras;
-      }
+      { (instance (module Stacktrack.Engine) s) with st_handle = Some s }
+  | Dta -> instance (module Dta) (Dta.create rt)
   | Refcount_s ->
       let s = Refcount.create rt in
-      {
-        packed = Packed ((module Refcount : Guard.S with type t = Refcount.t), s);
-        note_link = Refcount.note_initial_link s;
-        st_handle = None;
-        extras = no_extras;
-      }
-  | Immediate_unsafe ->
-      {
-        packed =
-          Packed
-            ((module Immediate : Guard.S with type t = Immediate.t), Immediate.create rt);
-        note_link = ignore;
-        st_handle = None;
-        extras = no_extras;
-      }
-  | Debra ->
-      let s = Debra.create ~blocked:Wait rt in
-      {
-        packed = Packed ((module Debra : Guard.S with type t = Debra.t), s);
-        note_link = ignore;
-        st_handle = None;
-        extras = no_extras;
-      }
+      { (instance (module Refcount) s) with note_link = Refcount.note_initial_link s }
+  | Immediate_unsafe -> instance (module Immediate) (Immediate.create rt)
+  | Debra -> instance (module Debra) (Debra.create ~blocked:Wait rt)
   | Debra_plus ->
       let s = Debra.create ~blocked:(Neutralize 100_000) rt in
       {
-        packed = Packed ((module Debra : Guard.S with type t = Debra.t), s);
-        note_link = ignore;
-        st_handle = None;
+        (instance (module Debra) s) with
         extras =
           (fun () ->
             [
@@ -352,25 +296,9 @@ let make_instance rt = function
   | Hazard_eras ->
       let s = Hazard_eras.create rt in
       {
-        packed = Packed ((module Hazard_eras : Guard.S with type t = Hazard_eras.t), s);
-        note_link = ignore;
-        st_handle = None;
+        (instance (module Hazard_eras) s) with
         extras = (fun () -> [ ("era", Hazard_eras.era s) ]);
       }
-
-(* Generic duration-bounded worker: [do_op] runs one operation on the
-   per-thread handle ['th], recording its latency. *)
-let worker_loop ~sched ~duration ~ops_per_thread ~latency ~(mk : int -> 'th)
-    ~(next : int -> 'op) ~(do_op : 'th -> 'op -> unit) ~(quiesce : 'th -> unit)
-    tid =
-  let th = mk tid in
-  while Sched.now sched < duration do
-    let t0 = Sched.now sched in
-    do_op th (next tid);
-    Latency.record latency (Sched.now sched - t0);
-    ops_per_thread.(tid) <- ops_per_thread.(tid) + 1
-  done;
-  quiesce th
 
 let run cfg =
   let topo = Topology.create ~cores:cfg.cores ~smt:cfg.smt () in
@@ -393,6 +321,7 @@ let run cfg =
   let rt = Guard.make_runtime ~sched ~tsx in
   let setup_rng = Rng.create ~seed:(cfg.seed lxor 0x5EED) in
   let inst = make_instance rt cfg.scheme in
+  let reclaim = match inst.packed with Packed ((module G), s) -> G.stats s in
 
   (* Memory-lifecycle ledger + stalled-reclamation watchdog.  The ledger
      hooks are permanently wired into [Heap.claim]/[Heap.free] and
@@ -409,8 +338,7 @@ let run cfg =
   let watchdog = Watchdog.create ~trace:(Sched.trace sched) () in
   if cfg.lifecycle then begin
     Heap.set_lifecycle heap ledger;
-    match inst.packed with
-    | Packed ((module G), s) -> (G.stats s).Guard.lifecycle <- ledger
+    reclaim.Guard.lifecycle <- ledger
   end;
 
   let init_keys =
@@ -419,191 +347,175 @@ let run cfg =
   in
   let ops_per_thread = Array.make cfg.threads 0 in
   let latency = Latency.create () in
-  let live_samples = ref [] in
 
-  (* Snapshot every machine-wide counter for the metrics time series.
-     Counters are cumulative; consumers difference consecutive samples. *)
+  (* The metrics probe snapshots every machine-wide counter.  Counters are
+     cumulative; consumers difference consecutive samples. *)
   let metrics_acc = ref [] in
-  let lifecycle_acc = ref [] in
-  let scheme_guard_stats () =
-    match inst.packed with Packed ((module G), s) -> G.stats s
-  in
-  let metrics_snapshot () =
+  let metrics_probe ~tid:_ now =
     let htm = Tsx.total_stats tsx in
-    let g = scheme_guard_stats () in
-    let st = Option.map Stacktrack.Engine.scheme_stats inst.st_handle in
-    {
-      Metrics.time = Sched.now sched;
-      ops = Array.fold_left ( + ) 0 ops_per_thread;
-      live_objects = Heap.live_objects heap;
-      allocs = Heap.allocs heap;
-      frees = Heap.frees heap;
-      retired = g.Guard.retired;
-      freed = g.Guard.freed;
-      pending_frees =
-        (match inst.st_handle with
-        | Some e -> Stacktrack.Engine.total_pending_frees e
-        | None -> g.Guard.retired - g.Guard.freed);
-      starts = htm.Htm_stats.starts;
-      commits = htm.Htm_stats.commits;
-      conflict_aborts = htm.Htm_stats.conflict_aborts;
-      capacity_aborts = htm.Htm_stats.capacity_aborts;
-      interrupt_aborts = htm.Htm_stats.interrupt_aborts;
-      explicit_aborts = htm.Htm_stats.explicit_aborts;
-      scans = g.Guard.scans;
-      scan_restarts =
-        (match st with
-        | Some st -> st.Stacktrack.Scheme_stats.scan_restarts
-        | None -> 0);
-      stall_cycles = g.Guard.stall_cycles;
-      context_switches = Sched.context_switches sched;
-      wasted_cycles =
-        Profile.wasted_cycles profile ~n_threads:(Sched.n_threads sched);
-    }
+    metrics_acc :=
+      {
+        Metrics.time = now;
+        ops = Array.fold_left ( + ) 0 ops_per_thread;
+        live_objects = Heap.live_objects heap;
+        allocs = Heap.allocs heap;
+        frees = Heap.frees heap;
+        retired = reclaim.Guard.retired;
+        freed = reclaim.Guard.freed;
+        pending_frees =
+          (match inst.st_handle with
+          | Some e -> Stacktrack.Engine.total_pending_frees e
+          | None -> reclaim.Guard.retired - reclaim.Guard.freed);
+        starts = htm.Htm_stats.starts;
+        commits = htm.Htm_stats.commits;
+        conflict_aborts = htm.Htm_stats.conflict_aborts;
+        capacity_aborts = htm.Htm_stats.capacity_aborts;
+        interrupt_aborts = htm.Htm_stats.interrupt_aborts;
+        explicit_aborts = htm.Htm_stats.explicit_aborts;
+        scans = reclaim.Guard.scans;
+        scan_restarts =
+          (match inst.st_handle with
+          | Some e ->
+              (Stacktrack.Engine.scheme_stats e).Stacktrack.Scheme_stats
+                .scan_restarts
+          | None -> 0);
+        stall_cycles = reclaim.Guard.stall_cycles;
+        context_switches = Sched.context_switches sched;
+        wasted_cycles =
+          Profile.wasted_cycles profile ~n_threads:(Sched.n_threads sched);
+      }
+      :: !metrics_acc
   in
-
-  let set_gen tid =
-    St_workload.Workload.set_gen
-      (St_workload.Workload.set_profile ~dist:cfg.dist ~key_range:cfg.key_range
-         ~mutation_pct:cfg.mutation_pct ())
-      (Rng.create ~seed:(cfg.seed + (7919 * (tid + 1))))
+  (* The lifecycle probe feeds the limbo/footprint time series, the Chrome
+     counter tracks, and the watchdog (whose threshold is therefore "N
+     quanta without progress"). *)
+  let lifecycle_acc = ref [] in
+  let lifecycle_probe ~tid now =
+    let limbo = Lifecycle.limbo_objects ledger in
+    let limbo_w = Lifecycle.limbo_words ledger in
+    let live_w = Lifecycle.live_words ledger in
+    lifecycle_acc :=
+      {
+        Metrics.lc_time = now;
+        limbo_objects = limbo;
+        limbo_words = limbo_w;
+        live_words = live_w;
+        peak_limbo_words = Lifecycle.peak_limbo_words ledger;
+        quarantine = Heap.quarantined heap;
+        lc_retired = reclaim.Guard.retired;
+        lc_freed = reclaim.Guard.freed;
+      }
+      :: !lifecycle_acc;
+    Watchdog.observe watchdog ~time:now ~tid ~progress:reclaim.Guard.freed
+      ~backlog:(reclaim.Guard.retired - reclaim.Guard.freed);
+    let tr = Sched.trace sched in
+    if Trace.on tr then begin
+      Trace.counter tr ~time:now ~tid Trace.Reclaim "limbo_objects" limbo;
+      Trace.counter tr ~time:now ~tid Trace.Reclaim "limbo_words" limbo_w;
+      Trace.counter tr ~time:now ~tid Trace.Reclaim "live_words" live_w
+    end
   in
-
-  let run_workers worker =
-    for i = 0 to cfg.threads - 1 do
-      ignore (Sched.add_thread sched worker);
-      ignore i
-    done;
-    if cfg.crash_tids <> [] then
-      ignore
-        (Sched.add_thread sched (fun _ ->
-             Sched.consume sched (cfg.duration / 4);
-             List.iter (fun tid -> Sched.crash sched tid) cfg.crash_tids));
-    if cfg.sample_live > 0 then
-      ignore
-        (Sched.add_thread sched (fun _ ->
-             while Sched.now sched < cfg.duration do
-               Sched.consume sched cfg.sample_live;
-               live_samples :=
-                 (Sched.now sched, Heap.live_objects heap) :: !live_samples
-             done));
-    (* The sampler aims at absolute tick times: its core clock is shared
-       with co-scheduled workers, so consuming a fixed interval per
-       iteration would drift by everything the workers consume in
-       between. *)
-    if cfg.metrics_interval > 0 then
-      ignore
-        (Sched.add_thread sched (fun _ ->
-             let next = ref cfg.metrics_interval in
-             while Sched.now sched < cfg.duration do
-               Sched.sleep_until sched ~deadline:!next;
-               if Sched.now sched >= !next then begin
-                 metrics_acc := metrics_snapshot () :: !metrics_acc;
-                 next :=
-                   ((Sched.now sched / cfg.metrics_interval) + 1)
-                   * cfg.metrics_interval
-               end
-             done));
-    (* Lifecycle sampler: one ledger snapshot per scheduler quantum, feeding
-       the limbo/footprint time series, the Chrome counter tracks, and the
-       watchdog (whose threshold is therefore "N quanta without progress").
-       Only registered when [cfg.lifecycle] — the extra thread perturbs the
-       schedule, and unflagged runs must stay byte-identical. *)
-    if cfg.lifecycle then
-      ignore
-        (Sched.add_thread sched (fun tid ->
-             let interval = cfg.quantum in
-             let next = ref interval in
-             while Sched.now sched < cfg.duration do
-               Sched.sleep_until sched ~deadline:!next;
-               if Sched.now sched >= !next then begin
-                 let now = Sched.now sched in
-                 let g = scheme_guard_stats () in
-                 let limbo = Lifecycle.limbo_objects ledger in
-                 let limbo_w = Lifecycle.limbo_words ledger in
-                 let live_w = Lifecycle.live_words ledger in
-                 lifecycle_acc :=
-                   {
-                     Metrics.lc_time = now;
-                     limbo_objects = limbo;
-                     limbo_words = limbo_w;
-                     live_words = live_w;
-                     peak_limbo_words = Lifecycle.peak_limbo_words ledger;
-                     quarantine = Heap.quarantined heap;
-                     lc_retired = g.Guard.retired;
-                     lc_freed = g.Guard.freed;
-                   }
-                   :: !lifecycle_acc;
-                 Watchdog.observe watchdog ~time:now ~tid
-                   ~progress:g.Guard.freed
-                   ~backlog:(g.Guard.retired - g.Guard.freed);
-                 let tr = Sched.trace sched in
-                 if Trace.on tr then begin
-                   Trace.counter tr ~time:now ~tid Trace.Reclaim
-                     "limbo_objects" limbo;
-                   Trace.counter tr ~time:now ~tid Trace.Reclaim "limbo_words"
-                     limbo_w;
-                   Trace.counter tr ~time:now ~tid Trace.Reclaim "live_words"
-                     live_w
-                 end;
-                 next := ((Sched.now sched / interval) + 1) * interval
-               end
-             done));
-    Sched.run sched
+  (* One harness sampler thread runs every enabled probe, each with its
+     interval: metrics every [metrics_interval] cycles, lifecycle once per
+     scheduler quantum.  It aims at absolute tick times: its core clock is
+     shared with co-scheduled workers, so consuming a fixed interval per
+     round would drift by everything the workers consume in between.  Each
+     round sleeps to the earliest due tick and runs the due probes in list
+     order; each then aims at the next multiple of its own interval. *)
+  let probes =
+    (if cfg.metrics_interval > 0 then [ (cfg.metrics_interval, metrics_probe) ]
+     else [])
+    @ if cfg.lifecycle then [ (cfg.quantum, lifecycle_probe) ] else []
   in
+  let sampler tid =
+    let due = List.map (fun (interval, _) -> ref interval) probes in
+    while Sched.now sched < cfg.duration do
+      Sched.sleep_until sched
+        ~deadline:(List.fold_left (fun d next -> min d !next) max_int due);
+      let now = Sched.now sched in
+      List.iter2
+        (fun (interval, probe) next ->
+          if now >= !next then begin
+            probe ~tid now;
+            next := ((now / interval) + 1) * interval
+          end)
+        probes due
+    done
+  in
+  let worker_rng tid = Rng.create ~seed:(cfg.seed + (7919 * (tid + 1))) in
 
   let final_size =
     match inst.packed with
     | Packed ((module G), scheme) -> (
-        let mk tid = G.create_thread scheme ~tid in
+        (* Workers first, then the crash injector, then the sampler: the
+           registration order is the tid order, which the schedule depends
+           on.  The sampler is only registered when a probe is on — the
+           extra thread perturbs the schedule, and unflagged runs must stay
+           byte-identical. *)
+        let run_workers ~next ~do_op =
+          let worker tid =
+            let th = G.create_thread scheme ~tid in
+            while Sched.now sched < cfg.duration do
+              let t0 = Sched.now sched in
+              do_op th (next tid);
+              Latency.record latency (Sched.now sched - t0);
+              ops_per_thread.(tid) <- ops_per_thread.(tid) + 1
+            done;
+            G.quiesce th
+          in
+          for _ = 1 to cfg.threads do
+            ignore (Sched.add_thread sched worker)
+          done;
+          if cfg.crash_tids <> [] then
+            ignore
+              (Sched.add_thread sched (fun _ ->
+                   Sched.consume sched (cfg.duration / 4);
+                   List.iter (fun tid -> Sched.crash sched tid) cfg.crash_tids));
+          if probes <> [] then ignore (Sched.add_thread sched sampler);
+          Sched.run sched
+        in
+        (* The three sets differ only in the structure's module, its raw
+           population and its final census. *)
+        let run_set ~contains ~insert ~delete =
+          let profile =
+            St_workload.Workload.set_profile ~dist:cfg.dist
+              ~key_range:cfg.key_range ~mutation_pct:cfg.mutation_pct ()
+          in
+          let gens =
+            Array.init cfg.threads (fun tid ->
+                St_workload.Workload.set_gen profile (worker_rng tid))
+          in
+          run_workers
+            ~next:(fun tid -> St_workload.Workload.next_set_op gens.(tid))
+            ~do_op:(fun th -> function
+              | St_workload.Workload.Contains k -> ignore (contains th k)
+              | St_workload.Workload.Insert k -> ignore (insert th k)
+              | St_workload.Workload.Delete k -> ignore (delete th k))
+        in
         match cfg.structure with
         | List_s ->
             let module S = St_dslib.Harris_list.Make (G) in
             let t = St_dslib.Harris_list.create_raw heap in
             St_dslib.Harris_list.populate_raw heap t ~keys:init_keys
               ~note_link:inst.note_link;
-            let gens = Array.init cfg.threads set_gen in
-            run_workers
-              (worker_loop ~sched ~duration:cfg.duration ~ops_per_thread ~latency ~mk
-                 ~next:(fun tid -> St_workload.Workload.next_set_op gens.(tid))
-                 ~do_op:(fun th op ->
-                   match op with
-                   | St_workload.Workload.Contains k -> ignore (S.contains t th k)
-                   | St_workload.Workload.Insert k -> ignore (S.insert t th k)
-                   | St_workload.Workload.Delete k -> ignore (S.delete t th k))
-                 ~quiesce:G.quiesce);
+            run_set ~contains:(S.contains t) ~insert:(S.insert t)
+              ~delete:(S.delete t);
             List.length (St_dslib.Harris_list.to_list_raw heap t)
         | Hash_s ->
             let module S = St_dslib.Hash_table.Make (G) in
             let t = St_dslib.Hash_table.create_raw heap ~n_buckets:cfg.n_buckets in
             St_dslib.Hash_table.populate_raw heap t ~keys:init_keys
               ~note_link:inst.note_link;
-            let gens = Array.init cfg.threads set_gen in
-            run_workers
-              (worker_loop ~sched ~duration:cfg.duration ~ops_per_thread ~latency ~mk
-                 ~next:(fun tid -> St_workload.Workload.next_set_op gens.(tid))
-                 ~do_op:(fun th op ->
-                   match op with
-                   | St_workload.Workload.Contains k -> ignore (S.contains t th k)
-                   | St_workload.Workload.Insert k -> ignore (S.insert t th k)
-                   | St_workload.Workload.Delete k -> ignore (S.delete t th k))
-                 ~quiesce:G.quiesce);
+            run_set ~contains:(S.contains t) ~insert:(S.insert t)
+              ~delete:(S.delete t);
             St_dslib.Hash_table.length_raw heap t
         | Skiplist_s ->
             let module S = St_dslib.Skiplist.Make (G) in
             let t = St_dslib.Skiplist.create_raw heap in
             St_dslib.Skiplist.populate_raw heap t ~keys:init_keys ~rng:setup_rng
               ~note_link:inst.note_link;
-            let gens = Array.init cfg.threads set_gen in
-            run_workers
-              (worker_loop ~sched ~duration:cfg.duration ~ops_per_thread ~latency ~mk
-                 ~next:(fun tid -> St_workload.Workload.next_set_op gens.(tid))
-                 ~do_op:(fun th op ->
-                   match op with
-                   | St_workload.Workload.Contains k -> ignore (S.contains t th k)
-                   | St_workload.Workload.Insert k -> ignore (S.insert t th k)
-                   | St_workload.Workload.Delete k -> ignore (S.delete t th k))
-                 ~quiesce:G.quiesce);
+            run_set ~contains:(S.contains t) ~insert:(S.insert t)
+              ~delete:(S.delete t);
             List.length (St_dslib.Skiplist.to_list_raw heap t)
         | Queue_s ->
             let module S = St_dslib.Ms_queue.Make (G) in
@@ -614,26 +526,19 @@ let run cfg =
             let gens =
               Array.init cfg.threads (fun tid ->
                   St_workload.Workload.queue_gen ~mutation_pct:cfg.mutation_pct
-                    ~value_range:1024
-                    (Rng.create ~seed:(cfg.seed + (7919 * (tid + 1)))))
+                    ~value_range:1024 (worker_rng tid))
             in
             run_workers
-              (worker_loop ~sched ~duration:cfg.duration ~ops_per_thread ~latency ~mk
-                 ~next:(fun tid -> St_workload.Workload.next_queue_op gens.(tid))
-                 ~do_op:(fun th op ->
-                   match op with
-                   | St_workload.Workload.Enqueue v -> S.enqueue t th v
-                   | St_workload.Workload.Dequeue -> ignore (S.dequeue t th)
-                   | St_workload.Workload.Peek -> ignore (S.peek t th))
-                 ~quiesce:G.quiesce);
+              ~next:(fun tid -> St_workload.Workload.next_queue_op gens.(tid))
+              ~do_op:(fun th -> function
+                | St_workload.Workload.Enqueue v -> S.enqueue t th v
+                | St_workload.Workload.Dequeue -> ignore (S.dequeue t th)
+                | St_workload.Workload.Peek -> ignore (S.peek t th));
             List.length (St_dslib.Ms_queue.to_list_raw heap t))
   in
 
   let total_ops = Array.fold_left ( + ) 0 ops_per_thread in
   let makespan = Sched.global_time sched in
-  let reclaim_stats =
-    match inst.packed with Packed ((module G), s) -> G.stats s
-  in
   (* Resolve each hot line back to the live object owning its first word.
      The allocator aligns objects to line size, so the line-start address
      either falls inside one object or in dead/unused space; the birth
@@ -829,7 +734,7 @@ let run cfg =
     makespan;
     throughput = throughput_of ~ops:total_ops ~makespan;
     htm = Tsx.total_stats tsx;
-    reclaim = reclaim_stats;
+    reclaim;
     st = Option.map Stacktrack.Engine.scheme_stats inst.st_handle;
     violations = Shadow.count shadow;
     violation_samples = Shadow.first shadow;
@@ -840,7 +745,6 @@ let run cfg =
     final_size;
     leaked = Heap.live_objects heap - final_size;
     latency;
-    live_samples = List.rev !live_samples;
     metrics = List.rev !metrics_acc;
     peak_live = Heap.peak_live heap;
     profile = profile_snap;

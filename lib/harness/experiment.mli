@@ -56,13 +56,12 @@ type config = {
   cache : St_htm.Cache.t;
   backend : St_htm.Tsx.backend;  (** HTM (default) or the TL2-style STM. *)
   crash_tids : int list;  (** Threads crashed at ~25% of the run. *)
-  sample_live : int;
-      (** Sampling interval (cycles) for the live-object profile; 0 = off.
-          Subsumed by [metrics_interval] (which also captures live
-          objects); kept as the lightweight single-series knob. *)
   metrics_interval : int;
       (** Sampling interval (cycles) for the full {!Metrics} time series
-          (throughput, abort mix, pending frees, scans...); 0 = off. *)
+          (throughput, live objects, abort mix, pending frees, scans...);
+          0 = off.  Like [lifecycle], this is a probe of the harness
+          sampler thread, so a sampled run is a {e different schedule}
+          from an unsampled one. *)
   trace : St_sim.Trace.t option;
       (** Event sink wired into the simulated machine; [None] (default)
           installs a disabled trace, so instrumentation costs nothing.
@@ -76,10 +75,11 @@ type config = {
   lifecycle : bool;
       (** Enable the memory-lifecycle ledger (per-object alloc/retire/free
           stamps), its limbo-backlog/footprint time series, and the
-          stalled-reclamation watchdog.  Unlike [profile], this registers
-          an extra sampler thread (one observation per scheduler quantum),
-          so a flagged run is a {e different schedule} from an unflagged
-          one — byte-identity is only promised for unflagged runs. *)
+          stalled-reclamation watchdog.  Unlike [profile], this is a probe
+          of the harness sampler thread (one observation per scheduler
+          quantum), so a flagged run is a {e different schedule} from an
+          unflagged one — byte-identity is only promised for unflagged
+          runs. *)
   forensics : bool;
       (** Enable the abort-forensics ledger ({!St_htm.Forensics}):
           who-doomed-whom attribution, per-cause wasted-cycle split,
@@ -186,8 +186,6 @@ type result = {
   final_size : int;  (** Structure size after the run (raw count). *)
   leaked : int;  (** Live heap objects beyond the structure's final needs. *)
   latency : Latency.t;  (** Per-operation latency distribution (cycles). *)
-  live_samples : (int * int) list;
-      (** (time, live objects) samples when [sample_live] > 0. *)
   metrics : Metrics.sample list;
       (** Full counter time series when [metrics_interval] > 0. *)
   peak_live : int;
@@ -224,4 +222,11 @@ type result = {
 val run : config -> result
 (** Run one experiment to completion.  Deterministic in [cfg]; touches no
     state outside the values it creates, so concurrent calls from
-    different domains are independent. *)
+    different domains are independent.
+
+    The simulated threads are the [cfg.threads] workers (tids 0 to
+    [threads - 1]), then the crash injector when [crash_tids] is not
+    empty, then at most one harness sampler thread.  The sampler runs
+    when [metrics_interval > 0] or [lifecycle] is set, and takes both
+    samples; when both are due at one tick, the metrics sample comes
+    first. *)

@@ -612,7 +612,7 @@ let registry =
         (fun speed ->
           grid [ 4 ] crash_schemes (fun threads scheme ->
               let base = crashed speed ~threads in
-              { base with scheme; sample_live = base.duration / 12 }));
+              { base with scheme; metrics_interval = base.duration / 12 }));
       tables =
         [
           table ~x_label:"time"
@@ -625,8 +625,9 @@ let registry =
             (List.map scheme_name crash_schemes)
             (time_series (fun (r : result) ->
                  List.map
-                   (fun (t, live) -> (t, float_of_int live))
-                   r.live_samples));
+                   (fun (s : Metrics.sample) ->
+                     (s.time, float_of_int s.live_objects))
+                   r.metrics));
         ];
       notes =
         (fun rows ->

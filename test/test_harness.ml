@@ -319,8 +319,11 @@ let test_memory_profile_smoke () =
   let _, rows = run_quick "memory" in
   List.iter
     (fun (r : Experiment.result) ->
-      match (r.Experiment.live_samples, List.rev r.Experiment.live_samples) with
-      | (_, first) :: _, (_, last) :: _ -> (
+      let live =
+        List.map (fun (s : Metrics.sample) -> s.live_objects) r.Experiment.metrics
+      in
+      match (live, List.rev live) with
+      | first :: _, last :: _ -> (
           match r.Experiment.cfg.Experiment.scheme with
           | Experiment.Epoch ->
               checkb "epoch leaks after crash" true (last > first + 20)

@@ -424,6 +424,24 @@ let test_clean_run_silent () =
     "observations were made" true
     (lc.Experiment.watchdog.Watchdog.n_observations > 0)
 
+(* Metrics and lifecycle samples are two probes of one sampler thread, so
+   at equal intervals they are taken at the same instants.  Two sampler
+   threads took them a few cycles apart. *)
+let test_one_sampler () =
+  let cfg = lifecycle_cfg Experiment.Epoch in
+  let r =
+    Experiment.run
+      { cfg with Experiment.metrics_interval = cfg.Experiment.quantum }
+  in
+  let metrics = List.map (fun (s : Metrics.sample) -> s.time) r.metrics in
+  let lifecycle =
+    List.map
+      (fun (s : Metrics.lifecycle_sample) -> s.lc_time)
+      (summary_of r).Experiment.lc_series
+  in
+  Alcotest.(check bool) "samples taken" true (metrics <> []);
+  Alcotest.(check (list int)) "same sample times" metrics lifecycle
+
 let test_json_gating () =
   let base = lifecycle_cfg Experiment.Epoch in
   let flagged = Result_json.to_string (Experiment.run base) in
@@ -496,6 +514,7 @@ let () =
           quick "stalled epoch vs stacktrack" test_stalled_epoch_vs_stacktrack;
           quick "modern-SMR robustness contrast" test_robustness_contrast;
           quick "clean run silent" test_clean_run_silent;
+          quick "one sampler for both probes" test_one_sampler;
           quick "json section iff flagged" test_json_gating;
           quick "unflagged identity golden" test_unflagged_identity;
         ] );
