@@ -17,6 +17,19 @@ let structure_conv =
   let print ppf s = Format.fprintf ppf "%s" (Experiment.structure_name s) in
   Arg.conv (parse, print)
 
+(* The one scheme parser, {!Experiment.scheme_of_string}: an unknown name
+   is a usage error that names the option.  The printer shows the default
+   in --help by its command-line name. *)
+let scheme_conv =
+  let parse s =
+    Result.map_error (fun e -> `Msg e) (Experiment.scheme_of_string s)
+  in
+  let print ppf kind =
+    Format.pp_print_string ppf
+      (fst (List.find (fun (_, k) -> k = kind) Experiment.scheme_aliases))
+  in
+  Arg.conv (parse, print)
+
 (* An integer option bounded to [lo, hi]: a value outside them is a usage
    error that names the option, like a malformed integer. *)
 let int_within lo hi =
@@ -191,7 +204,8 @@ let run_cmd =
   in
   let scheme =
     Arg.(
-      value & opt string "stacktrack"
+      value
+      & opt scheme_conv Experiment.stacktrack_default
       & info [ "scheme"; "s" ] ~docv:"SCHEME"
           ~doc:
             ("Reclamation scheme: "
@@ -209,8 +223,9 @@ let run_cmd =
   in
   let duration =
     Arg.(
-      value & opt int 1_000_000
-      & info [ "duration" ] ~doc:"Virtual cycles per thread.")
+      value
+      & opt (int_within 1 max_int) 1_000_000
+      & info [ "duration" ] ~doc:"Virtual cycles per thread (at least 1).")
   in
   let keys =
     Arg.(
@@ -240,13 +255,17 @@ let run_cmd =
   in
   let forced_slow =
     Arg.(
-      value & opt int 0
-      & info [ "forced-slow" ] ~doc:"StackTrack: % of operations forced slow.")
+      value
+      & opt (int_within 0 100) 0
+      & info [ "forced-slow" ]
+          ~doc:"StackTrack: % of operations forced slow (0 to 100).")
   in
   let max_free =
     Arg.(
-      value & opt int 10
-      & info [ "max-free" ] ~doc:"StackTrack: free-set batch size.")
+      value
+      & opt (int_within 0 max_int) 10
+      & info [ "max-free" ]
+          ~doc:"StackTrack: free-set batch size (at least 0).")
   in
   let hash_scan =
     Arg.(
@@ -315,7 +334,10 @@ let run_cmd =
       & info [ "metrics-interval" ] ~docv:"N"
           ~doc:
             "Sample machine-wide counters every $(docv) virtual cycles \
-             into a time series (0 = off); included in --json output.")
+             into a time series (0 = off); included in --json output.  The \
+             samples are taken by the harness sampler thread, which \
+             --lifecycle shares, so the schedule differs from an unsampled \
+             run.")
   in
   let profile =
     Arg.(
@@ -349,8 +371,9 @@ let run_cmd =
              retire-to-free latency percentiles, limbo/footprint peaks and \
              a stalled-reclamation watchdog report to the text output, a \
              reclaim_lifecycle section to --json, and limbo counter tracks \
-             to --trace-out.  Registers an extra sampler thread, so the \
-             schedule differs from an unflagged run.")
+             to --trace-out.  The samples are taken by the harness sampler \
+             thread, which --metrics-interval shares, so the schedule \
+             differs from an unflagged run.")
   in
   let forensics =
     Arg.(
@@ -369,82 +392,77 @@ let run_cmd =
   let run structure scheme threads duration keys init mutations seed buckets
       forced_slow max_free hash_scan crash zipf json trace_out trace_capacity
       metrics_interval profile flame_out lifecycle forensics =
-    match Experiment.scheme_of_string scheme with
-    | Error e ->
-        prerr_endline e;
-        exit 2
-    | Ok scheme ->
-        let scheme =
-          match scheme with
-          | Experiment.Stacktrack_s st ->
-              Experiment.Stacktrack_s
-                { st with forced_slow_pct = forced_slow; max_free; hash_scan }
-          | scheme -> scheme
-        in
-        (* Fail on an unwritable trace path before burning the run. *)
-        (match trace_out with
-        | Some file -> (
-            try close_out (open_out file)
-            with Sys_error msg ->
-              Printf.eprintf "stacktrack_bench: cannot write trace: %s\n" msg;
-              exit 2)
-        | None -> ());
-        let trace =
-          Option.map
-            (fun _ ->
-              St_sim.Trace.create ~capacity:trace_capacity ~enabled:true ())
-            trace_out
-        in
-        let cfg =
-          {
-            Experiment.default_config with
-            structure;
-            scheme;
-            threads;
-            duration;
-            key_range = keys;
-            init_size = min init keys;
-            mutation_pct = mutations;
-            seed;
-            n_buckets = buckets;
-            crash_tids = crash;
-            dist =
-              (match zipf with
-              | None -> St_workload.Workload.Uniform
-              | Some theta -> St_workload.Workload.Zipf theta);
-            metrics_interval;
-            trace;
-            profile = profile || flame_out <> None;
-            lifecycle;
-            forensics;
-          }
-        in
-        let r = Experiment.run cfg in
-        if json then print_string (Result_json.to_string r ^ "\n")
-        else print_result r;
-        (match flame_out with
-        | Some file ->
-            Result_json.write_flame_file file [ r ];
-            if not json then Format.printf "  flame               %s@." file
-        | None -> ());
-        match (trace_out, trace) with
-        | Some file, Some tr ->
-            Chrome_trace.write_file file tr;
-            let dropped = St_sim.Trace.dropped tr in
-            if not json then begin
-              Format.printf "  trace               %s (%d events, %d dropped)@."
-                file (St_sim.Trace.size tr) dropped;
-              if dropped > 0 then
-                Format.printf
-                  "  WARNING: trace ring overflowed; %d events dropped — the \
-                   Chrome trace is truncated (raise --trace-capacity)@."
-                  dropped
-            end
-            else if dropped > 0 then
-              Format.eprintf
-                "stacktrack_bench: warning: trace ring dropped %d events@."
-                dropped
-        | _ -> ()
+    let scheme =
+      match scheme with
+      | Experiment.Stacktrack_s st ->
+          Experiment.Stacktrack_s
+            { st with forced_slow_pct = forced_slow; max_free; hash_scan }
+      | scheme -> scheme
+    in
+    (* Fail on an unwritable trace path before burning the run. *)
+    (match trace_out with
+    | Some file -> (
+        try close_out (open_out file)
+        with Sys_error msg ->
+          Printf.eprintf "stacktrack_bench: cannot write trace: %s\n" msg;
+          exit 2)
+    | None -> ());
+    let trace =
+      Option.map
+        (fun _ ->
+          St_sim.Trace.create ~capacity:trace_capacity ~enabled:true ())
+        trace_out
+    in
+    let cfg =
+      {
+        Experiment.default_config with
+        structure;
+        scheme;
+        threads;
+        duration;
+        key_range = keys;
+        init_size = min init keys;
+        mutation_pct = mutations;
+        seed;
+        n_buckets = buckets;
+        crash_tids = crash;
+        dist =
+          (match zipf with
+          | None -> St_workload.Workload.Uniform
+          | Some theta -> St_workload.Workload.Zipf theta);
+        metrics_interval;
+        trace;
+        profile = profile || flame_out <> None;
+        lifecycle;
+        forensics;
+      }
+    in
+    let r = Experiment.run cfg in
+    if json then print_string (Result_json.to_string r ^ "\n")
+    else print_result r;
+    (match flame_out with
+    | Some file ->
+        Result_json.write_flame_file file [ r ];
+        if not json then Format.printf "  flame               %s@." file
+    | None -> ());
+    match (trace_out, trace) with
+    | Some file, Some tr ->
+        Chrome_trace.write_file file tr;
+        let dropped = St_sim.Trace.dropped tr in
+        if not json then begin
+          Format.printf "  trace               %s (%d events, %d dropped)@."
+            file (St_sim.Trace.size tr) dropped;
+          if dropped > 0 then
+            Format.printf
+              "  WARNING: trace ring overflowed; %d events dropped — the \
+               Chrome trace is truncated (raise --trace-capacity)@."
+              dropped
+        end
+        else if dropped > 0 then
+          Format.eprintf
+            "stacktrack_bench: warning: trace ring dropped %d events@."
+            dropped
+    | _ -> ()
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a single experiment and print its statistics.")
@@ -483,7 +501,8 @@ let figures_cmd =
   in
   let jobs =
     Arg.(
-      value & opt int 1
+      value
+      & opt (int_within 0 max_int) 1
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
             "Run sweep points on a pool of $(docv) domains (default 1 = \
@@ -542,10 +561,6 @@ let figures_cmd =
   in
   let run names quick verbose jobs json_out profile flame_out lifecycle
       forensics =
-    if jobs < 0 then begin
-      prerr_endline "stacktrack_bench: --jobs must be >= 0";
-      exit 2
-    end;
     let speed = if quick then Figures.Quick else Figures.Full in
     let want (f : Figures.figure) =
       List.mem "all" names || List.mem f.name names

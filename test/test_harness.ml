@@ -357,7 +357,7 @@ let test_figure_smoke () =
     table
 
 (* ------------------------------------------------------------------ *)
-(* The run CLI: out-of-range set-up sizes                              *)
+(* The CLI: out-of-range inputs are usage errors                      *)
 (* ------------------------------------------------------------------ *)
 
 let bench = "../bin/stacktrack_bench.exe"
@@ -369,13 +369,16 @@ let contains text sub =
   in
   at 0
 
-(* Run the CLI with [args], stdout and stderr into one file, and kill it
-   if it is still running after [seconds]: [None] then stands for a hang. *)
-let run_cli ?(seconds = 30.) args =
+(* Run the CLI's subcommand [cmd] with [args], stdout and stderr into one
+   file, and kill it if it is still running after [seconds]: [None] then
+   stands for a hang. *)
+let run_cli ?(seconds = 30.) cmd args =
   let out = Filename.temp_file "run" ".txt" in
   let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
   let pid =
-    Unix.create_process bench (Array.of_list (bench :: args)) Unix.stdin fd fd
+    Unix.create_process bench
+      (Array.of_list (bench :: cmd :: args))
+      Unix.stdin fd fd
   in
   Unix.close fd;
   let deadline = Unix.gettimeofday () +. seconds in
@@ -402,15 +405,18 @@ let run_cli ?(seconds = 30.) args =
    tables hold died with [Invalid_argument], and zero threads ran nothing.
    A --crash id past the workers either died out of bounds or crashed the
    crash injector itself, a trace capacity below 1 died on an assertion,
-   and a negative metrics interval silently turned sampling off.  Each is
-   now a usage error (cmdliner's exit 124) that names its flag. *)
+   and a negative metrics interval silently turned sampling off.  A
+   negative duration ran nothing, a forced-slow percentage outside 0..100
+   and a negative free-set batch were taken as given, and an unknown
+   scheme and a negative --jobs exited 2 from hand-written checks.  Each
+   is now a usage error (cmdliner's exit 124) that names its flag. *)
 let test_cli_bad_sizes () =
   let trace = Filename.temp_file "bad_capacity" ".json" in
   Fun.protect ~finally:(fun () -> Sys.remove trace) @@ fun () ->
   List.iter
-    (fun (args, flag) ->
-      let name = String.concat " " ("run" :: args) in
-      match run_cli ("run" :: args) with
+    (fun (cmd, args, flag) ->
+      let name = String.concat " " (cmd :: args) in
+      match run_cli cmd args with
       | None, _ -> Alcotest.failf "%s: still running after the timeout" name
       | Some code, out ->
           checki (name ^ ": usage-error exit") 124 code;
@@ -418,21 +424,32 @@ let test_cli_bad_sizes () =
             (contains out "internal error");
           checkb (name ^ ": names " ^ flag) true (contains out flag))
     [
-      ([ "--init=-5" ], "--init");
-      ([ "--keys"; "0" ], "--keys");
-      ([ "--structure"; "hash"; "--buckets"; "0" ], "--buckets");
-      ([ "--structure"; "hash"; "--buckets=-4" ], "--buckets");
-      ([ "--threads"; "257" ], "--threads");
-      ([ "--threads=-3" ], "--threads");
-      ([ "--threads"; "0" ], "--threads");
-      ([ "--mutations=-5" ], "--mutations");
-      ([ "--mutations"; "150" ], "--mutations");
-      ([ "--crash"; "9"; "--threads"; "4" ], "--crash");
-      ([ "--crash=-1" ], "--crash");
-      ([ "--crash"; "4"; "--threads"; "4" ], "--crash");
-      ([ "--trace-capacity"; "0"; "--trace-out"; trace ], "--trace-capacity");
-      ([ "--trace-capacity=-1"; "--trace-out"; trace ], "--trace-capacity");
-      ([ "--metrics-interval=-5" ], "--metrics-interval");
+      ("run", [ "--init=-5" ], "--init");
+      ("run", [ "--keys"; "0" ], "--keys");
+      ("run", [ "--structure"; "hash"; "--buckets"; "0" ], "--buckets");
+      ("run", [ "--structure"; "hash"; "--buckets=-4" ], "--buckets");
+      ("run", [ "--threads"; "257" ], "--threads");
+      ("run", [ "--threads=-3" ], "--threads");
+      ("run", [ "--threads"; "0" ], "--threads");
+      ("run", [ "--mutations=-5" ], "--mutations");
+      ("run", [ "--mutations"; "150" ], "--mutations");
+      ("run", [ "--crash"; "9"; "--threads"; "4" ], "--crash");
+      ("run", [ "--crash=-1" ], "--crash");
+      ("run", [ "--crash"; "4"; "--threads"; "4" ], "--crash");
+      ( "run",
+        [ "--trace-capacity"; "0"; "--trace-out"; trace ],
+        "--trace-capacity" );
+      ( "run",
+        [ "--trace-capacity=-1"; "--trace-out"; trace ],
+        "--trace-capacity" );
+      ("run", [ "--metrics-interval=-5" ], "--metrics-interval");
+      ("run", [ "--scheme"; "bogus" ], "--scheme");
+      ("run", [ "--structure"; "bogus" ], "--structure");
+      ("run", [ "--forced-slow"; "150" ], "--forced-slow");
+      ("run", [ "--forced-slow=-5" ], "--forced-slow");
+      ("run", [ "--duration=-5" ], "--duration");
+      ("run", [ "--max-free=-3" ], "--max-free");
+      ("figures", [ "--jobs=-1" ], "--jobs");
     ]
 
 let () =
