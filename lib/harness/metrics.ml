@@ -1,10 +1,12 @@
 (** Virtual-time metrics sampling.
 
-    A sampler thread (registered by [Experiment.run] when
-    [metrics_interval] > 0) snapshots the machine-wide counters every N
-    virtual cycles, producing the time series behind reclamation-stall and
-    free-set-growth analyses: a throughput dip is attributable to the abort
-    mix, a memory ramp to the pending-free backlog, in the same run.
+    The harness sampler thread (registered by [Experiment.run] when
+    [metrics_interval] > 0 or the lifecycle ledger is on) snapshots the
+    machine-wide counters every N virtual cycles, producing the time series
+    behind reclamation-stall and free-set-growth analyses: a throughput dip
+    is attributable to the abort mix, a memory ramp to the pending-free
+    backlog, in the same run.  The same thread takes the {!lifecycle_sample}
+    series; when both are due at one tick, this sample comes first.
 
     Samples hold cumulative counters; consumers difference consecutive
     samples for rates.  Because the simulator is deterministic, the series
@@ -36,7 +38,7 @@ type sample = {
 }
 
 (* Lifecycle time series: snapshots of the [Lifecycle] ledger taken by the
-   lifecycle sampler (one per scheduler quantum, when [--lifecycle] is on).
+   harness sampler (one per scheduler quantum, when [--lifecycle] is on).
    Kept distinct from [sample] so the machine-counter series — and the JSON
    it feeds — is untouched when the feature is off. *)
 type lifecycle_sample = {

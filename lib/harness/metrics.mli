@@ -1,10 +1,12 @@
 (** Virtual-time metrics sampling.
 
-    A sampler thread (registered by [Experiment.run] when
-    [metrics_interval] > 0) snapshots the machine-wide counters every N
-    virtual cycles, producing the time series behind reclamation-stall and
-    free-set-growth analyses: a throughput dip is attributable to the abort
-    mix, a memory ramp to the pending-free backlog, in the same run.
+    The harness sampler thread (registered by [Experiment.run] when
+    [metrics_interval] > 0 or the lifecycle ledger is on) snapshots the
+    machine-wide counters every N virtual cycles, producing the time series
+    behind reclamation-stall and free-set-growth analyses: a throughput dip
+    is attributable to the abort mix, a memory ramp to the pending-free
+    backlog, in the same run.  The same thread takes the {!lifecycle_sample}
+    series; when both are due at one tick, this sample comes first.
 
     Samples hold cumulative counters; consumers difference consecutive
     samples for rates.  Because the simulator is deterministic, the series
@@ -45,7 +47,7 @@ type lifecycle_sample = {
   lc_retired : int;  (** Cumulative retirements (ledger view). *)
   lc_freed : int;  (** Cumulative frees (ledger view). *)
 }
-(** One snapshot of the memory-lifecycle ledger, taken by the lifecycle
+(** One snapshot of the memory-lifecycle ledger, taken by the harness
     sampler (one per scheduler quantum when the feature is enabled).
     Distinct from {!sample} so the machine-counter series is byte-for-byte
     unchanged when the feature is off. *)

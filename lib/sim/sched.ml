@@ -374,10 +374,12 @@ let consume t cost =
   if t.profile_on then Profile.charge t.profile ~tid:th.tid cost;
   if c >= t.next_event then perform consume_eff
 
-(* Timed wait until the absolute tick [deadline] (the harness samplers'
+(* Timed wait toward the absolute tick [deadline] (the harness sampler's
    idiom): one charge for the remaining distance, through the same horizon
-   check.  Charging at least 1 cycle keeps a sampler that already reached
-   its deadline from looping without advancing its clock. *)
+   check.  [consume] scales that charge by the SMT penalty while the
+   sibling lcore is live, so the wake-up can land past the deadline.
+   Charging at least 1 cycle keeps a sampler that already reached its
+   deadline from looping without advancing its clock. *)
 let sleep_until t ~deadline =
   let rem = deadline - now t in
   consume t (if rem > 0 then rem else 1)

@@ -92,11 +92,14 @@ val consume : t -> int -> unit
     every charge. *)
 
 val sleep_until : t -> deadline:int -> unit
-(** [sleep_until t ~deadline] consumes exactly the cycles separating the
-    calling thread's clock from the absolute tick [deadline] (at least 1
-    cycle when the deadline has already passed) — the harness samplers'
-    timed-wait idiom, routed through the same event-wheel check as
-    {!consume}. *)
+(** [sleep_until t ~deadline] is [consume t d], where [d] is the distance
+    from the calling thread's clock to the absolute tick [deadline] (at
+    least 1 cycle when the deadline has already passed) — the harness
+    sampler's timed-wait idiom.  Like any charge, [d] is scaled by the SMT
+    penalty while the sibling lcore is live, so the thread can wake past
+    [deadline]: under the default 140% penalty, a thread at clock 0 with a
+    deadline of 100000 wakes at 140000, and from there a deadline of 200000
+    wakes at 224000. *)
 
 val current : t -> int
 (** Id of the running thread.  Only valid inside a thread body. *)

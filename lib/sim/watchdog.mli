@@ -7,12 +7,12 @@
     behaviour StackTrack's stack scans are designed to avoid.
 
     The watchdog is entirely passive: it owns no simulated thread and
-    consumes no virtual cycles.  A sampler (the harness's lifecycle
-    sampler, one observation per scheduler quantum) feeds it cumulative
-    [(progress, backlog)] pairs; an incident opens when [threshold]
-    consecutive observations show no progress {e and} the backlog has grown
-    since the stall began, and closes at the first observation where
-    progress resumes or the backlog drains.  A backlog that is merely
+    consumes no virtual cycles.  A sampler (the lifecycle probe of the
+    harness sampler thread, one observation per scheduler quantum) feeds it
+    cumulative [(progress, backlog)] pairs; an incident opens when
+    [threshold] consecutive observations show no progress {e and} the
+    backlog has grown since the stall began, and closes at the first
+    observation where progress resumes or the backlog drains.  A backlog that is merely
     constant (an idle tail with nothing being retired) never fires.
 
     Note that the no-reclamation baseline ("Original") is permanently

@@ -318,7 +318,7 @@ let identity_cases =
       identity_cfg Experiment.List_s Experiment.Debra_plus 12 );
     ( "goldens/identity_list_hazard_eras.json",
       identity_cfg Experiment.List_s Experiment.Hazard_eras 12 );
-    (* The lifecycle ledger rides the same run: its samplers and per-object
+    (* The lifecycle ledger rides the same run: its sampler and per-object
        event stream are schedule-sensitive, so this golden also pins the
        sampler timed-wait path ([Sched.sleep_until]). *)
     ( "goldens/identity_list_st_lifecycle.json",
