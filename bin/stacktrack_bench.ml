@@ -218,7 +218,9 @@ let run_cmd =
       & opt (int_within 1 St_sim.Topology.max_threads) 8
       & info [ "threads"; "t" ]
           ~doc:
-            (Printf.sprintf "Worker threads (1 to %d)."
+            (Printf.sprintf
+               "Worker threads (1 to %d, less one for each helper thread: \
+                --crash adds one, --lifecycle or --metrics-interval one)."
                St_sim.Topology.max_threads))
   in
   let duration =
@@ -389,6 +391,26 @@ let run_cmd =
              split_limit counter track to --trace-out.  Pure bookkeeping \
              at existing charge sites: the simulated run is unchanged.")
   in
+  (* The helper threads share the workers' tid bound: --crash registers
+     the crash injector, --lifecycle or --metrics-interval the harness
+     sampler.  Checked once all four are parsed, like the --crash ids. *)
+  let checked_threads =
+    let within threads crash lifecycle metrics_interval =
+      let helpers =
+        Bool.to_int (crash <> [])
+        + Bool.to_int (lifecycle || metrics_interval > 0)
+      in
+      if threads + helpers > St_sim.Topology.max_threads then
+        `Error
+          ( true,
+            Printf.sprintf
+              "option '--threads': %d workers and %d helper thread(s) exceed \
+               the %d-thread bound"
+              threads helpers St_sim.Topology.max_threads )
+      else `Ok threads
+    in
+    Term.(ret (const within $ threads $ crash $ lifecycle $ metrics_interval))
+  in
   let run structure scheme threads duration keys init mutations seed buckets
       forced_slow max_free hash_scan crash zipf json trace_out trace_capacity
       metrics_interval profile flame_out lifecycle forensics =
@@ -467,7 +489,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Run a single experiment and print its statistics.")
     Term.(
-      const run $ structure $ scheme $ threads $ duration $ keys $ init
+      const run $ structure $ scheme $ checked_threads $ duration $ keys $ init
       $ mutations $ seed $ buckets $ forced_slow $ max_free $ hash_scan $ crash
       $ zipf $ json $ trace_out $ trace_capacity $ metrics_interval $ profile
       $ flame_out $ lifecycle $ forensics)

@@ -172,6 +172,11 @@ let profile t = t.profile
 let add_thread t body =
   assert (not t.started);
   let tid = t.n_registered in
+  if tid >= Topology.max_threads then
+    invalid_arg
+      (Printf.sprintf
+         "Sched.add_thread: tid %d would reach Topology.max_threads (%d)" tid
+         Topology.max_threads);
   let lcore = Topology.placement t.topo tid in
   let th =
     {

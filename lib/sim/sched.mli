@@ -63,7 +63,10 @@ val profile : t -> Profile.t
 
 val add_thread : t -> (int -> unit) -> int
 (** [add_thread t body] registers a thread; [body] receives the thread id.
-    Must be called before {!run}.  Returns the thread id. *)
+    Must be called before {!run}.  Returns the thread id.  Raises
+    [Invalid_argument] when the new tid would reach
+    {!Topology.max_threads}: every tid-indexed table has that many
+    slots. *)
 
 val thread_rng : t -> int -> Rng.t
 (** Independent per-thread stream, split deterministically from the seed. *)

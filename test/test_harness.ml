@@ -408,8 +408,10 @@ let run_cli ?(seconds = 30.) cmd args =
    and a negative metrics interval silently turned sampling off.  A
    negative duration ran nothing, a forced-slow percentage outside 0..100
    and a negative free-set batch were taken as given, and an unknown
-   scheme and a negative --jobs exited 2 from hand-written checks.  Each
-   is now a usage error (cmdliner's exit 124) that names its flag. *)
+   scheme and a negative --jobs exited 2 from hand-written checks.  256
+   workers plus a crash injector or a sampler thread died with
+   [Invalid_argument] on the 257th tid.  Each is now a usage error
+   (cmdliner's exit 124) that names its flag. *)
 let test_cli_bad_sizes () =
   let trace = Filename.temp_file "bad_capacity" ".json" in
   Fun.protect ~finally:(fun () -> Sys.remove trace) @@ fun () ->
@@ -436,6 +438,13 @@ let test_cli_bad_sizes () =
       ("run", [ "--crash"; "9"; "--threads"; "4" ], "--crash");
       ("run", [ "--crash=-1" ], "--crash");
       ("run", [ "--crash"; "4"; "--threads"; "4" ], "--crash");
+      ("run", [ "--threads"; "256"; "--crash"; "0" ], "--threads");
+      ( "run",
+        [
+          "--threads"; "256"; "--metrics-interval"; "50000"; "--forensics";
+          "--duration"; "300000"; "--scheme"; "st";
+        ],
+        "--threads" );
       ( "run",
         [ "--trace-capacity"; "0"; "--trace-out"; trace ],
         "--trace-capacity" );

@@ -315,6 +315,23 @@ let test_sched_many_threads_all_finish () =
   Sched.run s;
   checki "all finished" n !count
 
+(* Every tid-indexed table has [Topology.max_threads] slots, so the
+   scheduler refuses the thread that would get tid [max_threads]. *)
+let test_sched_thread_bound () =
+  let s = mk () in
+  for _ = 1 to Topology.max_threads do
+    ignore (Sched.add_thread s (fun _ -> ()))
+  done;
+  match Sched.add_thread s (fun _ -> ()) with
+  | tid -> Alcotest.failf "thread %d registered past the bound" tid
+  | exception Invalid_argument msg ->
+      let sub = "Topology.max_threads" in
+      let n = String.length sub in
+      let rec has i =
+        i + n <= String.length msg && (String.sub msg i n = sub || has (i + 1))
+      in
+      checkb "names the bound" true (has 0)
+
 let test_sched_zero_cost_consume () =
   (* Zero-cost consumes are legal yield points and must not stall. *)
   let s = mk () in
@@ -436,6 +453,7 @@ let () =
             test_sched_crash_before_start;
           Alcotest.test_case "64 threads finish" `Quick
             test_sched_many_threads_all_finish;
+          Alcotest.test_case "thread bound" `Quick test_sched_thread_bound;
           Alcotest.test_case "zero-cost consume" `Quick
             test_sched_zero_cost_consume;
         ] );
