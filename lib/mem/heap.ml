@@ -8,7 +8,13 @@ module Vec = St_sim.Vec
    millions of live objects never pays the four full-array doubling copies
    (or the up-to-2x dead capacity) the previous dense arrays did.  The
    directory itself doubles, but it holds one pointer per 2^16 words so that
-   copy is negligible. *)
+   copy is negligible.
+
+   Only the payload is per word.  Objects are granule-aligned and
+   granule-sized (the granule is the effective alignment, a power of two),
+   so owner, size and birth are constant over a granule and their tables
+   hold one entry per granule: [chunk_words lsr gshift] entries per chunk,
+   covering the same addresses as the payload chunk of the same index. *)
 let chunk_shift = 16
 let chunk_words = 1 lsl chunk_shift
 let chunk_mask = chunk_words - 1
@@ -16,19 +22,19 @@ let chunk_mask = chunk_words - 1
 type t = {
   shadow : Shadow.t;
   mutable words : int array array; (* indexed by addr, chunked *)
-  mutable owner : int array array; (* addr -> live object base, 0 when dead *)
-  mutable obj_size : int array array; (* base addr -> size, valid while live *)
+  mutable owner : int array array; (* granule -> live object base, 0 when dead *)
+  mutable obj_size : int array array; (* base granule -> size, valid while live *)
   mutable birth : int array array;
-      (* base addr -> 1 + allocation seq while live, 0 when dead — the +1
-         keeps 0 free as the "no live object" sentinel for [birth_ix]
+      (* base granule -> 1 + allocation seq while live, 0 when dead — the
+         +1 keeps 0 free as the "no live object" sentinel for [birth_ix]
          without perturbing the externally visible 0-based sequence *)
   mutable chunks : int; (* chunks allocated in every directory, from 0 *)
   mutable next_birth : int;
   mutable brk : int; (* next never-used address *)
   mutable free_by_class : int Vec.t array;
       (* size-class -> LIFO stack of bases.  Sizes are already rounded to
-         multiples of the effective alignment, so class = size / align is an
-         exact 1:1 map and lookup is an array index, not a hash + cons. *)
+         multiples of the granule, so class = size / granule is an exact
+         1:1 map and lookup is an array index, not a hash + cons. *)
   (* Freed-block quarantine as a preallocated ring (addr, size pairs in two
      flat arrays): the per-free Queue.push allocated a cons + tuple per
      call, which is exactly the kind of minor-heap traffic the reclamation
@@ -39,7 +45,7 @@ type t = {
   mutable q_head : int; (* index of oldest entry *)
   mutable q_len : int;
   quarantine_max : int;
-  align : int;
+  gshift : int; (* log2 of the granule *)
   mutable allocs : int;
   mutable frees : int;
   mutable live : int;
@@ -50,9 +56,36 @@ type t = {
 
 let poison = 0x0DEAD
 
+let add_chunk t =
+  let n = t.chunks in
+  if n >= Array.length t.words then begin
+    let cap' = 2 * Array.length t.words in
+    let grow d =
+      let d' = Array.make cap' [||] in
+      Array.blit d 0 d' 0 n;
+      d'
+    in
+    t.words <- grow t.words;
+    t.owner <- grow t.owner;
+    t.obj_size <- grow t.obj_size;
+    t.birth <- grow t.birth
+  end;
+  let granules = chunk_words lsr t.gshift in
+  t.words.(n) <- Array.make chunk_words 0;
+  t.owner.(n) <- Array.make granules 0;
+  t.obj_size.(n) <- Array.make granules 0;
+  t.birth.(n) <- Array.make granules 0;
+  t.chunks <- n + 1
+
 let create ?(initial_words = 1 lsl 16) ?(quarantine = 128) ?(align = 4)
     ~shadow () =
-  assert (align >= 1);
+  if align < 1 || align > chunk_words || align land (align - 1) <> 0 then
+    invalid_arg "Heap.create: align must be a power of two, at most chunk_words";
+  (* The granule: sizes and bases are rounded to it.  Bases are always at
+     least 2-aligned so the low pointer bit stays free for list deletion
+     marks. *)
+  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1) in
+  let gshift = if align >= 2 then log2 align else 1 in
   (* [initial_words] pre-sizes the directory (pointer table) only; actual
      chunks appear as the address space is touched. *)
   let hint = max initial_words (Word.heap_base * 2) in
@@ -61,7 +94,7 @@ let create ?(initial_words = 1 lsl 16) ?(quarantine = 128) ?(align = 4)
   let t =
     {
       shadow;
-      align;
+      gshift;
       words = dir ();
       owner = dir ();
       obj_size = dir ();
@@ -85,36 +118,12 @@ let create ?(initial_words = 1 lsl 16) ?(quarantine = 128) ?(align = 4)
   in
   (* Chunk 0 covers [0, heap_base] so the tables back [brk] from the
      start. *)
-  t.words.(0) <- Array.make chunk_words 0;
-  t.owner.(0) <- Array.make chunk_words 0;
-  t.obj_size.(0) <- Array.make chunk_words 0;
-  t.birth.(0) <- Array.make chunk_words 0;
-  t.chunks <- 1;
+  add_chunk t;
   t
 
 let shadow t = t.shadow
 let set_lifecycle t lc = t.lifecycle <- lc
 let coverage t = t.chunks lsl chunk_shift
-
-let add_chunk t =
-  let n = t.chunks in
-  if n >= Array.length t.words then begin
-    let cap' = 2 * Array.length t.words in
-    let grow d =
-      let d' = Array.make cap' [||] in
-      Array.blit d 0 d' 0 n;
-      d'
-    in
-    t.words <- grow t.words;
-    t.owner <- grow t.owner;
-    t.obj_size <- grow t.obj_size;
-    t.birth <- grow t.birth
-  end;
-  t.words.(n) <- Array.make chunk_words 0;
-  t.owner.(n) <- Array.make chunk_words 0;
-  t.obj_size.(n) <- Array.make chunk_words 0;
-  t.birth.(n) <- Array.make chunk_words 0;
-  t.chunks <- n + 1
 
 let ensure_capacity t needed =
   while needed > coverage t do
@@ -123,7 +132,9 @@ let ensure_capacity t needed =
 
 (* Unchecked chunked loads/stores: valid only below [coverage t].  Callers
    guard with [in_heap] (addr < brk <= coverage) or an explicit coverage
-   check, mirroring the bounds-check elision the dense arrays used. *)
+   check, mirroring the bounds-check elision the dense arrays used.  The
+   [tbl_*] pair indexes the per-word payload, the [gran_*] pair the
+   per-granule tables, by the granule holding [addr]. *)
 let[@inline] tbl_get d addr =
   Array.unsafe_get
     (Array.unsafe_get d (addr lsr chunk_shift))
@@ -134,15 +145,28 @@ let[@inline] tbl_set d addr v =
     (Array.unsafe_get d (addr lsr chunk_shift))
     (addr land chunk_mask) v
 
+let[@inline] gran_get t d addr =
+  Array.unsafe_get
+    (Array.unsafe_get d (addr lsr chunk_shift))
+    ((addr land chunk_mask) lsr t.gshift)
+
+let[@inline] gran_set t d addr v =
+  Array.unsafe_set
+    (Array.unsafe_get d (addr lsr chunk_shift))
+    ((addr land chunk_mask) lsr t.gshift)
+    v
+
 let in_heap t addr = addr >= Word.heap_base && addr < t.brk
 
 let claim t base size =
   for i = base to base + size - 1 do
-    tbl_set t.owner i base;
     tbl_set t.words i 0
   done;
-  tbl_set t.obj_size base size;
-  tbl_set t.birth base (t.next_birth + 1);
+  for g = 0 to (size lsr t.gshift) - 1 do
+    gran_set t t.owner (base + (g lsl t.gshift)) base
+  done;
+  gran_set t t.obj_size base size;
+  gran_set t t.birth base (t.next_birth + 1);
   Lifecycle.on_alloc t.lifecycle ~birth:t.next_birth ~words:size;
   t.next_birth <- t.next_birth + 1;
   t.allocs <- t.allocs + 1;
@@ -150,20 +174,15 @@ let claim t base size =
   if t.live > t.peak then t.peak <- t.live;
   t.words_live <- t.words_live + size
 
-(* Sizes are rounded up to the arena chunk granularity (cache-line sized by
-   default), like any allocator that wants to avoid false sharing between
-   objects handed to different threads.  Bases are always at least 2-aligned
-   so the low pointer bit stays free for list deletion marks.  Not
-   [max 2 t.align]: [Stdlib.max] is polymorphic, a [caml_greaterequal] C
-   call, and this runs twice per alloc. *)
-let effective_align t = if t.align >= 2 then t.align else 2
-
-let chunk_size t size =
-  let a = effective_align t in
-  (size + a - 1) / a * a
+(* Sizes are rounded up to the granule (cache-line sized by default), like
+   any allocator that wants to avoid false sharing between objects handed
+   to different threads. *)
+let round_up t n =
+  let m = (1 lsl t.gshift) - 1 in
+  (n + m) land lnot m
 
 let free_list t size =
-  let cls = size / effective_align t in
+  let cls = size lsr t.gshift in
   let n = Array.length t.free_by_class in
   if cls >= n then begin
     let cap = ref n in
@@ -178,7 +197,7 @@ let free_list t size =
 
 let alloc t ~tid:_ ~size =
   assert (size >= 1);
-  let size = chunk_size t size in
+  let size = round_up t size in
   let fl = free_list t size in
   let base =
     let n = Vec.length fl in
@@ -188,8 +207,7 @@ let alloc t ~tid:_ ~size =
       base
     end
     else begin
-      let a = effective_align t in
-      let base = (t.brk + a - 1) / a * a in
+      let base = round_up t t.brk in
       ensure_capacity t (base + size + 1);
       t.brk <- base + size;
       base
@@ -198,33 +216,42 @@ let alloc t ~tid:_ ~size =
   claim t base size;
   base
 
-let is_allocated t addr = in_heap t addr && tbl_get t.owner addr = addr
+let is_allocated t addr = in_heap t addr && gran_get t t.owner addr = addr
 
 let size_of t addr =
-  if is_allocated t addr then Some (tbl_get t.obj_size addr) else None
+  if is_allocated t addr then Some (gran_get t t.obj_size addr) else None
 
-let owner_of t v = if in_heap t v then tbl_get t.owner v else 0
+let owner_of t v = if in_heap t v then gran_get t t.owner v else 0
 
 let base_of t v =
   let b = owner_of t v in
   if b <> 0 then Some b else None
 
-let birth_ix t addr = if is_allocated t addr then tbl_get t.birth addr else 0
+let birth_ix t addr =
+  if is_allocated t addr then gran_get t t.birth addr else 0
 
 let free t ~tid addr =
   if not (in_heap t addr) then Shadow.record t.shadow Bad_free ~addr ~tid
-  else if tbl_get t.owner addr <> addr then
-    (* Either an interior pointer or an already-freed base. *)
+  else if gran_get t t.owner addr <> addr then
+    (* Either an interior pointer or an already-freed base.  Only a
+       granule-aligned address can ever have been a base. *)
     Shadow.record t.shadow
-      (if tbl_get t.obj_size addr > 0 && tbl_get t.owner addr = 0 then
-         Double_free
+      (if
+         addr land ((1 lsl t.gshift) - 1) = 0
+         && gran_get t t.obj_size addr > 0
+         && gran_get t t.owner addr = 0
+       then Double_free
        else Bad_free)
       ~addr ~tid
   else begin
-    let size = tbl_get t.obj_size addr in
-    Lifecycle.on_free t.lifecycle ~birth:(tbl_get t.birth addr - 1) ~words:size;
+    let size = gran_get t t.obj_size addr in
+    Lifecycle.on_free t.lifecycle
+      ~birth:(gran_get t t.birth addr - 1)
+      ~words:size;
+    for g = 0 to (size lsr t.gshift) - 1 do
+      gran_set t t.owner (addr + (g lsl t.gshift)) 0
+    done;
     for i = addr to addr + size - 1 do
-      tbl_set t.owner i 0;
       tbl_set t.words i poison
     done;
     t.frees <- t.frees + 1;
@@ -253,14 +280,14 @@ let free t ~tid addr =
    appends them before [brk] moves).  These two functions sit under every
    simulated memory access. *)
 let read t ~tid addr =
-  if in_heap t addr && tbl_get t.owner addr <> 0 then tbl_get t.words addr
+  if in_heap t addr && gran_get t t.owner addr <> 0 then tbl_get t.words addr
   else begin
     Shadow.record t.shadow Read_after_free ~addr ~tid;
     if addr >= 0 && addr < coverage t then tbl_get t.words addr else poison
   end
 
 let write t ~tid addr v =
-  if in_heap t addr && tbl_get t.owner addr <> 0 then tbl_set t.words addr v
+  if in_heap t addr && gran_get t t.owner addr <> 0 then tbl_set t.words addr v
   else begin
     Shadow.record t.shadow Write_after_free ~addr ~tid;
     if addr >= 0 && addr < coverage t then tbl_set t.words addr v
@@ -276,4 +303,4 @@ let live_objects t = t.live
 let peak_live t = t.peak
 let words_in_use t = t.words_live
 let touched_chunks t = t.chunks
-let resident_words t = 4 * coverage t
+let resident_words t = coverage t + (3 * (coverage t lsr t.gshift))

@@ -33,7 +33,10 @@ val create :
     for immediate LIFO reuse (maximal ABA stress).  [align] (default 4
     words = one modelled cache line) rounds object sizes up so objects
     never share a line — the false-sharing avoidance every concurrent
-    allocator performs. *)
+    allocator performs.  It must be a power of two, at most
+    {!chunk_words}; otherwise [Invalid_argument].  The granule, [max 2
+    align], aligns every base and divides every size, so the owner, size
+    and birth tables hold one entry per granule. *)
 
 val shadow : t -> Shadow.t
 
@@ -102,19 +105,21 @@ val quarantined : t -> int
 (** Freed blocks currently held in the reuse quarantine. *)
 
 val chunk_words : int
-(** Words per backing-store chunk (a power of two).  The per-address tables
-    are chunk directories grown on demand, so resident memory tracks the
-    touched address space in [chunk_words] granules instead of doubling
-    dense arrays. *)
+(** Words of address space per backing-store chunk (a power of two).  The
+    per-address tables are chunk directories grown on demand, so resident
+    memory tracks the touched address space in [chunk_words] steps instead
+    of doubling dense arrays. *)
 
 val touched_chunks : t -> int
 (** Chunks currently backed in each per-address table. *)
 
 val resident_words : t -> int
-(** Total words of backing store held across the four per-address tables
-    ([4 * touched_chunks * chunk_words]) — the resident-footprint number
-    the scale figure reports, as opposed to {!words_in_use} which counts
-    only words inside live objects. *)
+(** Total words of backing store held across the four per-address tables:
+    [touched_chunks * chunk_words * (1 + 3 / granule)], the payload one
+    word per address and the owner, size and birth tables one per granule
+    ([max 2 align]).  The resident-footprint number the scale figure
+    reports, as opposed to {!words_in_use} which counts only words inside
+    live objects. *)
 
 val poison : Word.value
 (** The pattern written into freed words. *)

@@ -498,21 +498,32 @@ let run_oracle_trace ~seed ~quarantine ~align ~steps =
   checki "uaf writes" o.Dense_oracle.uaf_writes
     (Shadow.count_kind shadow Shadow.Write_after_free);
   (* Resident backing store is proportional to the touched chunks: exactly
-     the chunks covering [brk], times the four per-address tables. *)
+     the chunks covering [brk], times one payload word per address plus
+     three tables with one entry per granule (the effective alignment). *)
   let chunks = (brk + Heap.chunk_words - 1) / Heap.chunk_words in
+  let granule = max 2 align in
   checki "resident words track touched chunks"
-    (4 * chunks * Heap.chunk_words)
+    (chunks * Heap.chunk_words * (granule + 3) / granule)
     (Heap.resident_words h);
   true
 
 let prop_oracle_small =
   QCheck.Test.make ~name:"chunked heap == dense oracle (mixed geometry)"
     ~count:12
-    QCheck.(pair (int_bound 1_000_000) (pair (int_bound 2) (int_bound 1)))
+    QCheck.(pair (int_bound 1_000_000) (pair (int_bound 2) (int_bound 2)))
     (fun (seed, (q_sel, a_sel)) ->
       let quarantine = [| 0; 3; 128 |].(q_sel) in
-      let align = [| 1; 4 |].(a_sel) in
+      let align = [| 1; 4; 8 |].(a_sel) in
       run_oracle_trace ~seed ~quarantine ~align ~steps:2_000)
+
+(* The per-granule tables need the granule to be a power of two. *)
+let test_align_power_of_two () =
+  List.iter
+    (fun align ->
+      match mk ~align () with
+      | _ -> Alcotest.failf "align %d accepted" align
+      | exception Invalid_argument _ -> ())
+    [ 0; 3; 12 ]
 
 let test_oracle_heavy () =
   (* One long trace: ~50K ops pushes brk across multiple chunk boundaries
@@ -557,6 +568,8 @@ let () =
           Alcotest.test_case "quarantine delays reuse" `Quick
             test_quarantine_delays_reuse;
           Alcotest.test_case "alignment" `Quick test_alignment_rounds_sizes;
+          Alcotest.test_case "align is a power of two" `Quick
+            test_align_power_of_two;
           Alcotest.test_case "dense oracle, multi-chunk trace" `Quick
             test_oracle_heavy;
           Alcotest.test_case "free-list path allocates nothing" `Quick
