@@ -53,7 +53,8 @@ val create :
   unit ->
   t
 (** Creates the HTM manager and registers its preemption hook with the
-    scheduler.  [n_threads] contexts are lazily sized from the scheduler.
+    scheduler.  The line directory is sized from [Sched.n_threads] on the
+    first access, when registration is closed.
     Whether the per-line record counts touches is read here, once, from
     the scheduler's profiler ({!line_stats}).  [forensics] (default: the
     disabled singleton) is stamped at every doom site (who-doomed-whom
@@ -151,7 +152,9 @@ val stats : t -> tid:int -> Htm_stats.t
 val total_stats : t -> Htm_stats.t
 
 val line_table_words : t -> int
-(** Words of backing store currently held by the per-line coherence-state
-    and conflict-bitset tables.  The tables are chunk directories allocated
-    on first touch, so this tracks the touched address space (the scale
+(** Words of backing store currently held by the line directory: backed
+    chunks x 4096 lines x [1 + 2 * ceil (n / 63)] words, one coherence
+    state and a reader and a writer bitset per line, for the [n] threads
+    registered when the first chunk was backed.  Chunks are allocated on
+    first touch, so this tracks the touched address space (the scale
     figure reports it alongside the heap's resident words). *)
