@@ -234,10 +234,10 @@ type result = {
           their JSON output is unchanged. *)
   resident_words : int;
       (** Words of heap backing store at end of run ({!Heap.resident_words}:
-          touched chunks x chunk size across the four per-address tables).
-          Never emitted to JSON; the scale figure reports it. *)
+          proportional to the touched chunks, across the four per-address
+          tables).  Never emitted to JSON; the scale figure reports it. *)
   line_table_words : int;
-      (** Words held by the HTM layer's chunked per-line tables
+      (** Words held by the HTM layer's chunked line directory
           ({!Tsx.line_table_words}); never emitted to JSON. *)
 }
 

@@ -211,12 +211,14 @@ type result = {
           committed goldens) are unchanged. *)
   resident_words : int;
       (** Words of heap backing store at end of run
-          ({!St_mem.Heap.resident_words}: touched chunks x chunk size
-          across the four per-address tables).  Never emitted to JSON; the
-          scale figure reports it as the memory-proportionality proof. *)
+          ({!St_mem.Heap.resident_words}: proportional to the touched
+          chunks, across the four per-address tables).  Never emitted to
+          JSON; the scale figure reports it as the memory-proportionality
+          proof. *)
   line_table_words : int;
-      (** Words held by the HTM layer's chunked per-line coherence/conflict
-          tables ({!St_htm.Tsx.line_table_words}); never emitted to JSON. *)
+      (** Words held by the HTM layer's chunked line directory of
+          coherence states and conflict bitsets
+          ({!St_htm.Tsx.line_table_words}); never emitted to JSON. *)
 }
 
 val run : config -> result
