@@ -31,7 +31,7 @@ let () =
   let scheme = Stacktrack.Engine.create rt in
   let list = St_dslib.Harris_list.create_raw heap in
   St_dslib.Harris_list.populate_raw heap list
-    ~keys:[ 10; 20; 30; 40; 50 ]
+    ~keys:[| 10; 20; 30; 40; 50 |]
     ~note_link:ignore;
 
   (* 3. Four worker threads hammer the list concurrently. *)

@@ -26,10 +26,12 @@ type t = { head : St_mem.Word.addr }
 val create_raw : St_mem.Heap.t -> t
 
 val populate_raw :
-  St_mem.Heap.t -> t -> keys:int list -> note_link:(St_mem.Word.addr -> unit) -> unit
-(** Insert [keys] (deduplicated) into an empty list with raw heap writes,
-    for benchmark pre-population.  [note_link] reports every stored link so
-    link-counting schemes can prime their counts. *)
+  St_mem.Heap.t -> t -> keys:int array -> note_link:(St_mem.Word.addr -> unit) -> unit
+(** Insert [keys] (any order, duplicates allowed) into an empty list with
+    raw heap writes, for benchmark pre-population.  The distinct keys are
+    allocated and linked in ascending order; [keys] itself is not
+    modified.  [note_link] reports every stored link so link-counting
+    schemes can prime their counts. *)
 
 val check_raw : St_mem.Heap.t -> t -> int option
 (** [Some n] when the list is strictly sorted with [n] unmarked nodes;

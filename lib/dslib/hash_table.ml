@@ -48,46 +48,58 @@ let sort_bucket keys order lo hi =
     Array.blit slice 0 order lo (hi - lo)
   end
 
-(* Bulk build, equivalent to inserting the keys one at a time in list
-   order: positions are counting-sorted by bucket (stable, so each bucket
-   keeps input order), each bucket is sorted by key (stable, so the first
-   occurrence of a duplicate leads its run and is the one kept), the kept
-   keys are allocated in input order (the order one-at-a-time insertion
-   allocates them, hence the same addresses and birth indices), and then
-   each bucket is linked in key order. *)
+(* Bulk build, equivalent to inserting the keys one at a time in array
+   order.  Each key's bucket is computed once.  Positions are
+   counting-sorted by bucket (stable, so each bucket keeps input order) and
+   each bucket is sorted by key (stable, so the first occurrence of a
+   duplicate leads its run and is the one kept); that order gives each
+   kept key its successor in its chain.  The kept keys are allocated in
+   input order (the order one-at-a-time insertion allocates them, hence
+   the same addresses and birth indices).  Then every [next] is stored in
+   one pass in address order, the bucket sentinels first, so the heap is
+   written front to back instead of scattered chain by chain. *)
 let populate_raw heap t ~keys ~note_link =
-  let keys = Array.of_list keys in
   let n = Array.length keys in
   let nb = t.n_buckets in
+  let bucket = Array.map (bucket_of t) keys in
   (* [start.(b)] ends as the first slot of bucket [b] in [order]; bucket
      [b] is [order.(start.(b) .. start.(b+1) - 1)]. *)
   let start = Array.make (nb + 1) 0 in
-  Array.iter
-    (fun k ->
-      let b = bucket_of t k in
-      start.(b) <- start.(b) + 1)
-    keys;
+  Array.iter (fun b -> start.(b) <- start.(b) + 1) bucket;
   for b = 1 to nb do
     start.(b) <- start.(b) + start.(b - 1)
   done;
   let order = Array.make n 0 in
   for i = n - 1 downto 0 do
-    let b = bucket_of t keys.(i) in
+    let b = bucket.(i) in
     start.(b) <- start.(b) - 1;
     order.(start.(b)) <- i
   done;
-  let first = Bytes.make n '\000' in
+  (* The chains, as key positions: [first.(b)] heads bucket [b]'s chain
+     and [succ.(i)] follows key [i] in its chain, [-1] ending either; a
+     later copy of a key is [dropped].  [succ] reuses [bucket]'s array,
+     whose buckets are spent. *)
+  let dropped = -2 in
+  let first = Array.make nb (-1) and succ = bucket in
+  Array.fill succ 0 n dropped;
   for b = 0 to nb - 1 do
     let lo = start.(b) and hi = start.(b + 1) in
     sort_bucket keys order lo hi;
+    let prev = ref (-1) in
     for s = lo to hi - 1 do
-      if s = lo || keys.(order.(s)) <> keys.(order.(s - 1)) then
-        Bytes.set first order.(s) '\001'
+      let i = order.(s) in
+      if s = lo || keys.(i) <> keys.(order.(s - 1)) then begin
+        if !prev < 0 then first.(b) <- i else succ.(!prev) <- i;
+        succ.(i) <- -1;
+        prev := i
+      end
     done
   done;
-  let node = Array.make n Word.null in
+  (* Each kept key's node address, in [order]'s array: the chains are
+     built. *)
+  let node = order in
   for i = 0 to n - 1 do
-    if Bytes.get first i <> '\000' then begin
+    if succ.(i) <> dropped then begin
       let a = Heap.alloc heap ~tid:0 ~size:Harris_list.node_size in
       Heap.write heap ~tid:0 (a + Harris_list.key_off) keys.(i);
       node.(i) <- a
@@ -95,16 +107,15 @@ let populate_raw heap t ~keys ~note_link =
   done;
   (* A fresh node's [next] is already null, so only the links into kept
      nodes are stored, each reported once. *)
+  let link from i =
+    Heap.write heap ~tid:0 (from + Harris_list.next_off) node.(i);
+    note_link node.(i)
+  in
   for b = 0 to nb - 1 do
-    let prev = ref (bucket_head_raw heap t b) in
-    for s = start.(b) to start.(b + 1) - 1 do
-      let a = node.(order.(s)) in
-      if a <> Word.null then begin
-        Heap.write heap ~tid:0 (!prev + Harris_list.next_off) a;
-        note_link a;
-        prev := a
-      end
-    done
+    if first.(b) >= 0 then link (bucket_head_raw heap t b) first.(b)
+  done;
+  for i = 0 to n - 1 do
+    if succ.(i) >= 0 then link node.(i) succ.(i)
   done
 
 let to_list_raw heap t =
@@ -116,16 +127,31 @@ let to_list_raw heap t =
   done;
   List.sort compare !acc
 
+(* The census walks [census_lanes] chains at once, one step per lane per
+   round.  The steps of a round are independent loads, so their cache
+   misses overlap instead of queueing one chain at a time.  A lane whose
+   chain has ended takes the next bucket's. *)
+let census_lanes = 16
+
 let length_raw heap t =
-  let rec count addr n =
-    if addr = Word.null then n
-    else
-      count (Word.unmark (Heap.peek heap (addr + Harris_list.next_off))) (n + 1)
-  in
-  let n = ref 0 in
-  for b = 0 to t.n_buckets - 1 do
-    let head = bucket_head_raw heap t b in
-    n := count (Word.unmark (Heap.peek heap (head + Harris_list.next_off))) !n
+  let next a = Word.unmark (Heap.peek heap (a + Harris_list.next_off)) in
+  let lane = Array.make census_lanes Word.null in
+  let b = ref 0 and n = ref 0 and busy = ref true in
+  while !busy do
+    busy := false;
+    for l = 0 to census_lanes - 1 do
+      let a = lane.(l) in
+      if a <> Word.null then begin
+        incr n;
+        lane.(l) <- next a;
+        busy := true
+      end
+      else if !b < t.n_buckets then begin
+        lane.(l) <- next (bucket_head_raw heap t !b);
+        incr b;
+        busy := true
+      end
+    done
   done;
   !n
 

@@ -16,10 +16,15 @@ val create_raw : St_mem.Heap.t -> t
 val populate_raw :
   St_mem.Heap.t ->
   t ->
-  keys:int list ->
+  keys:int array ->
   rng:St_sim.Rng.t ->
   note_link:(St_mem.Word.addr -> unit) ->
   unit
+(** Insert [keys] (any order, duplicates allowed) into an empty list with
+    raw heap writes, for benchmark pre-population.  The distinct keys are
+    allocated in ascending order, each with a tower height drawn from
+    [rng] in that order; [keys] itself is not modified.  [note_link]
+    reports every stored link, once per level. *)
 
 val to_list_raw : St_mem.Heap.t -> t -> int list
 (** Level-0 keys in order.  Quiescent use only. *)

@@ -239,7 +239,7 @@ let conservation_set (type a) (module G : Guard.S with type t = a)
   let key_range = 32 in
   let n_threads = 6 in
   let ins = Array.make key_range 0 and del = Array.make key_range 0 in
-  let init_keys = [ 1; 3; 5; 7; 9; 11 ] in
+  let init_keys = [| 1; 3; 5; 7; 9; 11 |] in
   let final_of, ops =
     match structure with
     | `List ->
@@ -294,7 +294,7 @@ let conservation_set (type a) (module G : Guard.S with type t = a)
   checki "no violations" 0 (Shadow.count (Heap.shadow heap));
   checkb "sorted, duplicate-free" true (List.sort_uniq compare final = final);
   for k = 0 to key_range - 1 do
-    let initially = if List.mem k init_keys then 1 else 0 in
+    let initially = if Array.mem k init_keys then 1 else 0 in
     let expected = initially + ins.(k) - del.(k) in
     let actual = if List.mem k final then 1 else 0 in
     if expected <> actual then
@@ -373,7 +373,8 @@ let prop_find_position =
         Sched.add_thread sched (fun tid ->
             let th = GO.create_thread scheme ~tid in
             let t = St_dslib.Harris_list.create_raw heap in
-            St_dslib.Harris_list.populate_raw heap t ~keys ~note_link:ignore;
+            St_dslib.Harris_list.populate_raw heap t ~keys:(Array.of_list keys)
+              ~note_link:ignore;
             GO.run_op th ~op_id:1 (fun env ->
                 let pos = L.find env t probe in
                 let pred_key =
@@ -403,7 +404,7 @@ let prop_skiplist_search =
         Sched.add_thread sched (fun tid ->
             let th = GO.create_thread scheme ~tid in
             let t = St_dslib.Skiplist.create_raw heap in
-            St_dslib.Skiplist.populate_raw heap t ~keys
+            St_dslib.Skiplist.populate_raw heap t ~keys:(Array.of_list keys)
               ~rng:(Rng.create ~seed:41) ~note_link:ignore;
             let found = SL.contains t th probe in
             if found <> List.mem probe keys then ok := false)
@@ -415,7 +416,7 @@ let prop_skiplist_search =
 let test_populate_sorted () =
   let _, heap, _ = world () in
   let t = St_dslib.Harris_list.create_raw heap in
-  St_dslib.Harris_list.populate_raw heap t ~keys:[ 5; 1; 9; 1; 3 ]
+  St_dslib.Harris_list.populate_raw heap t ~keys:[| 5; 1; 9; 1; 3 |]
     ~note_link:ignore;
   Alcotest.check
     Alcotest.(list int)
@@ -441,7 +442,7 @@ module Incremental_oracle = struct
   let bucket_head_raw heap t b = Heap.peek heap (t.buckets + b)
 
   let populate_raw heap t ~keys ~note_link =
-    List.iter
+    Array.iter
       (fun k ->
         let b = bucket_of t k in
         let head = bucket_head_raw heap t b in
@@ -500,22 +501,50 @@ let check_bulk_matches_oracle ~n_buckets ~keys =
   && St_dslib.Hash_table.to_list_raw ho t_o
      = St_dslib.Hash_table.to_list_raw hn t_n
   && St_dslib.Hash_table.length_raw hn t_n
-     = List.length (List.sort_uniq compare keys)
+     = List.length (List.sort_uniq compare (Array.to_list keys))
   && Shadow.count (Heap.shadow hn) = 0
 
 (* Short key ranges force duplicates; few buckets force long buckets, which
-   take the bulk build's merge-sort path. *)
+   take the bulk build's merge-sort path.  Many buckets outnumber the
+   census's lanes and leave most buckets empty. *)
+let bulk_arb =
+  QCheck.(
+    pair (int_range 1 300)
+      (map Array.of_list (list_of_size Gen.(0 -- 400) (int_bound 300))))
+
 let prop_bulk_populate =
-  QCheck.Test.make ~name:"populate = incremental oracle" ~count:150
-    QCheck.(
-      pair (int_range 1 64)
-        (list_of_size Gen.(0 -- 400) (int_bound 300)))
+  QCheck.Test.make ~name:"populate = incremental oracle" ~count:150 bulk_arb
     (fun (n_buckets, keys) -> check_bulk_matches_oracle ~n_buckets ~keys)
+
+(* Mark the [next] word of a random subset of the nodes (each then reads as
+   logically deleted but still linked): the census still counts every node
+   the list walk visits. *)
+let prop_length_raw_marked =
+  QCheck.Test.make ~name:"census counts marked nodes" ~count:150
+    QCheck.(pair bulk_arb (int_bound 10_000))
+    (fun ((n_buckets, keys), seed) ->
+      let heap, t = populated St_dslib.Hash_table.populate_raw ~n_buckets ~keys in
+      let rng = Rng.create ~seed in
+      let next a = a + St_dslib.Harris_list.next_off in
+      let rec mark_chain a =
+        if a <> Word.null then begin
+          let w = Heap.peek heap (next a) in
+          if Rng.bool rng then Heap.write heap ~tid:0 (next a) (Word.mark w);
+          mark_chain (Word.unmark w)
+        end
+      in
+      for b = 0 to n_buckets - 1 do
+        let head = Heap.peek heap (t.St_dslib.Hash_table.buckets + b) in
+        mark_chain (Heap.peek heap (next head))
+      done;
+      let walked = List.length (St_dslib.Hash_table.to_list_raw heap t) in
+      St_dslib.Hash_table.length_raw heap t = walked
+      && walked = List.length (List.sort_uniq compare (Array.to_list keys)))
 
 (* A multi-chunk image: 40k distinct-ish keys in 64 buckets. *)
 let test_bulk_populate_chunks () =
   let rng = Rng.create ~seed:17 in
-  let keys = List.init 40_000 (fun _ -> Rng.int rng 60_000) in
+  let keys = Array.init 40_000 (fun _ -> Rng.int rng 60_000) in
   let ho, _ = populated Incremental_oracle.populate_raw ~n_buckets:64 ~keys in
   checkb "spans several chunks" true (Heap.touched_chunks ho > 1);
   checkb "same heap image" true
@@ -533,7 +562,7 @@ let test_hash_populate_links_once () =
     Hashtbl.replace counts a
       (1 + Option.value ~default:0 (Hashtbl.find_opt counts a))
   in
-  St_dslib.Hash_table.populate_raw heap t ~keys:[ 5; 1; 9; 3 ] ~note_link;
+  St_dslib.Hash_table.populate_raw heap t ~keys:[| 5; 1; 9; 3 |] ~note_link;
   let rec nodes addr acc =
     if addr = Word.null then List.rev acc
     else nodes (Heap.peek heap (addr + St_dslib.Harris_list.next_off)) (addr :: acc)
@@ -566,7 +595,7 @@ let test_skiplist_populate_invariant () =
   let _, heap, _ = world () in
   let t = St_dslib.Skiplist.create_raw heap in
   St_dslib.Skiplist.populate_raw heap t
-    ~keys:(List.init 200 (fun i -> i * 3))
+    ~keys:(Array.init 200 (fun i -> i * 3))
     ~rng:(Rng.create ~seed:9) ~note_link:ignore;
   checkb "levels are sublists" true (St_dslib.Skiplist.check_raw heap t);
   checki "level0 complete" 200
@@ -591,6 +620,7 @@ let () =
       ( "hash bulk",
         [
           QCheck_alcotest.to_alcotest prop_bulk_populate;
+          QCheck_alcotest.to_alcotest prop_length_raw_marked;
           Alcotest.test_case "multi-chunk image" `Quick
             test_bulk_populate_chunks;
           Alcotest.test_case "each link reported once" `Quick
