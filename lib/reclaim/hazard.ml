@@ -70,35 +70,35 @@ module Hooks = struct
     done
 
   (* The publish-fence-validate protocol.  The validation re-read is what
-     closes the race between loading a pointer and announcing it. *)
-  let protected_read th ~slot addr =
+     closes the race between loading a pointer and announcing it; a failed
+     validation retries with [published] set.  A top-level function rather
+     than a closure, so that a protected read allocates nothing. *)
+  let rec validate th ~slot addr ~published =
     let s = th.s in
     let sched = s.rt.Guard.sched in
-    let costs = Sched.costs sched in
-    let rec attempt ~published =
-      let v = Tsx.nt_read s.rt.Guard.tsx addr in
-      let p = Word.unmark v in
-      if not (p >= Word.heap_base) then begin
-        (* If a retry landed here, the slot still holds the pointer whose
-           validation just failed — a dead node.  Drop it, or it stays
-           protected (and unreclaimable) until op end. *)
-        if published then begin
-          clear_slot th slot;
-          th.used_slots.(slot) <- false
-        end;
-        v
-      end
-      else begin
-        s.hazards.(th.tid).(slot) <- p;
-        th.used_slots.(slot) <- true;
-        Sched.consume sched costs.store;
-        Tsx.fence s.rt.Guard.tsx;
-        s.stats.Guard.protect_fences <- s.stats.Guard.protect_fences + 1;
-        let v' = Tsx.nt_read s.rt.Guard.tsx addr in
-        if v' = v then v else attempt ~published:true
-      end
-    in
-    attempt ~published:false
+    let v = Tsx.nt_read s.rt.Guard.tsx addr in
+    let p = Word.unmark v in
+    if not (p >= Word.heap_base) then begin
+      (* If a retry landed here, the slot still holds the pointer whose
+         validation just failed — a dead node.  Drop it, or it stays
+         protected (and unreclaimable) until op end. *)
+      if published then begin
+        clear_slot th slot;
+        th.used_slots.(slot) <- false
+      end;
+      v
+    end
+    else begin
+      s.hazards.(th.tid).(slot) <- p;
+      th.used_slots.(slot) <- true;
+      Sched.consume sched (Sched.costs sched).store;
+      Tsx.fence s.rt.Guard.tsx;
+      s.stats.Guard.protect_fences <- s.stats.Guard.protect_fences + 1;
+      let v' = Tsx.nt_read s.rt.Guard.tsx addr in
+      if v' = v then v else validate th ~slot addr ~published:true
+    end
+
+  let protected_read th ~slot addr = validate th ~slot addr ~published:false
 
   let release th ~slot = clear_slot th slot
 

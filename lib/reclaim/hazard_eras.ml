@@ -92,26 +92,25 @@ module Hooks = struct
 
   (* The era-interval read protocol: re-publish [hi] only when the global
      era moved since this thread last looked — the amortization that beats
-     hazard pointers on long traversals. *)
-  let protected_read th ~slot:_ addr =
+     hazard pointers on long traversals.  A top-level function rather than
+     a closure, so that a protected read allocates nothing. *)
+  let rec read_in_era th addr =
     let s = th.s in
     let sched = s.rt.Guard.sched in
-    let costs = Sched.costs sched in
     let res = s.reservations.(th.tid) in
-    let rec attempt () =
-      let v = Tsx.nt_read s.rt.Guard.tsx addr in
-      let e = s.era in
-      Sched.consume sched costs.load;
-      if e = res.(1) then v
-      else begin
-        res.(1) <- e;
-        Sched.consume sched costs.store;
-        Tsx.fence s.rt.Guard.tsx;
-        s.stats.Guard.protect_fences <- s.stats.Guard.protect_fences + 1;
-        attempt ()
-      end
-    in
-    attempt ()
+    let v = Tsx.nt_read s.rt.Guard.tsx addr in
+    let e = s.era in
+    Sched.consume sched (Sched.costs sched).load;
+    if e = res.(1) then v
+    else begin
+      res.(1) <- e;
+      Sched.consume sched (Sched.costs sched).store;
+      Tsx.fence s.rt.Guard.tsx;
+      s.stats.Guard.protect_fences <- s.stats.Guard.protect_fences + 1;
+      read_in_era th addr
+    end
+
+  let protected_read th ~slot:_ addr = read_in_era th addr
 
   let release _ ~slot:_ = ()
 
