@@ -45,6 +45,19 @@ let int_within lo hi =
   in
   Arg.conv (parse, Arg.conv_printer Arg.int)
 
+(* The Zipf skew theta: a finite float at least 0.  A NaN, an infinity or
+   a negative theta is a usage error that names the option; it would
+   leave the inverse-CDF table all NaN or flat. *)
+let zipf_theta =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok theta when not (Float.is_finite theta && theta >= 0.) ->
+        Error
+          (`Msg (Printf.sprintf "must be a finite number at least 0, got %s" s))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let print_result (r : Experiment.result) =
   let open Format in
   Report.run_line r;
@@ -299,8 +312,9 @@ let run_cmd =
   in
   let zipf =
     Arg.(
-      value & opt (some float) None
-      & info [ "zipf" ] ~doc:"Zipfian key skew theta (default: uniform).")
+      value & opt (some zipf_theta) None
+      & info [ "zipf" ]
+          ~doc:"Zipfian key skew theta, finite and at least 0 (default: uniform).")
   in
   let json =
     Arg.(

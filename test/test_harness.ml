@@ -410,8 +410,9 @@ let run_cli ?(seconds = 30.) cmd args =
    and a negative free-set batch were taken as given, and an unknown
    scheme and a negative --jobs exited 2 from hand-written checks.  256
    workers plus a crash injector or a sampler thread died with
-   [Invalid_argument] on the 257th tid.  Each is now a usage error
-   (cmdliner's exit 124) that names its flag. *)
+   [Invalid_argument] on the 257th tid.  A NaN or infinite --zipf ran with
+   every draw on key 0, and a negative one ran an inverted skew.  Each is
+   now a usage error (cmdliner's exit 124) that names its flag. *)
 let test_cli_bad_sizes () =
   let trace = Filename.temp_file "bad_capacity" ".json" in
   Fun.protect ~finally:(fun () -> Sys.remove trace) @@ fun () ->
@@ -458,6 +459,9 @@ let test_cli_bad_sizes () =
       ("run", [ "--forced-slow=-5" ], "--forced-slow");
       ("run", [ "--duration=-5" ], "--duration");
       ("run", [ "--max-free=-3" ], "--max-free");
+      ("run", [ "--zipf=nan" ], "--zipf");
+      ("run", [ "--zipf=inf" ], "--zipf");
+      ("run", [ "--zipf=-1" ], "--zipf");
       ("figures", [ "--jobs=-1" ], "--jobs");
     ]
 
