@@ -431,7 +431,41 @@ let test_identity_trace_golden () =
   Alcotest.(check string)
     "goldens/identity_trace_list_st.json byte-identical"
     (read_file "goldens/identity_trace_list_st.json")
-    (Chrome_trace.to_string trace ^ "\n")
+    (Chrome_trace.to_string trace ^ "\n");
+  (* Every other scheme's trace on one small list: DTA crashes thread 0 so
+     its freeze path runs. *)
+  List.iter
+    (fun (name, scheme, crash_tids) ->
+      let golden = Printf.sprintf "goldens/identity_trace_list_%s.json" name in
+      let trace = Trace.create ~capacity:(1 lsl 16) ~enabled:true () in
+      let cfg =
+        {
+          (identity_cfg Experiment.List_s scheme 4) with
+          Experiment.duration = 200_000;
+          key_range = 128;
+          init_size = 64;
+          mutation_pct = 60;
+          crash_tids;
+          trace = Some trace;
+        }
+      in
+      let _ = Experiment.run cfg in
+      Alcotest.(check int) (golden ^ ": nothing dropped") 0 (Trace.dropped trace);
+      Alcotest.(check string)
+        (golden ^ " byte-identical")
+        (read_file golden)
+        (Chrome_trace.to_string trace ^ "\n"))
+    [
+      ("original", Experiment.Original, []);
+      ("hazards", Experiment.Hazards, []);
+      ("epoch", Experiment.Epoch, []);
+      ("dta", Experiment.Dta, [ 0 ]);
+      ("refcount", Experiment.Refcount_s, []);
+      ("immediate", Experiment.Immediate_unsafe, []);
+      ("debra", Experiment.Debra, []);
+      ("debra_plus", Experiment.Debra_plus, []);
+      ("hazard_eras", Experiment.Hazard_eras, []);
+    ]
 
 let () =
   Alcotest.run "perf_identity"
