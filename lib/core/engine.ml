@@ -578,8 +578,7 @@ let scan_and_free_plain th =
     (fun ptr ->
       if ptr_visible s ~self:th.tid ~ptr then true
       else begin
-        Tsx.free s.rt.Guard.tsx ptr;
-        Guard.note_free s.stats ~now:(Sched.now s.rt.Guard.sched) ptr;
+        Guard.free s.rt s.stats ptr;
         false
       end)
     th.free_set
@@ -633,48 +632,23 @@ let scan_and_free_hashed th =
         || (slow_active && in_refs_set s ~ptr)
       then true
       else begin
-        Tsx.free s.rt.Guard.tsx ptr;
-        Guard.note_free s.stats ~now:(Sched.now sched) ptr;
+        Guard.free s.rt s.stats ptr;
         false
       end)
     th.free_set
 
 let scan_and_free th =
   let s = th.s in
-  let sched = s.rt.Guard.sched in
-  let tr = Sched.trace sched in
-  let pending = Vec.length th.free_set in
-  if Trace.on tr then
-    Trace.span_begin tr ~time:(Sched.now sched) ~tid:th.tid Trace.Reclaim
-      "scan" (fun () -> Printf.sprintf "pending=%d" pending);
   s.st.Scheme_stats.scans <- s.st.Scheme_stats.scans + 1;
-  s.stats.Guard.scans <- s.stats.Guard.scans + 1;
-  let profile = Sched.profile sched in
-  Profile.push_mode profile ~tid:th.tid Profile.Reclaim_scan;
-  (* Fun.protect: a crash injected mid-scan unwinds with Thread_crashed and
-     must still pop the attribution mode. *)
-  Fun.protect
-    ~finally:(fun () -> Profile.pop_mode profile ~tid:th.tid)
-    (fun () ->
+  Guard.scan s.rt s.stats ~pending:(Vec.length th.free_set) (fun () ->
       if s.cfg.St_config.hash_scan then scan_and_free_hashed th
-      else scan_and_free_plain th);
-  s.stats.Guard.scan_words <- s.st.Scheme_stats.stack_words;
-  if Trace.on tr then
-    Trace.span_end tr ~time:(Sched.now sched) ~tid:th.tid Trace.Reclaim "scan"
-      (fun () ->
-        Printf.sprintf "freed=%d held=%d"
-          (pending - Vec.length th.free_set)
-          (Vec.length th.free_set))
+      else scan_and_free_plain th;
+      s.stats.Guard.scan_words <- s.st.Scheme_stats.stack_words;
+      Vec.length th.free_set)
 
 let free_impl th addr =
-  let sched = th.s.rt.Guard.sched in
-  let tr = Sched.trace sched in
-  if Trace.on tr then
-    Trace.instant tr ~time:(Sched.now sched) ~tid:th.tid Trace.Reclaim
-      "retire" (fun () ->
-        Printf.sprintf "addr=%d pending=%d" addr (Vec.length th.free_set + 1));
-  Guard.note_retire th.s.stats ~now:(Sched.now sched) addr;
   Vec.push th.free_set addr;
+  Guard.retire th.s.rt th.s.stats ~pending:(Vec.length th.free_set) addr;
   if Vec.length th.free_set > th.s.cfg.St_config.max_free then
     scan_and_free th
 

@@ -18,7 +18,7 @@
     census rather than a sampling:
     - {b alloc}: [Heap.claim], on every successful allocation (including
       speculative allocations later rolled back);
-    - {b retire}: [Guard.note_retire], which every scheme (and the
+    - {b retire}: [Guard.retire], which every scheme (and the
       StackTrack engine's split-retire commit path) already calls once per
       real retirement;
     - {b free}: [Heap.free]'s success branch, which all free paths funnel
@@ -51,7 +51,7 @@ val on_alloc : t -> birth:int -> words:int -> unit
 (** Called by [Heap.claim] with the object's birth index and size. *)
 
 val on_retire : t -> now:int -> int -> unit
-(** [on_retire t ~now addr]: called by [Guard.note_retire].  Resolves
+(** [on_retire t ~now addr]: called by [Guard.retire].  Resolves
     [addr] to its birth index; idempotent — a replayed retirement keeps its
     first stamp — and a no-op for addresses that are not live object bases. *)
 

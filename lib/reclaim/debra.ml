@@ -117,29 +117,15 @@ module Hooks = struct
      double-free on the restarted operation's re-rotation. *)
   let free_bag th bag =
     let s = th.s in
-    let sched = s.rt.Guard.sched in
     let pending = Vec.length bag in
-    if pending > 0 then begin
-      let tr = Sched.trace sched in
-      if Trace.on tr then
-        Trace.span_begin tr ~time:(Sched.now sched) ~tid:th.tid Trace.Reclaim
-          "scan" (fun () -> Printf.sprintf "pending=%d" pending);
-      s.stats.Guard.scans <- s.stats.Guard.scans + 1;
-      let profile = Sched.profile sched in
-      Profile.push_mode profile ~tid:th.tid Profile.Reclaim_scan;
-      Fun.protect
-        ~finally:(fun () -> Profile.pop_mode profile ~tid:th.tid)
-        (fun () ->
+    if pending > 0 then
+      Guard.scan s.rt s.stats ~pending (fun () ->
           while Vec.length bag > 0 do
             let addr = Vec.get bag (Vec.length bag - 1) in
             Vec.truncate bag (Vec.length bag - 1);
-            Tsx.free s.rt.Guard.tsx addr;
-            Guard.note_free s.stats ~now:(Sched.now sched) addr
-          done);
-      if Trace.on tr then
-        Trace.span_end tr ~time:(Sched.now sched) ~tid:th.tid Trace.Reclaim
-          "scan" (fun () -> Printf.sprintf "freed=%d held=0" pending)
-    end
+            Guard.free s.rt s.stats addr
+          done;
+          0)
 
   (* Advance this thread's view of the epoch to [e], freeing each bag as
      its index comes around again (its contents are then three epochs
@@ -241,16 +227,9 @@ module Hooks = struct
   let protect_value _ ~slot:_ _ = ()
 
   let retire th addr =
-    let s = th.s in
-    let sched = s.rt.Guard.sched in
-    let tr = Sched.trace sched in
     let bag = th.bags.(th.my_epoch mod bags_count) in
-    if Trace.on tr then
-      Trace.instant tr ~time:(Sched.now sched) ~tid:th.tid Trace.Reclaim
-        "retire" (fun () ->
-          Printf.sprintf "addr=%d pending=%d" addr (Vec.length bag + 1));
-    Guard.note_retire s.stats ~now:(Sched.now sched) addr;
-    Vec.push bag addr
+    Vec.push bag addr;
+    Guard.retire th.s.rt th.s.stats ~pending:(Vec.length bag) addr
 
   (* Between-operations drain: with no peer announced inside an operation
      the epoch can be advanced directly; three rounds cycle every bag out.

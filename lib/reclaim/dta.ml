@@ -132,84 +132,77 @@ module Hooks = struct
       th.ring_pos <- (th.ring_pos + 1) mod s.window
     end
 
-  let reclaim th =
+  (* Wait briefly for every peer inside an operation to progress; freeze
+     a peer that does not (stalled or crashed) and add its anchor window
+     to [protected_set] instead of blocking forever like epoch.  Returns
+     the frozen peers. *)
+  let wait_or_freeze th protected_set =
     let s = th.s in
     let sched = s.rt.Guard.sched in
     let costs = Sched.costs sched in
-    let pending = Vec.length th.buffer in
-    let tr = Sched.trace sched in
-    if Trace.on tr then
-      Trace.span_begin tr ~time:(Sched.now sched) ~tid:th.tid Trace.Reclaim
-        "scan" (fun () -> Printf.sprintf "pending=%d" pending);
-    s.stats.Guard.scans <- s.stats.Guard.scans + 1;
-    let protected_set = th.scan_scratch in
-    Hashtbl.clear protected_set;
-    let t0 = Sched.now sched in
-    let deadline = t0 + s.patience in
-    let frozen_victims = ref [] in
-    let profile = Sched.profile sched in
-    Profile.push_mode profile ~tid:th.tid Profile.Reclaim_scan;
-    Fun.protect
-      ~finally:(fun () -> Profile.pop_mode profile ~tid:th.tid)
-      (fun () ->
-        (* The snapshot/spin/freeze section is what [stall_cycles] measures;
-           attribute it as stall, distinct from the scan proper. *)
-        Profile.push_mode profile ~tid:th.tid Profile.Reclaim_stall;
-        Fun.protect
-          ~finally:(fun () -> Profile.pop_mode profile ~tid:th.tid)
-          (fun () ->
-            List.iter
-              (fun tid ->
-                if tid <> th.tid then begin
-                  let snap = s.timestamps.(tid) in
-                  if snap land 1 = 1 then begin
-                    (* In an operation: wait briefly for progress, then
-                       freeze the thread and consume its anchor window
-                       instead of blocking forever like epoch. *)
-                    let rec spin () =
-                      if Sched.finished sched tid then ()
-                      else if (not (Sched.crashed sched tid))
-                              && s.timestamps.(tid) <> snap
-                      then ()
-                      else if
-                        Sched.crashed sched tid || Sched.now sched > deadline
-                      then begin
-                        (* Freeze first (store + fence), so the victim cannot
-                           acquire new references while we read its
-                           window. *)
-                        s.frozen.(tid) <- true;
-                        frozen_victims := tid :: !frozen_victims;
-                        Sched.consume sched costs.store;
-                        Tsx.fence s.rt.Guard.tsx;
-                        (* The victim may have completed a protected read
-                           between our timeout decision and the freeze
-                           becoming visible; re-check progress once and read
-                           the window after. *)
-                        for i = 0 to s.window - 1 do
-                          let p = s.rings.(tid).(i) in
-                          Sched.consume sched costs.load;
-                          s.stats.Guard.scan_words <-
-                            s.stats.Guard.scan_words + 1;
-                          if p <> 0 then Hashtbl.replace protected_set p ()
-                        done
-                      end
-                      else begin
-                        Sched.consume sched costs.load;
-                        spin ()
-                      end
-                    in
-                    spin ()
-                  end
-                end)
-              s.registered);
-        s.stats.Guard.stall_cycles <-
-          s.stats.Guard.stall_cycles + (Sched.now sched - t0);
+    let deadline = Sched.now sched + s.patience in
+    let frozen = ref [] in
+    let freeze tid =
+      (* Freeze first (store + fence), so the victim cannot acquire new
+         references while we read its window. *)
+      s.frozen.(tid) <- true;
+      frozen := tid :: !frozen;
+      let tr = Sched.trace sched in
+      if Trace.on tr then
+        Trace.instant tr ~time:(Sched.now sched) ~tid:th.tid Trace.Reclaim
+          "freeze" (fun () -> Printf.sprintf "victim=%d" tid);
+      Sched.consume sched costs.store;
+      Tsx.fence s.rt.Guard.tsx;
+      (* The victim may have completed a protected read between our
+         timeout decision and the freeze becoming visible; re-check
+         progress once and read the window after. *)
+      for i = 0 to s.window - 1 do
+        let p = s.rings.(tid).(i) in
+        Sched.consume sched costs.load;
+        s.stats.Guard.scan_words <- s.stats.Guard.scan_words + 1;
+        if p <> 0 then Hashtbl.replace protected_set p ()
+      done
+    in
+    List.iter
+      (fun tid ->
+        if tid <> th.tid then begin
+          let snap = s.timestamps.(tid) in
+          if snap land 1 = 1 then
+            let rec spin () =
+              if Sched.finished sched tid then ()
+              else if (not (Sched.crashed sched tid))
+                      && s.timestamps.(tid) <> snap
+              then ()
+              else if Sched.crashed sched tid || Sched.now sched > deadline
+              then freeze tid
+              else begin
+                Sched.consume sched costs.load;
+                spin ()
+              end
+            in
+            spin ()
+        end)
+      s.registered;
+    !frozen
+
+  let reclaim th =
+    let s = th.s in
+    let sched = s.rt.Guard.sched in
+    Guard.scan s.rt s.stats ~pending:(Vec.length th.buffer) (fun () ->
+        let protected_set = th.scan_scratch in
+        Hashtbl.clear protected_set;
+        (* The wait is the scheme's stall: a grace period when no peer had
+           to be frozen. *)
+        let frozen = ref [] in
+        ignore
+          (Guard.stall s.rt s.stats (fun () ->
+               frozen := wait_or_freeze th protected_set;
+               !frozen = []));
         Vec.filter_in_place
           (fun addr ->
             if Hashtbl.mem protected_set addr then true
             else begin
-              Tsx.free s.rt.Guard.tsx addr;
-              Guard.note_free s.stats ~now:(Sched.now sched) addr;
+              Guard.free s.rt s.stats addr;
               false
             end)
           th.buffer;
@@ -217,21 +210,15 @@ module Hooks = struct
         List.iter
           (fun tid ->
             s.frozen.(tid) <- false;
-            Sched.consume sched costs.store)
-          !frozen_victims);
-    if Trace.on tr then
-      Trace.span_end tr ~time:(Sched.now sched) ~tid:th.tid Trace.Reclaim
-        "scan" (fun () ->
-          Printf.sprintf "freed=%d held=%d stall=%d frozen=%d"
-            (pending - Vec.length th.buffer)
-            (Vec.length th.buffer) (Sched.now sched - t0)
-            (List.length !frozen_victims))
+            Sched.consume sched (Sched.costs sched).store)
+          !frozen;
+        Vec.length th.buffer)
 
   (* Like epoch, reclamation runs at the quiescent operation boundary so
      reclaimers never stall each other mid-operation. *)
   let retire th addr =
-    Guard.note_retire th.s.stats ~now:(Sched.now th.s.rt.Guard.sched) addr;
-    Vec.push th.buffer addr
+    Vec.push th.buffer addr;
+    Guard.retire th.s.rt th.s.stats ~pending:(Vec.length th.buffer) addr
 
   let on_end th =
     bump th;

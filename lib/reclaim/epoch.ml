@@ -58,18 +58,9 @@ module Hooks = struct
     let s = th.s in
     let sched = s.rt.Guard.sched in
     let costs = Sched.costs sched in
-    let t0 = Sched.now sched in
-    let tr = Sched.trace sched in
-    if Trace.on tr then
-      Trace.span_begin tr ~time:t0 ~tid:th.tid Trace.Reclaim "stall"
-        Trace.no_detail;
-    let deadline = t0 + s.patience in
-    let ok = ref true in
-    let profile = Sched.profile sched in
-    Profile.push_mode profile ~tid:th.tid Profile.Reclaim_stall;
-    Fun.protect
-      ~finally:(fun () -> Profile.pop_mode profile ~tid:th.tid)
-      (fun () ->
+    Guard.stall s.rt s.stats (fun () ->
+        let deadline = Sched.now sched + s.patience in
+        let ok = ref true in
         List.iter
           (fun tid ->
             if tid <> th.tid && !ok then begin
@@ -92,57 +83,25 @@ module Hooks = struct
                 in
                 spin ()
             end)
-          s.registered);
-    s.stats.Guard.stall_cycles <-
-      s.stats.Guard.stall_cycles + (Sched.now sched - t0);
-    if Trace.on tr then
-      Trace.span_end tr ~time:(Sched.now sched) ~tid:th.tid Trace.Reclaim
-        "stall" (fun () ->
-          Printf.sprintf "cycles=%d grace=%b" (Sched.now sched - t0) !ok);
-    !ok
+          s.registered;
+        !ok)
 
   let reclaim th =
     let s = th.s in
-    let sched = s.rt.Guard.sched in
-    let pending = Vec.length th.buffer in
-    let tr = Sched.trace sched in
-    if Trace.on tr then
-      Trace.span_begin tr ~time:(Sched.now sched) ~tid:th.tid Trace.Reclaim
-        "scan" (fun () -> Printf.sprintf "pending=%d" pending);
-    s.stats.Guard.scans <- s.stats.Guard.scans + 1;
-    let profile = Sched.profile sched in
-    Profile.push_mode profile ~tid:th.tid Profile.Reclaim_scan;
-    Fun.protect
-      ~finally:(fun () -> Profile.pop_mode profile ~tid:th.tid)
-      (fun () ->
+    Guard.scan s.rt s.stats ~pending:(Vec.length th.buffer) (fun () ->
         if wait_for_grace th then begin
-          Vec.iter
-            (fun addr ->
-              Tsx.free s.rt.Guard.tsx addr;
-              Guard.note_free s.stats ~now:(Sched.now sched) addr)
-            th.buffer;
+          Vec.iter (fun addr -> Guard.free s.rt s.stats addr) th.buffer;
           Vec.clear th.buffer
-        end);
-    if Trace.on tr then
-      Trace.span_end tr ~time:(Sched.now sched) ~tid:th.tid Trace.Reclaim
-        "scan" (fun () ->
-          Printf.sprintf "freed=%d held=%d"
-            (pending - Vec.length th.buffer)
-            (Vec.length th.buffer))
+        end;
+        Vec.length th.buffer)
 
   (* Retires only buffer; reclamation runs at the next quiescent point
      (operation end), where this thread provably holds no references — this
      is how epoch implementations avoid reclaimers blocking each other
      while both are mid-operation. *)
   let retire th addr =
-    let sched = th.s.rt.Guard.sched in
-    let tr = Sched.trace sched in
-    if Trace.on tr then
-      Trace.instant tr ~time:(Sched.now sched) ~tid:th.tid Trace.Reclaim
-        "retire" (fun () ->
-          Printf.sprintf "addr=%d pending=%d" addr (Vec.length th.buffer + 1));
-    Guard.note_retire th.s.stats ~now:(Sched.now sched) addr;
-    Vec.push th.buffer addr
+    Vec.push th.buffer addr;
+    Guard.retire th.s.rt th.s.stats ~pending:(Vec.length th.buffer) addr
 
   let on_end th =
     bump th;

@@ -29,23 +29,32 @@
       Automatic schemes (StackTrack, epoch, none) treat it as a plain
       read.
 
-    {2 The retire/free hook contract}
+    {2 The bookkeeping contract}
 
-    Uniform observability rests on two bookkeeping calls every scheme must
-    make, exactly once per event, on its own retire and free paths:
+    Schemes differ in how they protect a node; the rest of its lifecycle
+    is common, and every scheme routes it through four calls:
 
-    - {!note_retire} when an unlinked node is handed over for eventual
-      reclamation (for StackTrack, only once its split-segment commit makes
-      the retirement real);
-    - {!note_free} when the scheme returns that node to the allocator
-      (immediately before or after the actual [Tsx.free]/[Heap.free]).
+    - {!retire} once per node handed over for eventual reclamation (for
+      StackTrack, only once its split-segment commit makes the retirement
+      real);
+    - {!free} to return a retired node to the allocator;
+    - {!scan} around each reclamation pass over the scheme's buffer;
+    - {!stall} around each wait for other threads (a grace period, or
+      DTA's snapshot-and-freeze).
 
-    These maintain the per-scheme counters and reclamation-lag aggregates,
-    and — when the harness has attached a run-wide [Lifecycle] ledger —
-    forward retirements to it.  Frees are deliberately {e not} forwarded
-    here: the ledger stamps them inside [Heap.free], the single funnel all
-    free paths share, so engine rollbacks of speculative allocations are
-    counted and double-stamping is impossible.
+    They keep the counters below and the reclamation-lag aggregates, emit
+    the [reclaim] trace events [retire], [scan] and [stall], and charge
+    the pass and the wait to the profiler's [reclaim_scan] and
+    [reclaim_stall] accounts.  All four run on the thread doing the work,
+    so the thread they name is [Sched.current]; none takes a tid, and
+    schemes whose thread state has none can call them.  A scheme without
+    a retirement buffer passes [~pending:0].
+
+    When the harness has attached a run-wide [Lifecycle] ledger,
+    retirements are forwarded to it.  Frees are deliberately {e not}
+    forwarded here: the ledger stamps them inside [Heap.free], the single
+    funnel all free paths share, so engine rollbacks of speculative
+    allocations are counted and double-stamping is impossible.
 
     Era-stamping schemes (Hazard Eras) keep their own birth/retire era
     side tables keyed by [Heap.birth_ix], the same monotone index the
@@ -86,7 +95,7 @@ type stats = {
   mutable freed : int;  (** Nodes actually returned to the allocator. *)
   mutable scans : int;  (** Reclamation passes (scan/collect rounds). *)
   mutable scan_words : int;  (** Words inspected by scans. *)
-  mutable stall_cycles : int;  (** Cycles spent blocked (epoch waits). *)
+  mutable stall_cycles : int;  (** Cycles spent in [stall] waits. *)
   mutable protect_fences : int;  (** Fences issued by per-read validation. *)
   retire_stamp : (int, int) Hashtbl.t;  (** addr -> retire time (pending). *)
   mutable lag_sum : int;  (** Sum of retire->free lags, freed nodes. *)
@@ -98,15 +107,30 @@ type stats = {
 
 val make_stats : unit -> stats
 
-val note_retire : stats -> now:int -> int -> unit
-(** [note_retire stats ~now addr]: the node at [addr] was handed over for
-    reclamation at virtual time [now].  Every scheme's retire path calls
-    this exactly once per real retirement. *)
+val retire : runtime -> stats -> pending:int -> Word.addr -> unit
+(** [retire rt stats ~pending addr]: the node at [addr] was handed over
+    for reclamation.  Emits the [retire] instant ([addr=… pending=…]),
+    counts it and stamps its retire time.  [pending] is the number of
+    nodes now in the caller's buffer, this one included, or 0 for a scheme
+    without a buffer. *)
 
-val note_free : stats -> now:int -> int -> unit
-(** [note_free stats ~now addr]: the node at [addr] was returned to the
-    allocator.  Pairs with the pending {!note_retire} stamp to accumulate
-    the lag aggregates. *)
+val free : runtime -> stats -> Word.addr -> unit
+(** [free rt stats addr]: {!Tsx.free} the retired node at [addr], count
+    it, and add its retire-to-free lag to the aggregates. *)
+
+val scan : runtime -> stats -> pending:int -> (unit -> int) -> unit
+(** [scan rt stats ~pending body]: one reclamation pass over a buffer of
+    [pending] nodes.  Counts the pass and runs [body] under the
+    [Reclaim_scan] profiler mode (popped even if [body] raises) inside
+    the [scan] span.  [body] returns how many nodes it kept; the span
+    ends with [freed=… held=…]. *)
+
+val stall : runtime -> stats -> (unit -> bool) -> bool
+(** [stall rt stats body]: one wait for other threads.  Runs [body] under
+    the [Reclaim_stall] profiler mode inside the [stall] span, adds the
+    cycles it took to [stall_cycles], and returns [body]'s verdict: [true]
+    when every thread it waited on made progress.  The span ends with
+    [cycles=… grace=…]. *)
 
 val mean_lag : stats -> float
 

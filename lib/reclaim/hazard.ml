@@ -117,17 +117,7 @@ module Hooks = struct
     let s = th.s in
     let sched = s.rt.Guard.sched in
     let costs = Sched.costs sched in
-    let pending = Vec.length th.buffer in
-    let tr = Sched.trace sched in
-    if Trace.on tr then
-      Trace.span_begin tr ~time:(Sched.now sched) ~tid:th.tid Trace.Reclaim
-        "scan" (fun () -> Printf.sprintf "pending=%d" pending);
-    s.stats.Guard.scans <- s.stats.Guard.scans + 1;
-    let profile = Sched.profile sched in
-    Profile.push_mode profile ~tid:th.tid Profile.Reclaim_scan;
-    Fun.protect
-      ~finally:(fun () -> Profile.pop_mode profile ~tid:th.tid)
-      (fun () ->
+    Guard.scan s.rt s.stats ~pending:(Vec.length th.buffer) (fun () ->
         (* Reused per-thread scratch: [Hashtbl.clear] keeps the bucket
            array, so repeated scans stop allocating a fresh table each. *)
         let protected_set = th.scan_scratch in
@@ -145,27 +135,15 @@ module Hooks = struct
           (fun addr ->
             if Hashtbl.mem protected_set addr then true
             else begin
-              Tsx.free s.rt.Guard.tsx addr;
-              Guard.note_free s.stats ~now:(Sched.now sched) addr;
+              Guard.free s.rt s.stats addr;
               false
             end)
-          th.buffer);
-    if Trace.on tr then
-      Trace.span_end tr ~time:(Sched.now sched) ~tid:th.tid Trace.Reclaim
-        "scan" (fun () ->
-          Printf.sprintf "freed=%d held=%d"
-            (pending - Vec.length th.buffer)
-            (Vec.length th.buffer))
+          th.buffer;
+        Vec.length th.buffer)
 
   let retire th addr =
-    let sched = th.s.rt.Guard.sched in
-    let tr = Sched.trace sched in
-    if Trace.on tr then
-      Trace.instant tr ~time:(Sched.now sched) ~tid:th.tid Trace.Reclaim
-        "retire" (fun () ->
-          Printf.sprintf "addr=%d pending=%d" addr (Vec.length th.buffer + 1));
-    Guard.note_retire th.s.stats ~now:(Sched.now sched) addr;
     Vec.push th.buffer addr;
+    Guard.retire th.s.rt th.s.stats ~pending:(Vec.length th.buffer) addr;
     if Vec.length th.buffer >= th.s.batch then scan th
 
   let quiesce th = if Vec.length th.buffer > 0 then scan th

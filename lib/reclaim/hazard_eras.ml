@@ -134,17 +134,7 @@ module Hooks = struct
     let s = th.s in
     let sched = s.rt.Guard.sched in
     let costs = Sched.costs sched in
-    let pending = Vec.length th.buffer / 3 in
-    let tr = Sched.trace sched in
-    if Trace.on tr then
-      Trace.span_begin tr ~time:(Sched.now sched) ~tid:th.tid Trace.Reclaim
-        "scan" (fun () -> Printf.sprintf "pending=%d" pending);
-    s.stats.Guard.scans <- s.stats.Guard.scans + 1;
-    let profile = Sched.profile sched in
-    Profile.push_mode profile ~tid:th.tid Profile.Reclaim_scan;
-    Fun.protect
-      ~finally:(fun () -> Profile.pop_mode profile ~tid:th.tid)
-      (fun () ->
+    Guard.scan s.rt s.stats ~pending:(Vec.length th.buffer / 3) (fun () ->
         (* Snapshot every thread's published interval (two words each). *)
         let n_res = ref 0 in
         List.iter
@@ -180,30 +170,15 @@ module Hooks = struct
             Vec.set th.buffer (!w + 2) retired;
             w := !w + 3
           end
-          else begin
-            Tsx.free s.rt.Guard.tsx addr;
-            Guard.note_free s.stats ~now:(Sched.now sched) addr
-          end;
+          else Guard.free s.rt s.stats addr;
           r := !r + 3
         done;
-        Vec.truncate th.buffer !w);
-    if Trace.on tr then
-      Trace.span_end tr ~time:(Sched.now sched) ~tid:th.tid Trace.Reclaim
-        "scan" (fun () ->
-          Printf.sprintf "freed=%d held=%d"
-            (pending - (Vec.length th.buffer / 3))
-            (Vec.length th.buffer / 3))
+        Vec.truncate th.buffer !w;
+        !w / 3)
 
   let retire th addr =
     let s = th.s in
     let sched = s.rt.Guard.sched in
-    let tr = Sched.trace sched in
-    if Trace.on tr then
-      Trace.instant tr ~time:(Sched.now sched) ~tid:th.tid Trace.Reclaim
-        "retire" (fun () ->
-          Printf.sprintf "addr=%d pending=%d" addr
-            ((Vec.length th.buffer / 3) + 1));
-    Guard.note_retire s.stats ~now:(Sched.now sched) addr;
     let ix = Heap.birth_ix (Guard.heap s.rt) addr in
     let birth =
       if ix > 0 && ix < Array.length s.birth_eras then s.birth_eras.(ix)
@@ -212,6 +187,7 @@ module Hooks = struct
     Vec.push th.buffer addr;
     Vec.push th.buffer birth;
     Vec.push th.buffer s.era;
+    Guard.retire s.rt s.stats ~pending:(Vec.length th.buffer / 3) addr;
     (* The era clock ticks on retirement volume, not on wall time. *)
     s.retire_count <- s.retire_count + 1;
     if s.retire_count mod s.era_freq = 0 then begin

@@ -5,7 +5,6 @@
     actually catches unsafe reclamation (so a clean run of the safe schemes
     means something). *)
 
-open St_sim
 open St_htm
 
 module Hooks = struct
@@ -24,10 +23,8 @@ module Hooks = struct
   let alloc th ~size = Tsx.alloc th.rt.Guard.tsx ~size
 
   let retire th addr =
-    let now = Sched.now th.rt.Guard.sched in
-    Guard.note_retire th.stats ~now addr;
-    Tsx.free th.rt.Guard.tsx addr;
-    Guard.note_free th.stats ~now:(Sched.now th.rt.Guard.sched) addr
+    Guard.retire th.rt th.stats ~pending:0 addr;
+    Guard.free th.rt th.stats addr
 
   let quiesce _ = ()
   let write th addr v = Tsx.nt_write th.rt.Guard.tsx addr v

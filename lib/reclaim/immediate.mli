@@ -5,9 +5,9 @@
     actually catches unsafe reclamation (so a clean run of the safe schemes
     means something).
 
-    Hook contract: [retire] calls [Guard.note_retire], frees on the spot
-    via [Tsx.free], and calls [Guard.note_free] — so its retire→free lag is
-    the floor every safe scheme is measured against. *)
+    Hook contract: [retire] calls [Guard.retire ~pending:0], then
+    [Guard.free] on the spot — so its retire→free lag is the floor every
+    safe scheme is measured against. *)
 
 include Guard.S
 

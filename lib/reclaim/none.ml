@@ -3,7 +3,6 @@
     Retired nodes leak.  This is the upper bound on data-structure
     performance — every scheme's overhead is measured against it. *)
 
-open St_sim
 open St_htm
 
 module Hooks = struct
@@ -19,8 +18,7 @@ module Hooks = struct
   let release _ ~slot:_ = ()
   let protect_value _ ~slot:_ _ = ()
   let alloc th ~size = Tsx.alloc th.rt.Guard.tsx ~size
-  let retire th addr =
-    Guard.note_retire th.stats ~now:(Sched.now th.rt.Guard.sched) addr
+  let retire th addr = Guard.retire th.rt th.stats ~pending:0 addr
   let quiesce _ = ()
   let write th addr v = Tsx.nt_write th.rt.Guard.tsx addr v
   let cas th addr ~expect v = Tsx.nt_cas th.rt.Guard.tsx addr ~expect v

@@ -3,8 +3,8 @@
     Retired nodes leak.  This is the upper bound on data-structure
     performance — every scheme's overhead is measured against it.
 
-    Hook contract: [retire] calls [Guard.note_retire] and nothing else;
-    [Guard.note_free] is never called, so the lifecycle ledger reports a
+    Hook contract: [retire] calls [Guard.retire ~pending:0] and nothing
+    else; [Guard.free] is never called, so the lifecycle ledger reports a
     monotonically growing limbo backlog and the stalled-reclamation
     watchdog flags one permanently ongoing incident — the correct reading
     of a leak-everything baseline. *)

@@ -43,19 +43,18 @@ module Hooks = struct
 
   let count s p = Option.value ~default:0 (Hashtbl.find_opt s.counts p)
 
-  let free s ~tid:_ p =
+  let free s p =
     Hashtbl.remove s.counts p;
     Hashtbl.remove s.retired_set p;
-    Tsx.free s.rt.Guard.tsx p;
-    Guard.note_free s.stats ~now:(Sched.now s.rt.Guard.sched) p
+    Guard.free s.rt s.stats p
 
   let inc s p = Hashtbl.replace s.counts p (count s p + 1)
 
-  let dec s ~tid p =
+  let dec s p =
     let c = count s p - 1 in
     if c <= 0 then begin
       Hashtbl.remove s.counts p;
-      if Hashtbl.mem s.retired_set p then free s ~tid p
+      if Hashtbl.mem s.retired_set p then free s p
     end
     else Hashtbl.replace s.counts p c
 
@@ -67,7 +66,7 @@ module Hooks = struct
     let costs = Sched.costs th.s.rt.Guard.sched in
     for slot = 0 to held_slots - 1 do
       if th.held.(slot) <> 0 then begin
-        dec th.s ~tid:th.tid th.held.(slot);
+        dec th.s th.held.(slot);
         th.held.(slot) <- 0;
         Sched.consume th.s.rt.Guard.sched costs.fetch_add
       end
@@ -83,7 +82,7 @@ module Hooks = struct
     let p = Word.unmark v in
     if is_node s p then begin
       inc s p;
-      if th.held.(slot) <> 0 then dec s ~tid:th.tid th.held.(slot);
+      if th.held.(slot) <> 0 then dec s th.held.(slot);
       th.held.(slot) <- p;
       Sched.consume sched (costs.load + costs.cas)
     end
@@ -92,7 +91,7 @@ module Hooks = struct
 
   let release th ~slot =
     if th.held.(slot) <> 0 then begin
-      dec th.s ~tid:th.tid th.held.(slot);
+      dec th.s th.held.(slot);
       th.held.(slot) <- 0;
       Sched.consume th.s.rt.Guard.sched
         (Sched.costs th.s.rt.Guard.sched).fetch_add
@@ -104,7 +103,7 @@ module Hooks = struct
     let p = Word.unmark v in
     if is_node s p then begin
       inc s p;
-      if th.held.(slot) <> 0 then dec s ~tid:th.tid th.held.(slot);
+      if th.held.(slot) <> 0 then dec s th.held.(slot);
       th.held.(slot) <- p;
       Sched.consume s.rt.Guard.sched (Sched.costs s.rt.Guard.sched).cas
     end
@@ -124,7 +123,7 @@ module Hooks = struct
     end;
     if old <> 0 && (Hashtbl.mem s.counts old || Hashtbl.mem s.retired_set old)
     then begin
-      dec s ~tid:th.tid old;
+      dec s old;
       incr rmws
     end;
     !rmws
@@ -151,9 +150,9 @@ module Hooks = struct
 
   let retire th addr =
     let s = th.s in
-    Guard.note_retire s.stats ~now:(Sched.now s.rt.Guard.sched) addr;
+    Guard.retire s.rt s.stats ~pending:0 addr;
     Hashtbl.replace s.retired_set addr ();
-    if count s addr = 0 then free s ~tid:th.tid addr;
+    if count s addr = 0 then free s addr;
     Sched.consume s.rt.Guard.sched (Sched.costs s.rt.Guard.sched).fetch_add
 
   let alloc th ~size = Tsx.alloc th.s.rt.Guard.tsx ~size

@@ -15,9 +15,9 @@
     cost, so the scheme is safe here and costed honestly: one atomic RMW
     per node visited on top of the read, and two per pointer store.
 
-    Hook contract: [retire] calls [Guard.note_retire] and frees at once
-    when the count is already zero; otherwise the node is freed (and
-    [Guard.note_free]d) by whichever decrement drops its count to zero. *)
+    Hook contract: [retire] calls [Guard.retire ~pending:0] and
+    [Guard.free]s at once when the count is already zero; otherwise
+    whichever decrement drops the count to zero calls [Guard.free]. *)
 
 open St_mem
 

@@ -8,11 +8,13 @@
     protection, retirement and (for reference counting) store hooks,
     supplied via {!HOOKS}.
 
-    Hook obligations for the uniform bookkeeping (see the retire/free hook
-    contract in [Guard]): the supplied [retire] must call
-    [Guard.note_retire] once per retirement, and whatever path eventually
-    frees the node must call [Guard.note_free] alongside the actual
-    [Tsx.free]. *)
+    Hook obligations for the uniform bookkeeping (see the bookkeeping
+    contract in [Guard]): the supplied [retire] calls [Guard.retire] once
+    per retirement, whatever path eventually frees the node calls
+    [Guard.free] (never [Tsx.free] directly), a reclamation pass runs
+    inside [Guard.scan], and a wait for other threads inside
+    [Guard.stall].  The hooks then state only the scheme's protection
+    policy. *)
 
 open St_mem
 
