@@ -71,11 +71,10 @@ let test_trace_captures_all_layers () =
     ];
   checkb "events recorded" true (Trace.total trace > 100)
 
-let test_trace_spans_balanced () =
-  (* In a crash-free run every Begin span is eventually closed: operations
-     end with a commit (or abort), scans and stalls return.  Count B/E per
-     (tid, name) pair. *)
-  let _, trace = run_traced () in
+(* In a crash-free run every Begin span is eventually closed: operations
+   end with a commit (or abort), scans and stalls return.  Count B/E per
+   (tid, name) pair. *)
+let check_balanced label trace =
   let counts = Hashtbl.create 64 in
   Trace.iter trace (fun e ->
       let bump key delta =
@@ -88,8 +87,58 @@ let test_trace_spans_balanced () =
       | Trace.Instant | Trace.Counter -> ());
   Hashtbl.iter
     (fun (tid, name) n ->
-      checki (Printf.sprintf "t%d %s balanced" tid name) 0 n)
+      checki (Printf.sprintf "%st%d %s balanced" label tid name) 0 n)
     counts
+
+let test_trace_spans_balanced () =
+  let _, trace = run_traced () in
+  check_balanced "" trace
+
+(* Guard emits every scheme's reclamation events, so each scheme's trace
+   agrees with its counters: one [retire] instant per retirement and one
+   [scan] span per pass. *)
+let test_trace_agrees_with_counters () =
+  let kinds =
+    List.fold_left
+      (fun acc (name, kind) ->
+        if List.exists (fun (_, k) -> k = kind) acc then acc
+        else acc @ [ (name, kind) ])
+      [] Experiment.scheme_aliases
+  in
+  List.iter
+    (fun (name, scheme) ->
+      List.iter
+        (fun structure ->
+          let label =
+            Printf.sprintf "%s/%s: " name (Experiment.structure_name structure)
+          in
+          let trace = Trace.create ~capacity:(1 lsl 20) ~enabled:true () in
+          let r =
+            Experiment.run
+              {
+                (base ~trace:(Some trace) ~metrics_interval:0) with
+                structure;
+                scheme;
+                threads = 6;
+                duration = 600_000;
+              }
+          in
+          checki (label ^ "nothing dropped") 0 (Trace.dropped trace);
+          let count name phase =
+            List.length
+              (List.filter
+                 (fun e -> e.Trace.name = name && e.Trace.phase = phase)
+                 (Trace.events trace))
+          in
+          checki (label ^ "retire instants = retired")
+            r.Experiment.reclaim.St_reclaim.Guard.retired
+            (count "retire" Trace.Instant);
+          checki (label ^ "scan spans = scans")
+            r.Experiment.reclaim.St_reclaim.Guard.scans
+            (count "scan" Trace.Begin);
+          check_balanced label trace)
+        [ Experiment.List_s; Experiment.Queue_s ])
+    kinds
 
 let test_disabled_trace_records_nothing () =
   let trace = Trace.create ~enabled:false () in
@@ -167,6 +216,8 @@ let () =
           Alcotest.test_case "all layers emit" `Quick
             test_trace_captures_all_layers;
           Alcotest.test_case "spans balanced" `Quick test_trace_spans_balanced;
+          Alcotest.test_case "agrees with counters" `Quick
+            test_trace_agrees_with_counters;
           Alcotest.test_case "disabled records nothing" `Quick
             test_disabled_trace_records_nothing;
         ] );
