@@ -45,6 +45,22 @@ let int_within lo hi =
   in
   Arg.conv (parse, Arg.conv_printer Arg.int)
 
+(* Open (and truncate) every output file a subcommand was given before it
+   simulates anything, so an unwritable path fails at once instead of
+   after the whole run: exit 2 with a message naming the flag and the
+   file. *)
+let check_writable outputs =
+  List.iter
+    (fun (flag, file) ->
+      Option.iter
+        (fun file ->
+          try close_out (open_out file)
+          with Sys_error msg ->
+            Printf.eprintf "stacktrack_bench: %s: cannot write %s\n" flag msg;
+            exit 2)
+        file)
+    outputs
+
 (* The Zipf skew theta: a finite float at least 0.  A NaN, an infinity or
    a negative theta is a usage error that names the option; it would
    leave the inverse-CDF table all NaN or flat. *)
@@ -435,14 +451,7 @@ let run_cmd =
             { st with forced_slow_pct = forced_slow; max_free; hash_scan }
       | scheme -> scheme
     in
-    (* Fail on an unwritable trace path before burning the run. *)
-    (match trace_out with
-    | Some file -> (
-        try close_out (open_out file)
-        with Sys_error msg ->
-          Printf.eprintf "stacktrack_bench: cannot write trace: %s\n" msg;
-          exit 2)
-    | None -> ());
+    check_writable [ ("--trace-out", trace_out); ("--flame-out", flame_out) ];
     let trace =
       Option.map
         (fun _ ->
@@ -602,6 +611,7 @@ let figures_cmd =
       List.mem "all" names || List.mem f.name names
       || (List.mem "ablations" names && is_ablation f)
     in
+    check_writable [ ("--json-out", json_out); ("--flame-out", flame_out) ];
     let profile = profile || flame_out <> None in
     let results =
       List.concat_map

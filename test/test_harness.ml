@@ -465,6 +465,32 @@ let test_cli_bad_sizes () =
       ("figures", [ "--jobs=-1" ], "--jobs");
     ]
 
+(* An unwritable --flame-out or --json-out used to run the whole
+   simulation (every figure of [figures all]) and then die with an
+   uncaught [Sys_error].  Every output path is now opened before any
+   simulation: exit 2, with a message that names the flag and the file. *)
+let test_cli_unwritable_outputs () =
+  let bad = Filename.concat (Filename.get_temp_dir_name ()) "no-such-dir/x" in
+  List.iter
+    (fun (cmd, args, flag) ->
+      let name = String.concat " " (cmd :: args) in
+      match run_cli cmd args with
+      | None, _ -> Alcotest.failf "%s: still running after the timeout" name
+      | Some code, out ->
+          checki (name ^ ": exit") 2 code;
+          checkb (name ^ ": no internal error") false
+            (contains out "internal error");
+          checkb (name ^ ": cannot write") true (contains out "cannot write");
+          checkb (name ^ ": names " ^ flag) true (contains out flag);
+          checkb (name ^ ": names the file") true (contains out bad))
+    [
+      ("run", [ "--trace-out"; bad ], "--trace-out");
+      ("run", [ "--flame-out"; bad ], "--flame-out");
+      ("figures", [ "stm"; "--quick"; "--json-out"; bad ], "--json-out");
+      ("figures", [ "all"; "--json-out"; bad ], "--json-out");
+      ("figures", [ "fig1-list"; "--quick"; "--flame-out"; bad ], "--flame-out");
+    ]
+
 let () =
   Alcotest.run "st_harness"
     [
@@ -498,7 +524,11 @@ let () =
           Alcotest.test_case "scheme parser" `Quick test_scheme_parser;
         ] );
       ( "run cli",
-        [ Alcotest.test_case "bad set-up sizes" `Quick test_cli_bad_sizes ] );
+        [
+          Alcotest.test_case "bad set-up sizes" `Quick test_cli_bad_sizes;
+          Alcotest.test_case "unwritable outputs" `Quick
+            test_cli_unwritable_outputs;
+        ] );
       ( "figures",
         [
           Alcotest.test_case "fig4 smoke" `Slow test_figure_smoke;
