@@ -53,7 +53,6 @@ type config = {
   cores : int;
   smt : int;
   quantum : int;
-  cache : St_htm.Cache.t;
   backend : St_htm.Tsx.backend;  (** HTM (default) or the TL2-style STM. *)
   crash_tids : int list;  (** Threads crashed at ~25% of the run. *)
   metrics_interval : int;
