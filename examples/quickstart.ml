@@ -54,8 +54,10 @@ let () =
 
   (* 4. What happened? *)
   let st = Stacktrack.Engine.scheme_stats scheme in
-  Format.printf "final list: %a@."
-    Fmt.(Dump.list int)
+  Format.printf "final list: @[<1>[%a]@]@."
+    (Format.pp_print_list
+       ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
+       (fun ppf k -> Format.fprintf ppf "@[%d@]" k))
     (St_dslib.Harris_list.to_list_raw heap list);
   Format.printf "ops=%d, transactional segments=%d (avg %.1f blocks)@."
     st.Stacktrack.Scheme_stats.ops st.Stacktrack.Scheme_stats.segments
