@@ -237,6 +237,9 @@ type result = {
   line_table_words : int;
       (** Words held by the HTM layer's chunked line directory
           ({!Tsx.line_table_words}); never emitted to JSON. *)
+  yields : int;
+      (** Scheduling effects performed ({!Sched.yields}); never emitted to
+          JSON. *)
 }
 
 let throughput_of ~ops ~makespan =
@@ -757,4 +760,5 @@ let run cfg =
     extras = inst.extras ();
     resident_words = Heap.resident_words heap;
     line_table_words = Tsx.line_table_words tsx;
+    yields = Sched.yields sched;
   }

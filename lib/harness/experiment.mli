@@ -218,6 +218,10 @@ type result = {
       (** Words held by the HTM layer's chunked line directory of
           coherence states and conflict bitsets
           ({!St_htm.Tsx.line_table_words}); never emitted to JSON. *)
+  yields : int;
+      (** Scheduling effects the run performed ({!St_sim.Sched.yields}):
+          one per fiber suspend and resume round trip.  Never emitted to
+          JSON. *)
 }
 
 val run : config -> result

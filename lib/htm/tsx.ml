@@ -677,7 +677,13 @@ let stm_validate t txn =
       if line_version t line <> v0 then do_abort t txn Htm_stats.Conflict)
     txn.read_versions
 
+(* Every entry point that touches shared state starts with [Sched.sync]:
+   the transactional read and write close with [Sched.consume_deferred]
+   (their caller's next step is thread-private bookkeeping, then another
+   charge), so a thread may arrive with a crossing pending.  [fence] only
+   charges, and its [Sched.consume] takes a pending crossing itself. *)
 let start t =
+  Sched.sync t.sched;
   let me = tid t in
   if t.txns.(me) <> None then invalid_arg "Tsx.start: transaction active";
   let txn =
@@ -748,7 +754,7 @@ let txn_read t txn addr =
   (* STM pays instrumentation on every shared read (version load +
      read-set bookkeeping). *)
   let instr = if t.backend = Stm then (costs t).load + (costs t).store else 0 in
-  Sched.consume t.sched ((costs t).load + miss + instr);
+  Sched.consume_deferred t.sched ((costs t).load + miss + instr);
   v
 
 let txn_buffer_write txn addr v =
@@ -772,19 +778,22 @@ let txn_write t txn addr v =
   txn_buffer_write txn addr v;
   let miss = charge_coherence t ~me:txn.owner ~line ~is_write:true in
   let instr = if t.backend = Stm then (costs t).store else 0 in
-  Sched.consume t.sched ((costs t).store + miss + instr)
+  Sched.consume_deferred t.sched ((costs t).store + miss + instr)
 
 let read t addr =
+  Sched.sync t.sched;
   match my_txn t with
   | Some txn -> txn_read t txn addr
   | None -> invalid_arg "Tsx.read: no active transaction"
 
 let write t addr v =
+  Sched.sync t.sched;
   match my_txn t with
   | Some txn -> txn_write t txn addr v
   | None -> invalid_arg "Tsx.write: no active transaction"
 
 let commit t =
+  Sched.sync t.sched;
   match my_txn t with
   | None -> invalid_arg "Tsx.commit: no active transaction"
   | Some txn ->
@@ -831,6 +840,7 @@ let commit t =
           (fun () -> Printf.sprintf "commit lines=%d" (footprint txn))
 
 let abort t =
+  Sched.sync t.sched;
   match my_txn t with
   | None -> invalid_arg "Tsx.abort: no active transaction"
   | Some txn -> do_abort t txn Htm_stats.Explicit
@@ -840,6 +850,7 @@ let abort t =
    where every instruction between xbegin and xend is speculative). *)
 
 let nt_read t addr =
+  Sched.sync t.sched;
   match my_txn t with
   | Some txn -> txn_read t txn addr
   | None ->
@@ -855,6 +866,7 @@ let nt_read t addr =
       v
 
 let nt_write t addr v =
+  Sched.sync t.sched;
   match my_txn t with
   | Some txn -> txn_write t txn addr v
   | None ->
@@ -873,6 +885,7 @@ let nt_write t addr v =
       Sched.consume t.sched ((costs t).store + miss)
 
 let nt_cas t addr ~expect desired =
+  Sched.sync t.sched;
   match my_txn t with
   | Some txn ->
       (* A transactional CAS is a memory access like any other: it extends
@@ -930,6 +943,7 @@ let nt_cas t addr ~expect desired =
       ok
 
 let nt_fetch_add t addr delta =
+  Sched.sync t.sched;
   match my_txn t with
   | Some txn ->
       (* Same consistency fixes as the transactional [nt_cas] branch:
@@ -970,6 +984,7 @@ let nt_fetch_add t addr delta =
 let fence t = Sched.consume t.sched (costs t).fence
 
 let free t addr =
+  Sched.sync t.sched;
   let me = tid t in
   (match Heap.size_of t.heap addr with
   | Some size ->
@@ -989,6 +1004,7 @@ let free t addr =
   Sched.consume t.sched (costs t).free
 
 let alloc t ~size =
+  Sched.sync t.sched;
   let a = Heap.alloc t.heap ~tid:(tid t) ~size in
   Sched.consume t.sched (costs t).alloc;
   a

@@ -23,7 +23,16 @@
     other threads discover the abort when they next run.
 
     All operations charge virtual cycles and yield to the scheduler, so every
-    call site is a potential interleaving point.
+    call site is a potential interleaving point.  {!read}, {!write} and
+    {!nt_read}/{!nt_write} inside a transaction make their closing charge
+    through {!St_sim.Sched.consume_deferred}, so they may return with a
+    clock crossing pending: until its next [Sched] or [Tsx] call the caller
+    must touch only thread-private state (StackTrack's engine only logs the
+    value and counts the step before its next checkpoint charge).  Every
+    entry point that touches shared state — {!start}, {!read}, {!write},
+    {!commit}, {!abort}, the four [nt_*], {!alloc} and {!free} — first
+    takes a pending crossing with {!St_sim.Sched.sync}; {!fence} only
+    charges, and its charge takes the crossing along.
 
     The manager also keeps the run's one per-line contention record
     ({!line_stats}): conflict dooms and associativity overflows per cache

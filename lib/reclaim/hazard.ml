@@ -91,7 +91,9 @@ module Hooks = struct
     else begin
       s.hazards.(th.tid).(slot) <- p;
       th.used_slots.(slot) <- true;
-      Sched.consume sched (Sched.costs sched).store;
+      (* Nothing but the fence before the next [Sched] call: its charge
+         takes this store's crossing, if any. *)
+      Sched.consume_deferred sched (Sched.costs sched).store;
       Tsx.fence s.rt.Guard.tsx;
       s.stats.Guard.protect_fences <- s.stats.Guard.protect_fences + 1;
       let v' = Tsx.nt_read s.rt.Guard.tsx addr in

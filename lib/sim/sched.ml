@@ -7,11 +7,16 @@ exception Signal_interrupt
 type _ Effect.t += Consume : int -> unit Effect.t
 
 (* Constant constructors only, so a state change is a plain int store with
-   no write barrier.  The continuation of a [Suspended], [Doomed] or
-   [Signalled] thread lives in the scheduler's [conts] slot for its tid. *)
+   no write barrier.  The continuation of a [Suspended], [Owing], [Doomed]
+   or [Signalled] thread lives in the scheduler's [conts] slot for its
+   tid. *)
 type state =
   | Not_started
   | Suspended
+  | Owing
+      (* suspended at a deferred crossing, with the charge of the
+         [consume] that yielded recorded in [owed] and not yet applied;
+         [dispatch] applies it before resuming *)
   | Running
   | Finished
   | Crashed
@@ -33,6 +38,7 @@ type thread = {
       (* total cycles this thread advanced its lcore clock by — the
          scheduler's own ledger, kept independent of Profile's accounting
          so the conservation invariant compares two separate sums *)
+  mutable owed : int; (* the unapplied charge of an [Owing] thread *)
   rng : Rng.t;
   mutable signal_handler : (unit -> unit) option;
       (* runs synchronously at delivery (in the sender's context — the
@@ -117,8 +123,14 @@ type t = {
          and queue membership only changes on the scheduler side.  [consume]
          therefore charges and compares one int instead of scanning every
          lcore's queue and clock on every cycle charge. *)
+  mutable crossed : bool;
+      (* The running thread's last charge, made through
+         [consume_deferred], reached [next_event] and has not yielded yet.
+         Only the running thread can have a crossing pending: its next
+         [consume] or [sync] yields and clears it. *)
   mutable preempt_hooks : (int -> unit) list;
   mutable context_switches : int;
+  mutable yields : int; (* scheduling effects performed *)
   mutable conts : (unit, unit) continuation array;
       (* Per tid: the continuation the thread's last yield captured.
          Empty until the run's first yield, which creates it filled with
@@ -156,8 +168,10 @@ let create ?(topology = Topology.create ()) ?(costs = Costs.default)
     live_on = Array.make n 0;
     next_event = max_int;
     next_lc = -1;
+    crossed = false;
     preempt_hooks = [];
     context_switches = 0;
+    yields = 0;
     conts = [||];
     cur = -1;
     started = false;
@@ -187,6 +201,7 @@ let add_thread t body =
       state = Not_started;
       slice_used = 0;
       consumed = 0;
+      owed = 0;
       rng = Rng.split t.rng;
       signal_handler = None;
     }
@@ -212,17 +227,45 @@ let cur_thread t =
   if t.cur < 0 then invalid_arg "Sched.consume: no thread running";
   Array.unsafe_get t.arr t.cur
 
+(* The payload is never examined by the handler; performing a preallocated
+   effect value saves one allocation per yield.  The performer sets its own
+   state ([Suspended] or [Owing]) first. *)
+let consume_eff = Consume 0
+
+(* The yields, out of line: they are the cold side of calls inlined at
+   every access. *)
+let[@inline never] yield_suspended th =
+  th.state <- Suspended;
+  perform consume_eff
+
+let[@inline never] yield_owing t th cost =
+  t.crossed <- false;
+  th.owed <- cost;
+  th.state <- Owing;
+  perform consume_eff
+
+(* Take a pending crossing as the plain yield that [consume] would have
+   made at it.  Every call that reads or changes state another thread can
+   see runs this first, so what a deferring thread does before it is
+   invisible to the schedule.  Outside a thread [crossed] is false. *)
+let[@inline never] take_crossing t =
+  t.crossed <- false;
+  yield_suspended (Array.unsafe_get t.arr t.cur)
+
+let sync t = if t.crossed then take_crossing t
+
 let lcore_of t tid = t.arr.(tid).lcore
 
 let now t =
   if t.cur < 0 then invalid_arg "Sched.now: no thread running";
+  sync t;
   t.clocks.((Array.unsafe_get t.arr t.cur).lcore)
 
-let global_time t = Array.fold_left max 0 t.clocks
+let global_time t =
+  sync t;
+  Array.fold_left max 0 t.clocks
 
-let now_or_global t =
-  if t.cur >= 0 then t.clocks.((Array.unsafe_get t.arr t.cur).lcore)
-  else global_time t
+let now_or_global t = if t.cur >= 0 then now t else global_time t
 
 (* Every transition into Finished or Crashed must go through here exactly
    once, so the per-lcore live counts stay exact. *)
@@ -233,19 +276,34 @@ let mark_dead t th state =
   th.state <- state
 
 let sibling_active t tid =
+  sync t;
   let sib = t.arr.(tid).sib in
   sib >= 0 && t.live_on.(sib) > 0
 
 let consumed_by_thread t =
+  sync t;
   Array.map (fun th -> th.consumed) t.arr
 
-let crashed t tid = t.arr.(tid).state = Crashed
-let finished t tid = t.arr.(tid).state = Finished
-let context_switches t = t.context_switches
+let crashed t tid =
+  sync t;
+  t.arr.(tid).state = Crashed
+
+let finished t tid =
+  sync t;
+  t.arr.(tid).state = Finished
+
+let context_switches t =
+  sync t;
+  t.context_switches
+
+let yields t =
+  sync t;
+  t.yields
 
 let n_threads t = t.n_registered
 
 let crash t tid =
+  sync t;
   let th = t.arr.(tid) in
   Trace.instant t.trace ~time:t.clocks.(th.lcore) ~tid Trace.Sched "crash"
     Trace.no_detail;
@@ -254,9 +312,10 @@ let crash t tid =
   | Not_started ->
       fire_preempt t tid;
       mark_dead t th Crashed
-  | Suspended | Signalled ->
+  | Suspended | Owing | Signalled ->
       (* A crash beats a pending signal: the victim dies before the
-         handler's unwind would have resumed it. *)
+         handler's unwind would have resumed it.  An [Owing] victim's
+         charge is dropped with it: it dies at the crossing's clock. *)
       fire_preempt t tid;
       th.state <- Doomed
   | Doomed -> ()
@@ -279,21 +338,18 @@ let crash t tid =
 let set_signal_handler t ~tid f = t.arr.(tid).signal_handler <- Some f
 
 let signal t tid =
+  sync t;
   let th = t.arr.(tid) in
   if Trace.on t.trace then
     Trace.instant t.trace ~time:t.clocks.(th.lcore) ~tid Trace.Sched "signal"
       Trace.no_detail;
   (match th.signal_handler with Some f -> f () | None -> ());
   match th.state with
-  | Suspended -> th.state <- Signalled
+  | Suspended | Owing -> th.state <- Signalled
   | Signalled | Not_started | Finished | Crashed | Doomed -> ()
   | Running ->
       (* Self-signal: unwind immediately. *)
       raise Signal_interrupt
-
-(* The payload is never examined by the handler; performing a preallocated
-   effect value saves one allocation per yield. *)
-let consume_eff = Consume 0
 
 (* Event-wheel horizon for [th], about to run on its lcore [lc].  [th]
    must yield at the first charge that moves its clock [c] to:
@@ -338,13 +394,6 @@ let recompute_next_event t th =
   end;
   t.next_event <- !ne
 
-(* Trampoline fast path: charge the clocks and return.  The thread keeps
-   control — no continuation capture, no handler round-trip — until its
-   clock crosses the precomputed [next_event] horizon, i.e. until yielding
-   would actually hand the machine to a different thread (clock crossover)
-   or the quantum expires on a contended queue.  The schedule, hence every
-   observable interleaving, is identical to yielding on every charge: each
-   elided suspend/resume would have picked this same thread again. *)
 (* [cost * ht_penalty_pct / 100] with the division strength-reduced.  The
    fraction is pre-reduced to [pen_num / pen_den]; the two truncated
    quotients agree exactly because the rationals are equal.  The default
@@ -361,8 +410,11 @@ let penalize t cost =
   else if d = 5 && y >= 0 && y < 0x40000000 then (y * 1717986919) lsr 33
   else y / d
 
-let consume t cost =
-  let th = cur_thread t in
+(* The one charge: SMT penalty as of now, then lcore clock, slice, the
+   thread's ledger and the profiler.  True when the new clock reaches the
+   horizon, i.e. when this thread must yield.  [consume],
+   [consume_deferred] and [dispatch]'s owed charge all go through here. *)
+let[@inline] charge t th cost =
   (* [sib] and [lcore] are topology indices fixed at registration; the
      clock/live arrays are sized by the lcore count, so the unchecked
      accesses are in range by construction. *)
@@ -377,7 +429,30 @@ let consume t cost =
   th.slice_used <- th.slice_used + cost;
   th.consumed <- th.consumed + cost;
   if t.profile_on then Profile.charge t.profile ~tid:th.tid cost;
-  if c >= t.next_event then perform consume_eff
+  c >= t.next_event
+
+(* Trampoline fast path: charge the clocks and return.  The thread keeps
+   control — no continuation capture, no handler round-trip — until its
+   clock crosses the precomputed [next_event] horizon, i.e. until yielding
+   would actually hand the machine to a different thread (clock crossover)
+   or the quantum expires on a contended queue.  The schedule, hence every
+   observable interleaving, is identical to yielding on every charge: each
+   elided suspend/resume would have picked this same thread again.
+
+   With a crossing pending, the yield is the crossing's, and this charge
+   is the first thing the thread would do once resumed: it is recorded
+   unapplied, and [dispatch] applies it when it next picks the thread. *)
+let consume t cost =
+  let th = cur_thread t in
+  if t.crossed then yield_owing t th cost
+  else if charge t th cost then yield_suspended th
+
+(* A charge whose crossing waits for the caller's next [consume] or
+   [sync]: the caller only touches thread-private state until then, so
+   the yield can move there and take the next charge along. *)
+let consume_deferred t cost =
+  if t.crossed then consume t cost
+  else if charge t (cur_thread t) cost then t.crossed <- true
 
 (* Timed wait toward the absolute tick [deadline] (the harness sampler's
    idiom): one charge for the remaining distance, through the same horizon
@@ -443,7 +518,7 @@ let handler t th =
   let on_consume (k : (unit, unit) continuation) =
     if Array.length t.conts = 0 then t.conts <- Array.make t.n_registered k
     else Array.unsafe_set t.conts th.tid k;
-    th.state <- Suspended;
+    t.yields <- t.yields + 1;
     maybe_preempt t th
   in
   let on_consume_some = Some on_consume in
@@ -472,19 +547,38 @@ let handler t th =
         | _ -> None);
   }
 
-(* [Suspended] is only entered by a yield, and [Doomed] and [Signalled]
-   only from [Suspended], so in all three the thread's [conts] slot holds
-   its continuation. *)
+(* A body that returns with a crossing pending first takes it, as it
+   would have yielded there before returning. *)
+let run_body t th =
+  th.body th.tid;
+  sync t
+
+(* [Suspended] and [Owing] are only entered by a yield, and [Doomed] and
+   [Signalled] only from those two, so in all four the thread's [conts]
+   slot holds its continuation. *)
 let dispatch t th =
   t.cur <- th.tid;
   recompute_next_event t th;
   (match th.state with
   | Not_started ->
       th.state <- Running;
-      match_with (fun () -> th.body th.tid) () (handler t th)
+      match_with (run_body t) th (handler t th)
   | Suspended ->
       th.state <- Running;
       continue (Array.unsafe_get t.conts th.tid) ()
+  | Owing ->
+      (* The charge the resumed thread would make first, made here: after
+         this dispatch's horizon recompute and with the SMT penalty as it
+         is now.  If it reaches the horizon the thread yields again, as
+         its [consume] would have, without resuming the fiber. *)
+      if charge t th th.owed then begin
+        th.state <- Suspended;
+        maybe_preempt t th
+      end
+      else begin
+        th.state <- Running;
+        continue (Array.unsafe_get t.conts th.tid) ()
+      end
   | Doomed ->
       th.state <- Running;
       (* Unwind with Thread_crashed; the handler marks it Crashed. *)
@@ -514,10 +608,10 @@ let run t =
   end;
   (* [step lc] runs the head of [lc]'s queue.  After a plain yield the
      winner of the next pick is decidable in O(1): the yielder's own lcore
-     is still runnable (the thread is queued, Suspended), every other
-     lcore's clock and queue membership are as they were at dispatch, so
-     the full scan reduces to a two-way compare between the yielder's
-     lcore and the cached [next_lc].  Everything else — thread death,
+     is still runnable (the thread is queued, Suspended or Owing), every
+     other lcore's clock and queue membership are as they were at
+     dispatch, so the full scan reduces to a two-way compare between the
+     yielder's lcore and the cached [next_lc].  Everything else — thread death,
      corpses of crashed never-started threads at a queue head — falls back
      to the full [pick_lc] scan. *)
   let rec loop () =
@@ -532,7 +626,7 @@ let run t =
     | _ -> (
         dispatch t th;
         match th.state with
-        | Suspended ->
+        | Suspended | Owing ->
             let nl = t.next_lc in
             if nl >= 0 then begin
               let cn = t.clocks.(nl) and cl = t.clocks.(lc) in

@@ -85,14 +85,42 @@ val run : t -> unit
 
 val consume : t -> int -> unit
 (** [consume t c] charges [c] cycles to the calling thread's core and yields
-    to the scheduler.  This is the only interleaving point.  Internally a
-    trampoline: the charge is a plain function call (three int updates and
-    one compare against the precomputed event-wheel horizon), and the
-    thread only performs the scheduling effect — continuation capture,
-    handler, re-pick — when yielding would actually transfer control:
-    another runnable lcore's clock is crossed, or the quantum expires on a
-    contended queue.  The resulting schedule is identical to yielding on
-    every charge. *)
+    to the scheduler.  Internally a trampoline: the charge is a plain
+    function call (three int updates and one compare against the
+    precomputed event-wheel horizon), and the thread only performs the
+    scheduling effect — continuation capture, handler, re-pick — when
+    yielding would actually transfer control: another runnable lcore's
+    clock is crossed, or the quantum expires on a contended queue.  The
+    resulting schedule is identical to yielding on every charge.
+
+    With a crossing pending from {!consume_deferred}, [consume] yields for
+    that crossing and leaves [c] unapplied; the scheduler applies it when
+    it next picks the thread, at the point of the event order where the
+    resumed thread would have made it, and resumes the thread only if it
+    still wins the pick.  If the thread is crashed or signalled in
+    between, [c] is never charged. *)
+
+val consume_deferred : t -> int -> unit
+(** [consume_deferred t c] charges [c] exactly as {!consume} does, but a
+    charge that reaches the horizon does not yield: the crossing stays
+    pending until the thread's next {!consume} or {!sync}, which yields
+    for it, so one effect round trip serves two charges.  The contract:
+    until its next call into [Sched] or [Tsx], the caller touches only
+    thread-private state (its own locals, registers, log and counters).
+    Every [Sched] call that reads or changes state other threads see —
+    {!now}, {!now_or_global}, {!global_time}, {!sibling_active},
+    {!crashed}, {!finished}, {!crash}, {!signal}, {!sleep_until} and the
+    counters — runs {!sync} first, and so does every [Tsx] entry point
+    that touches shared state.  Under that contract the schedule, every
+    clock and every ledger are those of {!consume}.  A thread body that
+    returns with a crossing pending takes it first.  Callers: the closing
+    charges of [Tsx]'s transactional read and write, and the hazard
+    announce store before its fence. *)
+
+val sync : t -> unit
+(** [sync t] takes the calling thread's pending crossing, if any, as a
+    plain yield: the yield {!consume} would have made at that crossing.
+    A no-op when nothing is pending, and outside thread bodies. *)
 
 val sleep_until : t -> deadline:int -> unit
 (** [sleep_until t ~deadline] is [consume t d], where [d] is the distance
@@ -163,6 +191,11 @@ val sibling_active : t -> int -> bool
 
 val context_switches : t -> int
 (** Total preemptions performed so far. *)
+
+val yields : t -> int
+(** Scheduling effects performed so far: one per fiber suspend and resume
+    round trip.  A deferred crossing and the charge after it share one;
+    an owed charge that the scheduler applies performs none. *)
 
 val consumed_by_thread : t -> int array
 (** Total cycles each registered thread has advanced its core's clock by
