@@ -298,6 +298,30 @@ let switch_words n =
   Alcotest.(check int) "every charge hands over" (2 * n) !handovers;
   words
 
+(* The same lockstep with every iteration a deferred charge and then a
+   plain one: the deferred charge crosses, and the plain one yields for
+   it, owing its own cycle.  [dispatch] applies that cycle when it picks
+   the thread again; it crosses the other lcore's clock in turn, so the
+   thread yields again there without resuming, and the next pick resumes
+   it.  One effect per iteration where [switch_words] performs two, and
+   the owed charge's yield allocates nothing.  Returns the words and the
+   yields. *)
+let deferred_switch_words n =
+  let sched =
+    Sched.create ~topology:(Topology.create ~cores:2 ~smt:1 ()) ~seed:5 ()
+  in
+  let body _ =
+    for _ = 1 to n do
+      Sched.consume_deferred sched 1;
+      Sched.consume sched 1
+    done
+  in
+  ignore (Sched.add_thread sched body);
+  ignore (Sched.add_thread sched body);
+  let w0 = Gc.minor_words () in
+  Sched.run sched;
+  (Gc.minor_words () -. w0, Sched.yields sched)
+
 let test_alloc_budget_switch () =
   let n1 = 5_000 and n2 = 15_000 in
   ignore (bare_round_trip_words n2);
@@ -313,7 +337,17 @@ let test_alloc_budget_switch () =
     (Printf.sprintf "switch: %.4f minor words/yield <= bare round trip %.4f"
        per_yield bare)
     true
-    (per_yield <= bare +. 0.01)
+    (per_yield <= bare +. 0.01);
+  let w1, y1 = deferred_switch_words n1 and w2, y2 = deferred_switch_words n2 in
+  Alcotest.(check int) "one yield per deferred crossing" (2 * (n2 - n1))
+    (y2 - y1);
+  let per_crossing = (w2 -. w1) /. float_of_int (2 * (n2 - n1)) in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "deferred crossing: %.4f minor words <= one bare round trip %.4f"
+       per_crossing bare)
+    true
+    (per_crossing <= bare +. 0.01)
 
 (* ------------------------------------------------------------------ *)
 (* Same-seed identity goldens                                          *)
@@ -408,6 +442,14 @@ let identity_cases =
       } );
   ]
 
+(* Scheduling effects ([Sched.yields]) of two of those runs, pinned next
+   to their results. *)
+let pinned_yields =
+  [
+    ("goldens/identity_list_st.json", 152786);
+    ("goldens/identity_list_hazards.json", 89304);
+  ]
+
 let test_identity_goldens () =
   List.iter
     (fun (golden, cfg) ->
@@ -415,7 +457,11 @@ let test_identity_goldens () =
       Alcotest.(check string)
         (golden ^ " byte-identical")
         (read_file golden)
-        (Result_json.to_string r ^ "\n"))
+        (Result_json.to_string r ^ "\n");
+      Option.iter
+        (fun yields ->
+          Alcotest.(check int) (golden ^ ": yields") yields r.Experiment.yields)
+        (List.assoc_opt golden pinned_yields))
     identity_cases
 
 let test_identity_trace_golden () =

@@ -1,6 +1,7 @@
 (* Tests for the simulation kernel: PRNG determinism and distribution,
    topology placement, and scheduler semantics (determinism, fairness,
-   multiplexing, preemption hooks, crash injection, HT penalty). *)
+   multiplexing, preemption hooks, crash injection, HT penalty, and
+   deferred crossings against eager yields). *)
 
 open St_sim
 
@@ -345,6 +346,224 @@ let test_sched_zero_cost_consume () =
   checki "no time passed" 0 (Sched.global_time s)
 
 (* ------------------------------------------------------------------ *)
+(* Deferred crossings                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* One step of a thread body.  [Defer] is the marked charge: made through
+   [Sched.consume_deferred] in the deferred run and through
+   [Sched.consume] in the eager one.  [Private] touches only the thread's
+   own slot, which the deferral contract allows before the next [Sched]
+   call; [Shared] syncs, then bumps a counter every thread sees. *)
+type step =
+  | Charge of int
+  | Defer of int
+  | Private
+  | Shared
+  | Crash of int
+  | Signal of int
+
+let step_to_string = function
+  | Charge c -> Printf.sprintf "C%d" c
+  | Defer c -> Printf.sprintf "D%d" c
+  | Private -> "P"
+  | Shared -> "S"
+  | Crash v -> Printf.sprintf "K%d" v
+  | Signal v -> Printf.sprintf "G%d" v
+
+(* Everything a run shows: the clock after every [Charge], the shared log
+   in global order (tid, clock, counter; -1 for a caught signal), both
+   cycle ledgers, the preemptions, how each thread ended, the makespan,
+   and the yields, which only the deferral may change. *)
+type outcome = {
+  clocks : int list array;
+  shared : (int * int * int) list;
+  consumed : int array;
+  profile : Profile.snapshot;
+  switches : int;
+  ends : (bool * bool) array;
+  makespan : int;
+  yields : int;
+}
+
+let run_bodies ~deferred ?(cores = 2) ?(smt = 1) ?(quantum = 50_000) bodies =
+  let profile = Profile.create ~enabled:true () in
+  let s =
+    Sched.create ~topology:(Topology.create ~cores ~smt ()) ~quantum ~profile
+      ~seed:7 ()
+  in
+  let n = List.length bodies in
+  let clocks = Array.make n [] and own = Array.make n 0 in
+  let shared = ref [] and counter = ref 0 in
+  let step tid = function
+    | Charge c ->
+        Sched.consume s c;
+        clocks.(tid) <- Sched.now s :: clocks.(tid)
+    | Defer c ->
+        if deferred then Sched.consume_deferred s c else Sched.consume s c
+    | Private -> own.(tid) <- own.(tid) + 1
+    | Shared ->
+        Sched.sync s;
+        incr counter;
+        shared := (tid, Sched.now s, !counter) :: !shared
+    | Crash v -> Sched.crash s v
+    | Signal v -> Sched.signal s v
+  in
+  (* With signals about, each body catches the unwind, and syncs before
+     it leaves the handler: the contract allows no handler for [Sched]'s
+     unwinding exceptions to be left with a crossing pending.  Without
+     them the bodies install no handler and may return with a crossing
+     pending. *)
+  let signals =
+    List.exists (List.exists (function Signal _ -> true | _ -> false)) bodies
+  in
+  List.iter
+    (fun body ->
+      ignore
+        (Sched.add_thread s (fun tid ->
+             if not signals then List.iter (step tid) body
+             else
+               try
+                 List.iter (step tid) body;
+                 Sched.sync s
+               with Sched.Signal_interrupt ->
+                 shared := (tid, Sched.now s, -1) :: !shared)))
+    bodies;
+  Sched.run s;
+  let consumed = Sched.consumed_by_thread s in
+  let makespan = Sched.global_time s in
+  {
+    clocks = Array.map List.rev clocks;
+    shared = List.rev !shared;
+    consumed;
+    profile = Profile.snapshot profile ~consumed ~makespan;
+    switches = Sched.context_switches s;
+    ends = Array.init n (fun i -> (Sched.crashed s i, Sched.finished s i));
+    makespan;
+    yields = Sched.yields s;
+  }
+
+let run_both ?cores ?smt ?quantum bodies =
+  ( run_bodies ~deferred:false ?cores ?smt ?quantum bodies,
+    run_bodies ~deferred:true ?cores ?smt ?quantum bodies )
+
+(* The same schedule, and no more yields when deferred. *)
+let agree (eager, deferred) =
+  { eager with yields = 0 } = { deferred with yields = 0 }
+  && deferred.yields <= eager.yields
+
+(* Checks [agree] and returns the deferred outcome. *)
+let differential ?cores ?smt ?quantum bodies =
+  let ((_, deferred) as both) = run_both ?cores ?smt ?quantum bodies in
+  checkb "deferred run = eager run" true (agree both);
+  deferred
+
+(* Two SMT siblings.  Thread 0's deferred charge crosses thread 1's clock;
+   thread 1 finishes before thread 0 runs again, so the charge after the
+   crossing pays no SMT penalty: 150 * 1.4 + 100, where applying it before
+   the yield would read the penalty too early (210 + 140). *)
+let test_defer_sibling_finishes () =
+  let d =
+    differential ~cores:1 ~smt:2
+      [ [ Defer 150; Private; Charge 100 ]; [ Charge 100 ] ]
+  in
+  check Alcotest.(list int) "thread 0 unpenalized after the death" [ 310 ]
+    d.clocks.(0);
+  check Alcotest.(list int) "thread 1 penalized while both live" [ 140 ]
+    d.clocks.(1)
+
+(* Thread 1 crashes thread 0 while thread 0 is suspended at its deferred
+   crossing: thread 0 dies at the crossing's clock, and the charge it
+   owes is never made. *)
+let test_defer_crash_in_window () =
+  let d =
+    differential
+      [ [ Defer 150; Private; Charge 100; Charge 100 ]; [ Charge 10; Crash 0 ] ]
+  in
+  checkb "thread 0 crashed" true (fst d.ends.(0));
+  checki "thread 0 stopped at the crossing" 150 d.consumed.(0);
+  check Alcotest.(list int) "thread 0 never charged again" [] d.clocks.(0)
+
+(* One lcore, two threads: the deferred charge expires the quantum, so
+   the yield for it preempts thread 0 before the owed charge is made. *)
+let test_defer_quantum_expiry () =
+  let d =
+    differential ~cores:1 ~quantum:100
+      [
+        [ Defer 120; Private; Charge 30; Charge 30 ];
+        [ Charge 50; Charge 50; Charge 50 ];
+      ]
+  in
+  let cs = Costs.default.Costs.context_switch in
+  checki "preempted at the crossing, then back" 2 d.switches;
+  checki "thread 1 starts at the crossing plus the switch" (120 + cs + 50)
+    (List.hd d.clocks.(1));
+  check Alcotest.(list int) "thread 0 pays what it owes after switching back"
+    [ 120 + cs + 100 + cs + 30; 120 + cs + 100 + cs + 60 ]
+    d.clocks.(0)
+
+(* A body that returns with a crossing pending takes it first, so its
+   SMT sibling stays penalized until the crossing: 140 then 280, where
+   finishing at once would leave it unpenalized (100, 200). *)
+let test_defer_body_returns () =
+  let d =
+    differential ~cores:1 ~smt:2 [ [ Defer 150 ]; [ Charge 100; Charge 100 ] ]
+  in
+  check Alcotest.(list int) "sibling penalized up to the crossing"
+    [ 140; 280 ] d.clocks.(1)
+
+(* After [sync], shared state is touched in the eager order: thread 1
+   runs up to thread 0's crossing before thread 0 bumps the counter. *)
+let test_defer_sync_orders_shared () =
+  let d =
+    differential
+      [
+        [ Defer 150; Private; Shared; Charge 10 ];
+        [ Charge 100; Shared; Charge 10 ];
+      ]
+  in
+  check
+    Alcotest.(list (triple int int int))
+    "counter bumped in clock order"
+    [ (1, 100, 1); (0, 150, 2) ]
+    d.shared
+
+(* Random machines and bodies: 1-2 cores x 1-2 SMT, 2-5 threads, every
+   step kind, four quanta.  The deferred run must be the eager run, with
+   no more yields. *)
+let bodies_gen =
+  QCheck.Gen.(
+    let* cores = int_range 1 2 in
+    let* smt = int_range 1 2 in
+    let* quantum = oneofl [ 60; 150; 500; 50_000 ] in
+    let* n = int_range 2 5 in
+    let cost = int_range 0 200 in
+    let step =
+      frequency
+        [
+          (4, map (fun c -> Charge c) cost);
+          (4, map (fun c -> Defer c) cost);
+          (3, return Private);
+          (2, return Shared);
+          (1, map (fun v -> Crash v) (int_bound (n - 1)));
+          (1, map (fun v -> Signal v) (int_bound (n - 1)));
+        ]
+    in
+    let* bodies = list_repeat n (list_size (int_range 1 14) step) in
+    return (cores, smt, quantum, bodies))
+
+let bodies_print (cores, smt, quantum, bodies) =
+  Printf.sprintf "%dx%d q=%d %s" cores smt quantum
+    (String.concat " | "
+       (List.map (fun b -> String.concat " " (List.map step_to_string b)) bodies))
+
+let prop_defer_matches_eager =
+  QCheck.Test.make ~name:"deferred crossings = eager schedule" ~count:300
+    ~long_factor:20
+    (QCheck.make ~print:bodies_print bodies_gen)
+    (fun (cores, smt, quantum, bodies) ->
+      agree (run_both ~cores ~smt ~quantum bodies))
+
+(* ------------------------------------------------------------------ *)
 (* Trace                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -456,5 +675,19 @@ let () =
           Alcotest.test_case "thread bound" `Quick test_sched_thread_bound;
           Alcotest.test_case "zero-cost consume" `Quick
             test_sched_zero_cost_consume;
+        ] );
+      ( "deferred",
+        [
+          Alcotest.test_case "sibling finishes in window" `Quick
+            test_defer_sibling_finishes;
+          Alcotest.test_case "crash in window" `Quick test_defer_crash_in_window;
+          Alcotest.test_case "quantum expires at crossing" `Quick
+            test_defer_quantum_expiry;
+          Alcotest.test_case "body returns with a crossing pending" `Quick
+            test_defer_body_returns;
+          Alcotest.test_case "sync orders shared state" `Quick
+            test_defer_sync_orders_shared;
+          QCheck_alcotest.to_alcotest ~speed_level:`Quick
+            prop_defer_matches_eager;
         ] );
     ]
