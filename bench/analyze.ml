@@ -1,8 +1,9 @@
 (* Offline analyzer for result JSON artifacts.
 
    analyze.exe report FILE
-     Print a human-readable summary of one artifact (headline counters,
-     cycle accounts, contention heatmap, trace-truncation warning).
+     Print the text report of a result artifact: one `run --json` object,
+     or a `figures --json-out` list of them, one report per result.  This
+     is the report `stacktrack_bench run` prints.
 
    analyze.exe diff BASELINE CANDIDATE [--default-tol F] [--tol PATH=F]...
      Compare two artifacts metric-by-metric.  PATH rules apply to the
@@ -10,7 +11,8 @@
      wins; F = inf ignores the subtree.  Exits 1 when any metric drifts
      beyond its tolerance — the CI perf-smoke regression gate.
 
-   Exit codes: 0 ok, 1 drift, 2 usage/parse error. *)
+   Exit codes: 0 ok, 1 drift, 2 usage or parse error, or a report of a
+   document that is not a result artifact. *)
 
 open St_harness
 
@@ -45,7 +47,10 @@ let parse_tol_rule s =
       exit 2
 
 let run_report file =
-  Analyze.report Format.std_formatter (load file);
+  (try Analyze.report Format.std_formatter (load file)
+   with Invalid_argument msg ->
+     Printf.eprintf "analyze: %s: %s\n" file msg;
+     exit 2);
   exit 0
 
 let run_diff baseline candidate argv =

@@ -69,7 +69,8 @@ let spec =
     ( "--check-against",
       Arg.Set_string check_against,
       "FILE  Compare against a previously written --json-out file; exit 1 \
-       if any shared target regressed by more than 25%" );
+       if any target regressed by more than 25%, exit 2 if a target has no \
+       entry there" );
     ( "--git-rev",
       Arg.Set_string git_rev,
       "REV  Git revision recorded in --json-out (default: $GIT_REV or \
@@ -213,38 +214,25 @@ let run_target target =
 (* ------------------------------------------------------------------ *)
 
 let write_json path results =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"git_rev\": %S,\n" !git_rev;
-  Printf.fprintf oc "  \"scheme\": %S,\n" !scheme_arg;
-  Printf.fprintf oc "  \"threads\": %d,\n" !threads;
-  Printf.fprintf oc "  \"repeat\": %d,\n" (max 1 !repeat);
-  Printf.fprintf oc "  \"targets\": [\n";
-  List.iteri
-    (fun i (t, ms) ->
-      Printf.fprintf oc "    { \"target\": %S, \"best_ms\": %.1f }%s\n" t ms
-        (if i = List.length results - 1 then "" else ","))
-    results;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
+  Json_out.write_file path
+    (Json_out.Obj
+       [
+         ("git_rev", Json_out.String !git_rev);
+         ("scheme", Json_out.String !scheme_arg);
+         ("threads", Json_out.Int !threads);
+         ("repeat", Json_out.Int (max 1 !repeat));
+         ( "targets",
+           Json_out.List
+             (List.map
+                (fun (t, ms) ->
+                  Json_out.Obj
+                    [
+                      ("target", Json_out.String t);
+                      ("best_ms", Json_out.Float ms);
+                    ])
+                results) );
+       ]);
   Printf.printf "wrote %s\n%!" path
-
-(* Reads only the files [write_json] produces: one
-   [{ "target": ..., "best_ms": ... }] object per line. *)
-let read_json path =
-  let ic = open_in path in
-  let entries = ref [] in
-  (try
-     while true do
-       let line = input_line ic in
-       try
-         Scanf.sscanf (String.trim line)
-           "{ %_[\"]target%_[\"]: %S, %_[\"]best_ms%_[\"]: %f }"
-           (fun t ms -> entries := (t, ms) :: !entries)
-       with Scanf.Scan_failure _ | Failure _ | End_of_file -> ()
-     done
-   with End_of_file -> close_in ic);
-  List.rev !entries
 
 (* Soft host-performance gate: alarm on a clear regression, stay quiet
    through CI-runner noise.  25% is far above run-to-run jitter on one
@@ -252,30 +240,61 @@ let read_json path =
    per-access allocation or scan. *)
 let tolerance_pct = 25.
 
-let check_regressions baseline_path results =
-  let baseline = read_json baseline_path in
-  if baseline = [] then begin
-    Printf.eprintf "hosttime: no targets parsed from %s\n" baseline_path;
+(* The baseline best_ms of each of [targets], from a --json-out summary.
+   A target without an entry would pass the gate unmeasured, so it exits 2
+   like an unreadable file; read before any target runs, so a bad
+   baseline fails at once. *)
+let read_baseline path targets =
+  let fail msg =
+    Printf.eprintf "hosttime: %s: %s\n" path msg;
     exit 2
-  end;
+  in
+  let field k = function
+    | Json_out.Obj fields -> List.assoc_opt k fields
+    | _ -> None
+  in
+  let doc =
+    try Json_in.parse_file path with
+    | Json_in.Parse_error (msg, pos) ->
+        fail (Printf.sprintf "parse error at byte %d: %s" pos msg)
+    | Sys_error msg -> fail msg
+  in
+  let entries =
+    match field "targets" doc with
+    | Some (Json_out.List entries) -> entries
+    | _ -> fail "no \"targets\" list"
+  in
+  let best_ms t =
+    match
+      List.find_opt
+        (fun e -> field "target" e = Some (Json_out.String t))
+        entries
+    with
+    | None -> fail ("no baseline entry for target " ^ t)
+    | Some e -> (
+        match field "best_ms" e with
+        | Some (Json_out.Float ms) -> ms
+        | Some (Json_out.Int ms) -> float_of_int ms
+        | _ -> fail ("no best_ms for target " ^ t))
+  in
+  List.map (fun t -> (t, best_ms t)) targets
+
+let check_regressions baseline_path baseline results =
   let failed = ref false in
   List.iter
     (fun (t, ms) ->
-      match List.assoc_opt t baseline with
-      | None -> Printf.printf "gate: %-14s no baseline entry, skipped\n" t
-      | Some base ->
-          let delta_pct = (ms -. base) /. base *. 100. in
-          if delta_pct > tolerance_pct then begin
-            failed := true;
-            Printf.printf
-              "gate: %-14s REGRESSION %9.1f ms vs baseline %9.1f ms \
-               (%+.1f%% > %.0f%% tolerance)\n"
-              t ms base delta_pct tolerance_pct
-          end
-          else
-            Printf.printf
-              "gate: %-14s ok %9.1f ms vs baseline %9.1f ms (%+.1f%%)\n" t ms
-              base delta_pct)
+      let base = List.assoc t baseline in
+      let delta_pct = (ms -. base) /. base *. 100. in
+      if delta_pct > tolerance_pct then begin
+        failed := true;
+        Printf.printf
+          "gate: %-14s REGRESSION %9.1f ms vs baseline %9.1f ms (%+.1f%% > \
+           %.0f%% tolerance)\n"
+          t ms base delta_pct tolerance_pct
+      end
+      else
+        Printf.printf "gate: %-14s ok %9.1f ms vs baseline %9.1f ms (%+.1f%%)\n"
+          t ms base delta_pct)
     results;
   if !failed then begin
     Printf.printf
@@ -304,8 +323,12 @@ let () =
     | l when List.mem "sweep-all" l -> sweep_all
     | l -> l
   in
+  let baseline =
+    if !check_against = "" then [] else read_baseline !check_against ts
+  in
   let results = List.map run_target ts in
   Printf.printf "\nbest-of-%d summary:\n" (max 1 !repeat);
   List.iter (fun (t, ms) -> Printf.printf "  %-14s %9.1f ms\n" t ms) results;
   if !json_out <> "" then write_json !json_out results;
-  if !check_against <> "" then check_regressions !check_against results
+  if !check_against <> "" then
+    check_regressions !check_against baseline results

@@ -74,155 +74,6 @@ let zipf_theta =
   in
   Arg.conv (parse, Arg.conv_printer Arg.float)
 
-let print_result (r : Experiment.result) =
-  let open Format in
-  Report.run_line r;
-  printf "  makespan            %d cycles@." r.Experiment.makespan;
-  printf "  throughput          %.1f ops/Mcycle@." r.Experiment.throughput;
-  printf "  allocs/frees/live   %d / %d / %d@." r.Experiment.allocs
-    r.Experiment.frees r.Experiment.live_at_end;
-  printf "  retired/freed       %d / %d@."
-    r.Experiment.reclaim.St_reclaim.Guard.retired
-    r.Experiment.reclaim.St_reclaim.Guard.freed;
-  printf "  scans/stalls        %d / %d cycles@."
-    r.Experiment.reclaim.St_reclaim.Guard.scans
-    r.Experiment.reclaim.St_reclaim.Guard.stall_cycles;
-  (match r.Experiment.extras with
-  | [] -> ()
-  | kvs ->
-      printf "  scheme extras       %s@."
-        (String.concat ", "
-           (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) kvs)));
-  printf "  htm                 %a@." St_htm.Htm_stats.pp r.Experiment.htm;
-  (match r.Experiment.st with
-  | Some st -> printf "  stacktrack          %a@." Stacktrack.Scheme_stats.pp st
-  | None -> ());
-  printf "  context switches    %d@." r.Experiment.context_switches;
-  printf "  final size          %d@." r.Experiment.final_size;
-  printf "  violations          %d@." r.Experiment.violations;
-  List.iter
-    (fun v -> printf "    %a@." St_mem.Shadow.pp_violation v)
-    r.Experiment.violation_samples;
-  (match r.Experiment.profile with
-  | Some p ->
-      let totals = St_sim.Profile.totals p in
-      let sum = Array.fold_left ( + ) 0 totals in
-      printf "  cycle accounts      (accounted %d of makespan x threads)@." sum;
-      List.iteri
-        (fun i a ->
-          if totals.(i) > 0 then
-            printf "    %-16s  %12d  %5.1f%%@."
-              (St_sim.Profile.account_name a)
-              totals.(i)
-              (100. *. float_of_int totals.(i) /. float_of_int sum))
-        St_sim.Profile.accounts;
-      let idle =
-        List.fold_left
-          (fun acc (th : St_sim.Profile.thread_snapshot) -> acc + th.idle)
-          0 p.St_sim.Profile.threads
-      in
-      printf "    %-16s  %12d@." "idle" idle
-  | None -> ());
-  (match r.Experiment.lifecycle with
-  | Some lc ->
-      printf "  lifecycle           %d retired, %d freed, %d in limbo at exit@."
-        lc.Experiment.lc_retires lc.Experiment.lc_frees
-        lc.Experiment.limbo_at_end;
-      printf "    limbo peak        %d objects / %d words@."
-        lc.Experiment.peak_limbo_objects lc.Experiment.peak_limbo_words;
-      printf "    footprint         %d limbo words at end, %d peak live words@."
-        lc.Experiment.limbo_words_at_end lc.Experiment.peak_live_words;
-      let h = lc.Experiment.lag_hist in
-      if Latency.count h > 0 then
-        printf "    retire->free lag  p50 %d  p95 %d  p99 %d  max %d cycles@."
-          (Latency.percentile h 50.) (Latency.percentile h 95.)
-          (Latency.percentile h 99.) (Latency.max_value h)
-      else printf "    retire->free lag  (no freed objects)@.";
-      printf "    watchdog          %a@." St_sim.Watchdog.pp_report
-        lc.Experiment.watchdog
-  | None -> ());
-  (match r.Experiment.heatmap with
-  | Some rows when rows <> [] ->
-      printf "  contention heatmap  (top %d cache lines)@." (List.length rows);
-      printf "    %8s %10s %10s %10s  %s@." "line" "touches" "conflicts"
-        "capacity" "owner";
-      List.iter
-        (fun (row : Experiment.heat_row) ->
-          printf "    %8d %10d %10d %10d  %s@." row.heat.St_htm.Tsx.line
-            row.heat.St_htm.Tsx.touches row.heat.St_htm.Tsx.conflicts
-            row.heat.St_htm.Tsx.capacity
-            (Option.value ~default:"-" row.owner))
-        rows
-  | _ -> ());
-  let take n l =
-    let rec go n = function
-      | x :: rest when n > 0 -> x :: go (n - 1) rest
-      | _ -> []
-    in
-    go n l
-  in
-  (* Conflict dooms are always counted in the Tsx per-line record, so the
-     doomed-by table prints whenever there were conflict dooms, flagged run
-     or not. *)
-  (match r.Experiment.conflict_lines with
-  | [] -> ()
-  | lines ->
-      let total = List.fold_left (fun acc (_, n) -> acc + n) 0 lines in
-      printf "  doomed-by lines     %d dooms across %d cache lines@." total
-        (List.length lines);
-      List.iter
-        (fun (line, dooms) -> printf "    line %-8d %6d dooms@." line dooms)
-        (take 5 lines));
-  match r.Experiment.forensics with
-  | None -> ()
-  | Some fx ->
-      printf "  abort forensics     conflict=%d capacity=%d interrupt=%d dooms@."
-        fx.Experiment.fx_conflict_dooms fx.Experiment.fx_capacity_dooms
-        fx.Experiment.fx_interrupt_dooms;
-      printf "    wasted cycles     %s (total %d = profiler %d)@."
-        (String.concat ", "
-           (List.map
-              (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-              fx.Experiment.fx_wasted))
-        fx.Experiment.fx_wasted_total fx.Experiment.fx_profile_wasted;
-      (match
-         take 5
-           (List.sort
-              (fun (a : Experiment.doomed_pair) b -> compare b.dooms a.dooms)
-              fx.Experiment.fx_conflict_pairs)
-       with
-      | [] -> ()
-      | pairs ->
-          printf "    doomed pairs      (victim <- aborter)@.";
-          List.iter
-            (fun (p : Experiment.doomed_pair) ->
-              printf "      tid%-3d <- tid%-3d %6d dooms@." p.victim p.aborter
-                p.dooms)
-            pairs);
-      (match take 5 fx.Experiment.fx_segments with
-      | [] -> ()
-      | segs ->
-          printf "    hot segments      (op_id/split)@.";
-          List.iter
-            (fun (s : St_htm.Forensics.segment) ->
-              printf "      op%d/%-3d aborts=%-6d chains=%-6d max_depth=%d@."
-                s.St_htm.Forensics.op_id s.St_htm.Forensics.split
-                s.St_htm.Forensics.aborts s.St_htm.Forensics.chains
-                s.St_htm.Forensics.depth_max)
-            segs);
-      let h = fx.Experiment.fx_retry_hist in
-      if Latency.count h > 0 then
-        printf "    retry depth       p50 %d  p95 %d  p99 %d  max %d@."
-          (Latency.percentile h 50.) (Latency.percentile h 95.)
-          (Latency.percentile h 99.) (Latency.max_value h);
-      if fx.Experiment.fx_segments_tracked > 0 then
-        printf "    predictor         %d segment(s) tracked, %d limit change(s)%s@."
-          fx.Experiment.fx_segments_tracked
-          (List.length fx.Experiment.fx_timeline)
-          (if fx.Experiment.fx_timeline_dropped > 0 then
-             Printf.sprintf " (%d dropped)" fx.Experiment.fx_timeline_dropped
-           else "")
-
 let run_cmd =
   let structure =
     Arg.(
@@ -339,7 +190,8 @@ let run_cmd =
           ~doc:
             "Print the result as a JSON object (config, throughput, abort \
              mix, reclamation counters, latency summary, sampled time \
-             series) instead of the text report.")
+             series) instead of the text report, which is this object as \
+             $(b,analyze.exe report) renders it.")
   in
   let trace_out =
     Arg.(
@@ -483,29 +335,26 @@ let run_cmd =
       }
     in
     let r = Experiment.run cfg in
-    if json then print_string (Result_json.to_string r ^ "\n")
-    else print_result r;
-    (match flame_out with
-    | Some file ->
+    let doc = Result_json.encode r in
+    if json then print_endline (Json_out.to_string doc)
+    else Analyze.report Format.std_formatter doc;
+    (* Artifact paths go to stderr, as [figures] does, so stdout is the
+       result alone. *)
+    Option.iter
+      (fun file ->
         Result_json.write_flame_file file [ r ];
-        if not json then Format.printf "  flame               %s@." file
-    | None -> ());
+        Format.eprintf "flame: %s@." file)
+      flame_out;
     match (trace_out, trace) with
     | Some file, Some tr ->
         Chrome_trace.write_file file tr;
         let dropped = St_sim.Trace.dropped tr in
-        if not json then begin
-          Format.printf "  trace               %s (%d events, %d dropped)@."
-            file (St_sim.Trace.size tr) dropped;
-          if dropped > 0 then
-            Format.printf
-              "  WARNING: trace ring overflowed; %d events dropped — the \
-               Chrome trace is truncated (raise --trace-capacity)@."
-              dropped
-        end
-        else if dropped > 0 then
+        Format.eprintf "trace: %s (%d events, %d dropped)@." file
+          (St_sim.Trace.size tr) dropped;
+        if dropped > 0 then
           Format.eprintf
-            "stacktrack_bench: warning: trace ring dropped %d events@."
+            "stacktrack_bench: warning: trace ring dropped %d events; the \
+             Chrome trace is truncated (raise --trace-capacity)@."
             dropped
     | _ -> ()
   in

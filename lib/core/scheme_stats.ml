@@ -18,9 +18,6 @@ type t = {
   mutable stack_words : int;  (** Words compared during scans. *)
   mutable slow_reads : int;  (** SLOW_READ invocations. *)
   mutable slow_validation_failures : int;
-  mutable segments_tracked : int;
-      (** Distinct (op id, split index) segments across all predictors,
-          filled in at end of run (see {!Engine.segments_tracked}). *)
 }
 
 let create () =
@@ -37,7 +34,6 @@ let create () =
     stack_words = 0;
     slow_reads = 0;
     slow_validation_failures = 0;
-    segments_tracked = 0;
   }
 
 let avg_splits_per_op t =
@@ -46,12 +42,3 @@ let avg_splits_per_op t =
 let avg_segment_length t =
   if t.segments = 0 then 0.
   else float_of_int t.segment_len_sum /. float_of_int t.segments
-
-let pp ppf t =
-  Format.fprintf ppf
-    "ops=%d (fast=%d slow=%d) segments=%d avg_splits/op=%.2f avg_len=%.2f \
-     replays=%d scans=%d restarts=%d"
-    t.ops t.fast_ops t.slow_ops t.segments (avg_splits_per_op t)
-    (avg_segment_length t) t.replays t.scans t.scan_restarts;
-  if t.segments_tracked > 0 then
-    Format.fprintf ppf " tracked=%d" t.segments_tracked

@@ -22,11 +22,6 @@ type t = {
   mutable stack_words : int;  (** Words compared during scans. *)
   mutable slow_reads : int;  (** SLOW_READ invocations. *)
   mutable slow_validation_failures : int;
-  mutable segments_tracked : int;
-      (** Distinct (op id, split index) segments across the per-thread
-          split-length predictors; filled in at end of run from
-          [Engine.segments_tracked] (0 while the run is live, and for
-          non-StackTrack schemes). *)
 }
 
 val create : unit -> t
@@ -36,5 +31,3 @@ val avg_splits_per_op : t -> float
 
 val avg_segment_length : t -> float
 (** Mean basic blocks per committed segment. *)
-
-val pp : Format.formatter -> t -> unit

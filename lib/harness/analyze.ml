@@ -2,10 +2,10 @@
 
     Two jobs, both consumed by [bench/analyze.exe]:
 
-    - {b report}: render one artifact produced by {!Result_json} as a
-      human-readable summary — headline counters, cycle-account
-      breakdown, contention heatmap, latency tail — without re-running
-      anything.
+    - {b report}: render a result artifact produced by {!Result_json}
+      (one result, or a figure's list of them) as text without re-running
+      anything.  This is the one renderer of a run: [stacktrack_bench run]
+      prints the report of its own result document.
     - {b diff}: compare two artifacts metric-by-metric under per-path
       relative tolerances and list every drift.  This is the CI
       regression gate: a fresh perf-smoke run is diffed against a
@@ -157,87 +157,91 @@ let path_get doc path =
     (fun v k -> match v with Some v -> member k v | None -> None)
     (Some doc) path
 
-let as_int = function
-  | Some (Json_out.Int i) -> Some i
-  | _ -> None
+let as_int = function Some (Json_out.Int i) -> Some i | _ -> None
+let int0 v = Option.value ~default:0 (as_int v)
+let as_list = function Some (Json_out.List l) -> l | _ -> []
 
-let as_float = function
-  | Some (Json_out.Float f) -> Some f
-  | Some (Json_out.Int i) -> Some (float_of_int i)
-  | _ -> None
+(* One leaf as text.  Floats use the JSON writer's %.6g, so a result
+   rendered from memory and the same result parsed back from its JSON
+   print the same bytes; a missing value, or a non-finite float (which the
+   writer emits as null), prints as [?]. *)
+let str = function
+  | Some (Json_out.Int i) -> string_of_int i
+  | Some (Json_out.Float f) when Float.is_finite f -> Printf.sprintf "%.6g" f
+  | Some (Json_out.String s) -> s
+  | _ -> "?"
 
-let as_string = function
-  | Some (Json_out.String s) -> Some s
-  | _ -> None
+(* [k=v] for each of [keys] under the path [at] of [v], space-separated. *)
+let fields ?(at = []) v keys =
+  String.concat " "
+    (List.map (fun k -> k ^ "=" ^ str (path_get v (at @ [ k ]))) keys)
 
-let as_list = function
-  | Some (Json_out.List l) -> l
-  | _ -> []
+let owner v =
+  match member "owner" v with Some (Json_out.String s) -> s | _ -> "-"
 
-let istr = function Some i -> string_of_int i | None -> "?"
-let sstr = function Some s -> s | None -> "?"
+let take n l = List.filteri (fun i _ -> i < n) l
 
-let report ppf doc =
+(* Dooms descending; [List.stable_sort] keeps the artifact's order among
+   equals. *)
+let most_dooms l =
+  List.stable_sort
+    (fun a b -> compare (int0 (member "dooms" b)) (int0 (member "dooms" a)))
+    l
+
+let report_result ppf doc =
   let g path = path_get doc path in
-  Format.fprintf ppf "config: %s/%s threads=%s duration=%s seed=%s@."
-    (sstr (as_string (g [ "config"; "structure" ])))
-    (sstr (as_string (g [ "config"; "scheme" ])))
-    (istr (as_int (g [ "config"; "threads" ])))
-    (istr (as_int (g [ "config"; "duration" ])))
-    (istr (as_int (g [ "config"; "seed" ])));
-  (match as_float (g [ "throughput" ]) with
-  | Some thr ->
-      Format.fprintf ppf
-        "headline: ops=%s makespan=%s throughput=%.6g ops/Mcycle@."
-        (istr (as_int (g [ "total_ops" ])))
-        (istr (as_int (g [ "makespan" ])))
-        thr
-  | None -> ());
-  (match (as_int (g [ "htm"; "commits" ]), as_int (g [ "htm"; "aborts"; "total" ])) with
-  | Some commits, Some aborts ->
-      Format.fprintf ppf
-        "htm: commits=%d aborts=%d (conflict=%s capacity=%s interrupt=%s explicit=%s)@."
-        commits aborts
-        (istr (as_int (g [ "htm"; "aborts"; "conflict" ])))
-        (istr (as_int (g [ "htm"; "aborts"; "capacity" ])))
-        (istr (as_int (g [ "htm"; "aborts"; "interrupt" ])))
-        (istr (as_int (g [ "htm"; "aborts"; "explicit" ])))
+  let section k f = Option.iter f (g [ k ]) in
+  let pf fmt = Format.fprintf ppf fmt in
+  pf "config: %s/%s %s@."
+    (str (g [ "config"; "structure" ]))
+    (str (g [ "config"; "scheme" ]))
+    (fields ~at:[ "config" ] doc [ "threads"; "duration"; "seed" ]);
+  pf "headline: ops=%s makespan=%s throughput=%s ops/Mcycle@."
+    (str (g [ "total_ops" ]))
+    (str (g [ "makespan" ]))
+    (str (g [ "throughput" ]));
+  pf "htm: %s aborts=%s (%s)@."
+    (fields ~at:[ "htm" ] doc [ "starts"; "commits" ])
+    (str (g [ "htm"; "aborts"; "total" ]))
+    (fields ~at:[ "htm"; "aborts" ] doc
+       [ "conflict"; "capacity"; "interrupt"; "explicit" ]);
+  pf "reclaim: %s@."
+    (fields ~at:[ "reclaim" ] doc
+       [ "retired"; "freed"; "scans"; "stall_cycles" ]);
+  (match g [ "stacktrack" ] with
+  | Some (Json_out.Obj _ as st) ->
+      pf "stacktrack: %s@."
+        (fields st
+           [
+             "ops"; "fast_ops"; "slow_ops"; "segments"; "avg_splits_per_op";
+             "avg_segment_length"; "replays"; "scans"; "scan_restarts";
+           ])
   | _ -> ());
-  (match as_int (g [ "reclaim"; "freed" ]) with
-  | Some freed ->
-      Format.fprintf ppf "reclaim: retired=%s freed=%d scans=%s stall_cycles=%s@."
-        (istr (as_int (g [ "reclaim"; "retired" ])))
-        freed
-        (istr (as_int (g [ "reclaim"; "scans" ])))
-        (istr (as_int (g [ "reclaim"; "stall_cycles" ])))
-  | None -> ());
-  (match as_int (g [ "latency"; "p50" ]) with
-  | Some p50 ->
-      Format.fprintf ppf "latency: p50=%d p95=%s p99=%s max=%s@." p50
-        (istr (as_int (g [ "latency"; "p95" ])))
-        (istr (as_int (g [ "latency"; "p99" ])))
-        (istr (as_int (g [ "latency"; "max" ])))
-  | None -> ());
-  (match as_int (g [ "trace_dropped" ]) with
-  | Some n when n > 0 ->
-      Format.fprintf ppf
-        "WARNING: trace ring dropped %d events; the Chrome trace is truncated@."
-        n
+  (match g [ "scheme_extras" ] with
+  | Some (Json_out.Obj kvs as extras) ->
+      pf "scheme extras: %s@." (fields extras (List.map fst kvs))
   | _ -> ());
-  (match g [ "profile" ] with
-  | Some profile ->
-      let makespan = as_int (member "makespan" profile) in
-      Format.fprintf ppf "@.cycle accounts (makespan=%s):@." (istr makespan);
+  pf "heap: %s@."
+    (fields doc [ "allocs"; "frees"; "live_at_end"; "final_size"; "leaked" ]);
+  pf "run: %s@." (fields doc [ "context_switches"; "violations" ]);
+  List.iter
+    (fun v -> pf "  %s@." (str (Some v)))
+    (as_list (g [ "violation_samples" ]));
+  pf "latency: %s@."
+    (fields ~at:[ "latency" ] doc [ "p50"; "p95"; "p99"; "max" ]);
+  let dropped = int0 (g [ "trace_dropped" ]) in
+  if dropped > 0 then
+    pf "WARNING: trace ring dropped %d events; the Chrome trace is truncated@."
+      dropped;
+  section "profile" (fun profile ->
+      pf "@.cycle accounts (makespan=%s):@." (str (member "makespan" profile));
       let totals =
         match member "totals" profile with
         | Some (Json_out.Obj fields) -> fields
         | _ -> []
       in
       let sum =
-        List.fold_left
-          (fun acc (_, v) ->
-            match v with Json_out.Int i -> acc + i | _ -> acc)
-          0 totals
+        List.fold_left (fun acc (_, v) -> acc + int0 (Some v)) 0 totals
       in
       List.iter
         (fun (name, v) ->
@@ -247,154 +251,125 @@ let report ppf doc =
                 if sum = 0 then 0.
                 else 100. *. float_of_int c /. float_of_int sum
               in
-              Format.fprintf ppf "  %-16s %12d  %5.1f%%@." name c pct
+              pf "  %-16s %12d  %5.1f%%@." name c pct
           | _ -> ())
         totals;
-      Format.fprintf ppf "  %-16s %12d@." "accounted" sum;
+      pf "  %-16s %12d@." "accounted" sum;
       let threads = as_list (member "threads" profile) in
       let idle =
-        List.fold_left
-          (fun acc th ->
-            match as_int (member "idle" th) with Some i -> acc + i | None -> acc)
-          0 threads
+        List.fold_left (fun acc th -> acc + int0 (member "idle" th)) 0 threads
       in
-      Format.fprintf ppf "  %-16s %12d  (%d threads)@." "idle" idle
-        (List.length threads)
-  | None -> ());
+      pf "  %-16s %12d  (%d threads)@." "idle" idle (List.length threads));
   (match g [ "heatmap" ] with
   | Some (Json_out.List rows) when rows <> [] ->
-      Format.fprintf ppf "@.contention heatmap (top %d lines):@."
-        (List.length rows);
-      Format.fprintf ppf "  %8s %10s %10s %10s  %s@." "line" "touches"
-        "conflicts" "capacity" "owner";
+      pf "@.contention heatmap (top %d lines):@." (List.length rows);
+      pf "  %8s %10s %10s %10s  %s@." "line" "touches" "conflicts" "capacity"
+        "owner";
       List.iter
         (fun row ->
-          Format.fprintf ppf "  %8s %10s %10s %10s  %s@."
-            (istr (as_int (member "line" row)))
-            (istr (as_int (member "touches" row)))
-            (istr (as_int (member "conflicts" row)))
-            (istr (as_int (member "capacity" row)))
-            (match member "owner" row with
-            | Some (Json_out.String s) -> s
-            | _ -> "-"))
+          let m k = str (member k row) in
+          pf "  %8s %10s %10s %10s  %s@." (m "line") (m "touches")
+            (m "conflicts") (m "capacity") (owner row))
         rows
   | _ -> ());
-  (match g [ "reclaim_lifecycle" ] with
-  | None -> ()
-  | Some lc ->
-      let m k = member k lc in
-      Format.fprintf ppf "@.memory lifecycle:@.";
-      Format.fprintf ppf
-        "  census: allocs=%s retires=%s frees=%s live_at_end=%s@."
-        (istr (as_int (m "allocs")))
-        (istr (as_int (m "retires")))
-        (istr (as_int (m "frees")))
-        (istr (as_int (m "live_at_end")));
-      Format.fprintf ppf
-        "  limbo: at_end=%s (%s words) peak=%s objects / %s words@."
-        (istr (as_int (m "limbo_at_end")))
-        (istr (as_int (m "limbo_words_at_end")))
-        (istr (as_int (m "peak_limbo_objects")))
-        (istr (as_int (m "peak_limbo_words")));
-      Format.fprintf ppf "  footprint: peak_live_words=%s@."
-        (istr (as_int (m "peak_live_words")));
-      (match as_int (path_get lc [ "lag"; "count" ]) with
-      | Some count when count > 0 ->
-          Format.fprintf ppf
-            "  retire->free lag: count=%d p50=%s p95=%s p99=%s max=%s@." count
-            (istr (as_int (path_get lc [ "lag"; "p50" ])))
-            (istr (as_int (path_get lc [ "lag"; "p95" ])))
-            (istr (as_int (path_get lc [ "lag"; "p99" ])))
-            (istr (as_int (path_get lc [ "lag"; "max" ])))
-      | _ -> Format.fprintf ppf "  retire->free lag: no freed objects@.");
+  section "reclaim_lifecycle" (fun lc ->
+      let m k = str (member k lc) in
+      pf "@.memory lifecycle:@.";
+      pf "  census: %s@."
+        (fields lc [ "allocs"; "retires"; "frees"; "live_at_end" ]);
+      pf "  limbo: at_end=%s (%s words) peak=%s objects / %s words@."
+        (m "limbo_at_end") (m "limbo_words_at_end") (m "peak_limbo_objects")
+        (m "peak_limbo_words");
+      pf "  footprint: %s@." (fields lc [ "peak_live_words" ]);
+      if int0 (path_get lc [ "lag"; "count" ]) > 0 then
+        pf "  retire->free lag: %s@."
+          (fields ~at:[ "lag" ] lc [ "count"; "p50"; "p95"; "p99"; "max" ])
+      else pf "  retire->free lag: no freed objects@.";
       let wd k = path_get lc [ "watchdog"; k ] in
-      let incidents = Option.value ~default:0 (as_int (wd "incidents")) in
+      let incidents = int0 (wd "incidents") in
       if incidents = 0 then
-        Format.fprintf ppf "  watchdog: no stagnation (%s observations)@."
-          (istr (as_int (wd "observations")))
+        pf "  watchdog: no stagnation (%s observations)@."
+          (str (wd "observations"))
       else
-        Format.fprintf ppf
+        pf
           "  watchdog: %d stagnation incident(s), %s stalled cycles, max \
            backlog %s%s@."
           incidents
-          (istr (as_int (wd "total_stalled_cycles")))
-          (istr (as_int (wd "max_backlog")))
+          (str (wd "total_stalled_cycles"))
+          (str (wd "max_backlog"))
           (match wd "ongoing" with
           | Some (Json_out.Bool true) -> ", ongoing at exit"
           | _ -> ""));
-  match g [ "htm_forensics" ] with
-  | None -> ()
-  | Some fx ->
-      Format.fprintf ppf "@.abort forensics:@.";
-      Format.fprintf ppf
-        "  dooms: conflict=%s capacity=%s interrupt=%s@."
-        (istr (as_int (path_get fx [ "dooms"; "conflict" ])))
-        (istr (as_int (path_get fx [ "dooms"; "capacity" ])))
-        (istr (as_int (path_get fx [ "dooms"; "interrupt" ])));
-      Format.fprintf ppf
-        "  wasted cycles: conflict=%s capacity=%s interrupt=%s explicit=%s \
-         unresolved=%s total=%s@."
-        (istr (as_int (path_get fx [ "wasted"; "conflict" ])))
-        (istr (as_int (path_get fx [ "wasted"; "capacity" ])))
-        (istr (as_int (path_get fx [ "wasted"; "interrupt" ])))
-        (istr (as_int (path_get fx [ "wasted"; "explicit" ])))
-        (istr (as_int (path_get fx [ "wasted"; "unresolved" ])))
-        (istr (as_int (path_get fx [ "wasted"; "total" ])));
-      let take n l =
-        let rec go n = function
-          | x :: rest when n > 0 -> x :: go (n - 1) rest
-          | _ -> []
-        in
-        go n l
-      in
+  section "htm_forensics" (fun fx ->
+      pf "@.abort forensics:@.";
+      pf "  dooms: %s@."
+        (fields ~at:[ "dooms" ] fx [ "conflict"; "capacity"; "interrupt" ]);
+      pf "  wasted cycles: %s@."
+        (fields ~at:[ "wasted" ] fx
+           [
+             "conflict"; "capacity"; "interrupt"; "explicit"; "unresolved";
+             "total";
+           ]);
+      (match as_list (member "doomed_lines" fx) with
+      | [] -> ()
+      | lines ->
+          pf "  doomed-by lines: %d dooms across %d cache lines@."
+            (List.fold_left
+               (fun acc l -> acc + int0 (member "dooms" l))
+               0 lines)
+            (List.length lines);
+          List.iter
+            (fun l ->
+              pf "    line %-8s %6s dooms  %s@."
+                (str (member "line" l))
+                (str (member "dooms" l))
+                (owner l))
+            (take 5 (most_dooms lines)));
       (match as_list (member "conflict_pairs" fx) with
       | [] -> ()
       | pairs ->
-          Format.fprintf ppf "  top doomed pairs (victim <- aborter):@.";
-          let sorted =
-            List.sort
-              (fun a b ->
-                compare
-                  (as_int (member "dooms" b))
-                  (as_int (member "dooms" a)))
-              pairs
-          in
+          pf "  top doomed pairs (victim <- aborter):@.";
           List.iter
             (fun p ->
-              Format.fprintf ppf "    tid%s <- tid%s  %s dooms@."
-                (istr (as_int (member "victim" p)))
-                (istr (as_int (member "aborter" p)))
-                (istr (as_int (member "dooms" p))))
-            (take 5 sorted));
+              let m k = str (member k p) in
+              pf "    tid%s <- tid%s  %s dooms@." (m "victim") (m "aborter")
+                (m "dooms"))
+            (take 5 (most_dooms pairs)));
       (match as_list (member "segments" fx) with
       | [] -> ()
       | segs ->
-          Format.fprintf ppf "  hottest segments (op_id/split):@.";
+          pf "  hottest segments (op_id/split):@.";
           List.iter
             (fun s ->
-              Format.fprintf ppf
-                "    op%s/%s  aborts=%s chains=%s max_depth=%s@."
-                (istr (as_int (member "op_id" s)))
-                (istr (as_int (member "split" s)))
-                (istr (as_int (member "aborts" s)))
-                (istr (as_int (member "chains" s)))
-                (istr (as_int (member "max_depth" s))))
+              pf "    op%s/%s  %s@."
+                (str (member "op_id" s))
+                (str (member "split" s))
+                (fields s [ "aborts"; "chains"; "max_depth" ]))
             (take 5 segs));
-      (match as_int (path_get fx [ "retry_depths"; "summary"; "count" ]) with
-      | Some count when count > 0 ->
-          Format.fprintf ppf
-            "  retry depth: chains=%d p50=%s p95=%s max=%s@." count
-            (istr (as_int (path_get fx [ "retry_depths"; "summary"; "p50" ])))
-            (istr (as_int (path_get fx [ "retry_depths"; "summary"; "p95" ])))
-            (istr (as_int (path_get fx [ "retry_depths"; "summary"; "max" ])))
-      | _ -> ());
+      let summary k = path_get fx [ "retry_depths"; "summary"; k ] in
+      if int0 (summary "count") > 0 then
+        pf "  retry depth: chains=%s %s@."
+          (str (summary "count"))
+          (fields ~at:[ "retry_depths"; "summary" ] fx [ "p50"; "p95"; "max" ]);
       let pr k = path_get fx [ "predictor"; k ] in
-      (match as_int (pr "segments_tracked") with
-      | Some n when n > 0 ->
-          Format.fprintf ppf
-            "  predictor: %d segment(s) tracked, %d limit change(s)%s@." n
-            (List.length (as_list (pr "timeline")))
-            (match as_int (pr "timeline_dropped") with
-            | Some d when d > 0 -> Printf.sprintf " (%d dropped)" d
-            | _ -> "")
-      | _ -> ())
+      let tracked = int0 (pr "segments_tracked")
+      and dropped = int0 (pr "timeline_dropped") in
+      if tracked > 0 then
+        pf "  predictor: %d segment(s) tracked, %d limit change(s)%s@." tracked
+          (List.length (as_list (pr "timeline")))
+          (if dropped > 0 then Printf.sprintf " (%d dropped)" dropped else ""))
+
+let is_result v = member "config" v <> None
+
+let report ppf doc =
+  let results =
+    match doc with
+    | Json_out.List items when List.for_all is_result items -> items
+    | doc when is_result doc -> [ doc ]
+    | _ -> invalid_arg "not a result object or a list of result objects"
+  in
+  List.iteri
+    (fun i r ->
+      if i > 0 then Format.fprintf ppf "@.";
+      report_result ppf r)
+    results

@@ -43,7 +43,17 @@ val pp_drift : Format.formatter -> drift -> unit
 (** {2 Report} *)
 
 val report : Format.formatter -> Json_out.t -> unit
-(** Render one result artifact: config and headline counters, the HTM
-    abort mix, reclamation totals, latency tail, a trace-truncation
-    warning when [trace_dropped > 0], and — when present — the cycle
-    account breakdown and contention heatmap. *)
+(** Render a result artifact as text: config and headline counters, the
+    HTM starts, commits and abort mix, reclamation totals, the StackTrack
+    scheme stats and scheme extras when present, heap and run counters
+    with any violation samples, the latency tail, a trace-truncation
+    warning when [trace_dropped > 0], and the sections of the
+    observability flags present: cycle accounts and contention heatmap,
+    memory lifecycle, and abort forensics with the five most-doomed lines.
+    Floats print in {!Json_out}'s [%.6g], so a result document and its
+    parsed JSON render the same bytes.  A list of results (a [figures
+    --json-out] artifact) renders each in order, a blank line between
+    them.
+    @raise Invalid_argument before printing anything when the document is
+    neither a result object (one with a [config] member) nor a list of
+    them. *)

@@ -221,11 +221,6 @@ type result = {
           live object owning them; [Some] iff [cfg.profile]. *)
   lifecycle : lifecycle_summary option;  (** [Some] iff [cfg.lifecycle]. *)
   forensics : forensics_summary option;  (** [Some] iff [cfg.forensics]. *)
-  conflict_lines : (int * int) list;
-      (** Per-cache-line conflict-doom counts from the per-line record
-          (always counted), (line, dooms) sorted dooms-descending then
-          line-ascending.  Feeds the text report's doomed-by table; never
-          emitted to JSON, so artifacts are unchanged. *)
   extras : (string * int) list;
       (** Scheme-specific end-of-run counters (DEBRA+ neutralizations,
           Hazard Eras era clock...); [[]] for the classic schemes, so
@@ -563,16 +558,11 @@ let run cfg =
            ~makespan)
     else None
   in
-  (* The per-line record's three views (heat rows, the forensics doomed
-     lines and [conflict_lines]) are each one fold and one sort, built only
-     when the run emits them.  Heat rows put the hottest lines first:
-     conflicts are what the paper's abort analysis cares about, so they
-     dominate the order, and the line number breaks ties. *)
-  let conflicted f =
-    Tsx.fold_lines tsx
-      (fun s acc -> if s.conflicts = 0 then acc else f s :: acc)
-      []
-  in
+  (* The per-line record's two views (heat rows and the forensics doomed
+     lines) are each one fold and one sort, built only when the run emits
+     them.  Heat rows put the hottest lines first: conflicts are what the
+     paper's abort analysis cares about, so they dominate the order, and
+     the line number breaks ties. *)
   let heatmap_rows =
     if not cfg.profile then None
     else begin
@@ -623,15 +613,6 @@ let run cfg =
         }
     end
   in
-  (* Final predictor diagnostics: cheap end-of-run table sums, recorded
-     unconditionally so the text report always shows them (the unflagged
-     JSON never reads the field). *)
-  (match inst.st_handle with
-  | Some e ->
-      (Stacktrack.Engine.scheme_stats e).Stacktrack.Scheme_stats
-        .segments_tracked <-
-        Stacktrack.Engine.segments_tracked e
-  | None -> ());
   let forensics_summary =
     if not cfg.forensics then None
     else begin
@@ -674,12 +655,17 @@ let run cfg =
       let doomed_lines =
         List.sort
           (fun a b -> compare a.dl_line b.dl_line)
-          (conflicted (fun s ->
-               {
-                 dl_line = s.line;
-                 dl_dooms = s.conflicts;
-                 dl_owner = owner_of_line s.line;
-               }))
+          (Tsx.fold_lines tsx
+             (fun s acc ->
+               if s.conflicts = 0 then acc
+               else
+                 {
+                   dl_line = s.line;
+                   dl_dooms = s.conflicts;
+                   dl_owner = owner_of_line s.line;
+                 }
+                 :: acc)
+             [])
       in
       let causes =
         [
@@ -752,11 +738,6 @@ let run cfg =
     heatmap = heatmap_rows;
     lifecycle = lifecycle_summary;
     forensics = forensics_summary;
-    conflict_lines =
-      List.sort
-        (fun (l1, n1) (l2, n2) ->
-          if n1 <> n2 then compare n2 n1 else compare l1 l2)
-        (conflicted (fun s -> (s.line, s.conflicts)));
     extras = inst.extras ();
     resident_words = Heap.resident_words heap;
     line_table_words = Tsx.line_table_words tsx;

@@ -159,7 +159,10 @@ type forensics_summary = {
   fx_timeline : St_htm.Forensics.decision list;
       (** Every predictor limit change, in decision order. *)
   fx_timeline_dropped : int;
-  fx_segments_tracked : int;  (** 0 for non-StackTrack schemes. *)
+  fx_segments_tracked : int;
+      (** Distinct (op id, split) segments across the split-length
+          predictors ({!Stacktrack.Engine.segments_tracked}); 0 for
+          non-StackTrack schemes. *)
   fx_limits : Stacktrack.Engine.limit_row list;
       (** Final per-segment limit table; [[]] for non-StackTrack schemes. *)
 }
@@ -178,6 +181,8 @@ type result = {
   st : Stacktrack.Scheme_stats.t option;  (** StackTrack runs only. *)
   violations : int;
   violation_samples : St_mem.Shadow.violation list;
+      (** The first violations in order ({!St_mem.Shadow.first}); the JSON
+          carries them as text only when [violations > 0]. *)
   allocs : int;
   frees : int;
   live_at_end : int;
@@ -198,11 +203,6 @@ type result = {
           iff [cfg.profile]. *)
   lifecycle : lifecycle_summary option;  (** [Some] iff [cfg.lifecycle]. *)
   forensics : forensics_summary option;  (** [Some] iff [cfg.forensics]. *)
-  conflict_lines : (int * int) list;
-      (** Per-cache-line conflict-doom counts from the per-line record
-          (always counted), (line, dooms) sorted dooms-descending then
-          line-ascending.  Feeds the text report's doomed-by table; never
-          emitted to JSON, so unflagged artifacts are unchanged. *)
   extras : (string * int) list;
       (** Scheme-specific end-of-run counters — DEBRA+ reports
           [neutralizations]/[recoveries], Hazard Eras its final [era];

@@ -344,16 +344,30 @@ let encode (r : Experiment.result) =
     @ (match r.forensics with
       | Some fx -> [ ("htm_forensics", of_forensics fx) ]
       | None -> [])
-    @
     (* Only the modern schemes (DEBRA+, Hazard Eras) report extras, so
        classic-scheme artifacts stay byte-identical to their goldens. *)
-    match r.extras with
-    | [] -> []
-    | kvs ->
-        [
-          ( "scheme_extras",
-            Json_out.Obj (List.map (fun (k, v) -> (k, Json_out.Int v)) kvs) );
-        ]
+    @ (match r.extras with
+      | [] -> []
+      | kvs ->
+          [
+            ( "scheme_extras",
+              Json_out.Obj (List.map (fun (k, v) -> (k, Json_out.Int v)) kvs)
+            );
+          ])
+    (* Samples only for an unsafe run, so a safe run's artifact is
+       unchanged. *)
+    @
+    if r.violations = 0 then []
+    else
+      [
+        ( "violation_samples",
+          Json_out.List
+            (List.map
+               (fun v ->
+                 Json_out.String
+                   (Format.asprintf "%a" St_mem.Shadow.pp_violation v))
+               r.violation_samples) );
+      ]
   in
   Json_out.Obj
     ([

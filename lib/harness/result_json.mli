@@ -14,7 +14,12 @@
     - [latency_hist], [profile], [heatmap] — when [cfg.profile] was set;
     - [reclaim_lifecycle] — when [cfg.lifecycle] was set: the ledger
       census, retire→free lag summary + sparse histogram, the per-quantum
-      limbo/footprint series, and the watchdog stagnation report. *)
+      limbo/footprint series, and the watchdog stagnation report;
+    - [htm_forensics] — when [cfg.forensics] was set;
+    - [scheme_extras] — when the scheme reports extras (DEBRA+, Hazard
+      Eras);
+    - [violation_samples] — when the shadow checker saw violations: the
+      first ones as {!St_mem.Shadow.pp_violation} text. *)
 
 val encode : Experiment.result -> Json_out.t
 (** The complete result document. *)

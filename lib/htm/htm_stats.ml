@@ -50,10 +50,3 @@ let reason_to_string = function
   | Capacity -> "capacity"
   | Interrupt -> "interrupt"
   | Explicit -> "explicit"
-
-let pp ppf t =
-  Format.fprintf ppf
-    "starts=%d commits=%d aborts={conflict=%d capacity=%d interrupt=%d \
-     explicit=%d}"
-    t.starts t.commits t.conflict_aborts t.capacity_aborts t.interrupt_aborts
-    t.explicit_aborts

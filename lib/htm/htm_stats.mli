@@ -20,4 +20,3 @@ val record_abort : t -> abort_reason -> unit
 val aborts : t -> int
 val merge : t list -> t
 val reason_to_string : abort_reason -> string
-val pp : Format.formatter -> t -> unit

@@ -117,13 +117,3 @@ let report t ~now =
     ongoing = t.active <> None;
     n_observations = t.observations;
   }
-
-let pp_report ppf r =
-  if r.n_incidents = 0 then
-    Format.fprintf ppf "no stagnation (%d observations)" r.n_observations
-  else
-    Format.fprintf ppf
-      "%d incident(s), %d stalled cycles, max backlog %d%s (%d observations)"
-      r.n_incidents r.total_stalled_cycles r.max_backlog
-      (if r.ongoing then ", ongoing at exit" else "")
-      r.n_observations

@@ -56,6 +56,3 @@ type report = {
 }
 
 val report : t -> now:int -> report
-
-val pp_report : Format.formatter -> report -> unit
-(** One-line summary ("no stagnation ..." or incident/backlog totals). *)

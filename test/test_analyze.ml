@@ -165,6 +165,112 @@ let test_diff_missing_and_type () =
     (List.length (Analyze.diff ~tols doc missing))
 
 (* ------------------------------------------------------------------ *)
+(* Report                                                              *)
+(* ------------------------------------------------------------------ *)
+
+let bench = "../bin/stacktrack_bench.exe"
+let analyze = "../bench/analyze.exe"
+let render doc = Format.asprintf "%a" Analyze.report doc
+
+let contains text sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length text && (String.sub text i n = sub || at (i + 1))
+  in
+  at 0
+
+(* Run [exe] with [args]: its exit code, stdout and stderr. *)
+let run exe args =
+  let out = Filename.temp_file "cli" ".out"
+  and err = Filename.temp_file "cli" ".err" in
+  let code =
+    Sys.command
+      (String.concat " "
+         (List.map Filename.quote (exe :: args)
+         @ [ ">"; Filename.quote out; "2>"; Filename.quote err ]))
+  in
+  let stdout = read_file out and stderr = read_file err in
+  Sys.remove out;
+  Sys.remove err;
+  (code, stdout, stderr)
+
+(* A figures --json-out artifact used to render as one report of "?"
+   fields, and exit 0. *)
+let test_report_list () =
+  let golden = "goldens/golden_fig1.json" in
+  let results =
+    match Json_in.parse_file golden with
+    | Json_out.List results -> results
+    | _ -> Alcotest.fail "golden_fig1.json is not a list"
+  in
+  let code, out, _ = run analyze [ "report"; golden ] in
+  Alcotest.(check int) "exit" 0 code;
+  Alcotest.(check string)
+    "one report per result, in order, a blank line between"
+    (String.concat "\n" (List.map render results))
+    out;
+  Alcotest.(check int)
+    "a config line per result" (List.length results)
+    (List.length
+       (List.filter
+          (String.starts_with ~prefix:"config: ")
+          (String.split_on_char '\n' out)));
+  Alcotest.(check bool) "no missing field" false (contains out "=?")
+
+let test_report_not_a_result () =
+  List.iter
+    (fun text ->
+      let file = Filename.temp_file "doc" ".json" in
+      Out_channel.with_open_bin file (fun oc -> output_string oc text);
+      let code, out, err = run analyze [ "report"; file ] in
+      Sys.remove file;
+      Alcotest.(check int) (text ^ ": exit") 2 code;
+      Alcotest.(check string) (text ^ ": no report") "" out;
+      Alcotest.(check bool)
+        (text ^ ": names the file") true (contains err file))
+    [ "{}"; "[1]" ]
+
+(* [run]'s text report is the report of its own --json document, through
+   a file round trip; each configuration reaches the rows in [shows].  The
+   JSON carries violation samples on the unsafe run only, so a safe run's
+   artifact is unchanged. *)
+let test_run_one_renderer () =
+  let trace = Filename.temp_file "trace" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove trace) @@ fun () ->
+  List.iter
+    (fun (args, shows) ->
+      let name = String.concat " " ("run" :: args) in
+      let code, text, _ = run bench ("run" :: args) in
+      Alcotest.(check int) (name ^ ": exit") 0 code;
+      let code, json, _ = run bench (("run" :: args) @ [ "--json" ]) in
+      Alcotest.(check int) (name ^ " --json: exit") 0 code;
+      let doc = Json_in.parse json in
+      Alcotest.(check string)
+        (name ^ ": stdout = analyze report of --json")
+        (render doc) text;
+      Alcotest.(check bool) (name ^ ": shows " ^ shows) true
+        (contains text shows);
+      Alcotest.(check bool)
+        (name ^ ": violation_samples iff violations")
+        (contains text "violations=0")
+        (match doc with
+        | Json_out.Obj fields -> not (List.mem_assoc "violation_samples" fields)
+        | _ -> false))
+    [
+      ([], "stacktrack: ops=");
+      ([ "--profile" ], "cycle accounts");
+      ([ "--scheme"; "epoch"; "--crash"; "0"; "--lifecycle" ], "watchdog:");
+      ([ "--threads"; "12"; "--forensics" ], "doomed-by lines:");
+      ([ "--scheme"; "debra+"; "--crash"; "0" ], "scheme extras: ");
+      ( [
+          "--scheme"; "immediate"; "--threads"; "8"; "--mutations"; "80";
+          "--keys"; "16"; "--init"; "8"; "--duration"; "600000"; "--seed"; "1";
+        ],
+        "  read-after-free at " );
+      ([ "--trace-out"; trace; "--trace-capacity"; "16" ], "WARNING: trace");
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Golden byte-identity                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -214,6 +320,12 @@ let () =
           quick "drift + tolerance" test_diff_detects_drift;
           quick "subtree rules" test_diff_subtree_rules;
           quick "missing / retyped" test_diff_missing_and_type;
+        ] );
+      ( "report",
+        [
+          quick "figures list artifact" test_report_list;
+          quick "not a result" test_report_not_a_result;
+          quick "run has one renderer" test_run_one_renderer;
         ] );
       ( "goldens",
         [ quick "re-run reproduces artifacts" test_golden_byte_identity ] );

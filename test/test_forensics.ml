@@ -244,20 +244,16 @@ let check_books name (r : Experiment.result) =
   chk "delivered explicit aborts" h.Htm_stats.explicit_aborts
     (List.assoc "explicit" fx.Experiment.fx_delivered);
   (* Conflict matrix vs the Tsx per-line record (the two are counted at
-     the same doom site): matrix total = doomed-lines total = the
-     record's conflict total. *)
+     the same doom site): matrix total = the conflict dooms = the doomed
+     lines' total, the record's conflict total. *)
   let matrix_total =
     List.fold_left
       (fun acc (p : Experiment.doomed_pair) -> acc + p.Experiment.dooms)
       0 fx.Experiment.fx_conflict_pairs
   in
-  let tally_total =
-    List.fold_left (fun acc (_, n) -> acc + n) 0 r.Experiment.conflict_lines
-  in
   chk "matrix total = conflict dooms" fx.Experiment.fx_conflict_dooms
     matrix_total;
-  chk "matrix total = tally total" tally_total matrix_total;
-  chk "doomed lines total = tally total" tally_total
+  chk "doomed lines total = matrix total" matrix_total
     (List.fold_left
        (fun acc (l : Experiment.doomed_line_row) -> acc + l.Experiment.dl_dooms)
        0 fx.Experiment.fx_doomed_lines);
@@ -292,17 +288,11 @@ let check_books name (r : Experiment.result) =
        (fun acc (s : Forensics.segment) -> acc + s.Forensics.chains)
        0 fx.Experiment.fx_segments)
     (Latency.count fx.Experiment.fx_retry_hist);
-  (* Predictor tables: one final-limit row per tracked segment, and the
-     scheme-stats mirror agrees. *)
+  (* Predictor tables: one final-limit row per tracked segment. *)
   chk "one limit row per tracked segment" fx.Experiment.fx_segments_tracked
     (List.length fx.Experiment.fx_limits);
-  (match r.Experiment.st with
-  | Some st ->
-      chk "scheme stats mirror segments_tracked"
-        fx.Experiment.fx_segments_tracked
-        st.Stacktrack.Scheme_stats.segments_tracked
-  | None ->
-      chk "non-stacktrack tracks nothing" 0 fx.Experiment.fx_segments_tracked);
+  if r.Experiment.st = None then
+    chk "non-stacktrack tracks nothing" 0 fx.Experiment.fx_segments_tracked;
   (* Timeline vs final limits: the last decision for a segment must
      report the limit the predictor ended on. *)
   let final = Hashtbl.create 64 in

@@ -369,16 +369,13 @@ let contains text sub =
   in
   at 0
 
-(* Run the CLI's subcommand [cmd] with [args], stdout and stderr into one
-   file, and kill it if it is still running after [seconds]: [None] then
-   stands for a hang. *)
-let run_cli ?(seconds = 30.) cmd args =
+(* Run [exe] with [args], stdout and stderr into one file, and kill it if
+   it is still running after [seconds]: [None] then stands for a hang. *)
+let run_exe ?(seconds = 30.) exe args =
   let out = Filename.temp_file "run" ".txt" in
   let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
   let pid =
-    Unix.create_process bench
-      (Array.of_list (bench :: cmd :: args))
-      Unix.stdin fd fd
+    Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin fd fd
   in
   Unix.close fd;
   let deadline = Unix.gettimeofday () +. seconds in
@@ -398,6 +395,9 @@ let run_cli ?(seconds = 30.) cmd args =
   let text = In_channel.with_open_bin out In_channel.input_all in
   Sys.remove out;
   (status, text)
+
+(* The CLI's subcommand [cmd] with [args]. *)
+let run_cli ?seconds cmd args = run_exe ?seconds bench (cmd :: args)
 
 (* A negative --init used to spin forever drawing keys; a zero key range
    or bucket count, and a mutation percentage outside 0..100, died on an
@@ -491,6 +491,56 @@ let test_cli_unwritable_outputs () =
       ("figures", [ "fig1-list"; "--quick"; "--flame-out"; bad ], "--flame-out");
     ]
 
+(* The host-time gate read its baseline line by line in one key order:
+   an entry with "best_ms" first was skipped as missing, and a target with
+   no entry passed unmeasured.  Any JSON entry is read now, a target with
+   no entry exits 2 before anything runs, and the committed baseline
+   parses. *)
+let test_hosttime_gate () =
+  let hosttime = "../bench/hosttime.exe" in
+  let baseline = Filename.temp_file "baseline" ".json"
+  and summary = Filename.temp_file "summary" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove baseline; Sys.remove summary)
+  @@ fun () ->
+  let check_against file =
+    run_exe hosttime
+      [
+        "--duration"; "20000"; "--json-out"; summary; "--check-against"; file;
+        "fig1-list";
+      ]
+  in
+  let gate entries =
+    Out_channel.with_open_bin baseline (fun oc ->
+        Printf.fprintf oc {|{ "targets": [ %s ] }|} entries);
+    check_against baseline
+  in
+  let expect name (status, out) code shows =
+    match status with
+    | None -> Alcotest.failf "%s: still running after the timeout" name
+    | Some c ->
+        checki (name ^ ": exit") code c;
+        checkb (name ^ ": says " ^ shows) true (contains out shows)
+  in
+  expect "reordered, slower"
+    (gate {|{ "best_ms": 0.001, "target": "fig1-list" }|})
+    1 "REGRESSION";
+  expect "reordered, faster"
+    (gate {|{ "best_ms": 1e9, "target": "fig1-list" }|})
+    0 "gate: fig1-list      ok";
+  (match Json_in.parse_file summary with
+  | Json_out.Obj fields ->
+      checkb "summary lists fig1-list" true
+        (match List.assoc_opt "targets" fields with
+        | Some (Json_out.List [ Json_out.Obj entry ]) ->
+            List.assoc_opt "target" entry = Some (Json_out.String "fig1-list")
+        | _ -> false)
+  | _ -> Alcotest.fail "summary is not an object");
+  expect "missing entry"
+    (gate {|{ "target": "scan-list", "best_ms": 1e9 }|})
+    2 "no baseline entry for target fig1-list";
+  expect "committed baseline" (check_against "../BENCH_hosttime.json") 0
+    "gate: fig1-list      ok"
+
 let () =
   Alcotest.run "st_harness"
     [
@@ -528,6 +578,7 @@ let () =
           Alcotest.test_case "bad set-up sizes" `Quick test_cli_bad_sizes;
           Alcotest.test_case "unwritable outputs" `Quick
             test_cli_unwritable_outputs;
+          Alcotest.test_case "hosttime baseline gate" `Quick test_hosttime_gate;
         ] );
       ( "figures",
         [
