@@ -326,6 +326,15 @@ let () =
   let baseline =
     if !check_against = "" then [] else read_baseline !check_against ts
   in
+  (* Open --json-out before any target runs, so a bad path fails at once
+     instead of after the whole timing; without truncating it, since it may
+     be the --check-against file. *)
+  if !json_out <> "" then begin
+    try close_out (open_out_gen [ Open_wronly; Open_creat ] 0o644 !json_out)
+    with Sys_error msg ->
+      Printf.eprintf "hosttime: --json-out: cannot write %s\n" msg;
+      exit 2
+  end;
   let results = List.map run_target ts in
   Printf.printf "\nbest-of-%d summary:\n" (max 1 !repeat);
   List.iter (fun (t, ms) -> Printf.printf "  %-14s %9.1f ms\n" t ms) results;

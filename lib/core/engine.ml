@@ -54,7 +54,7 @@ and thread = {
   tid : int;
   ctx : Ctx.t;
   predictor : Predictor.t;
-  free_set : Word.addr Vec.t;
+  free_set : Ivec.t;
   refs_set : (int, int) Hashtbl.t; (* slow-path reference multiset *)
   scan_scratch : (int, unit) Hashtbl.t; (* hashed-scan table, reused *)
   seg_log : Ivec.t; (* packed segment log (Packed_log), reused across ops *)
@@ -132,7 +132,7 @@ let create_thread s ~tid =
       tid;
       ctx;
       predictor = Predictor.create ?on_adjust s.cfg;
-      free_set = Vec.create ();
+      free_set = Ivec.create ();
       refs_set = Hashtbl.create 32;
       scan_scratch = Hashtbl.create 256;
       seg_log = Ivec.create ();
@@ -574,7 +574,7 @@ let ptr_visible s ~self ~ptr =
 
 let scan_and_free_plain th =
   let s = th.s in
-  Vec.filter_in_place
+  Ivec.filter_in_place
     (fun ptr ->
       if ptr_visible s ~self:th.tid ~ptr then true
       else begin
@@ -624,7 +624,7 @@ let scan_and_free_hashed th =
         attempt ()
       end);
   let slow_active = s.slow_path_count > 0 in
-  Vec.filter_in_place
+  Ivec.filter_in_place
     (fun ptr ->
       Sched.consume sched costs.load;
       if
@@ -640,16 +640,16 @@ let scan_and_free_hashed th =
 let scan_and_free th =
   let s = th.s in
   s.st.Scheme_stats.scans <- s.st.Scheme_stats.scans + 1;
-  Guard.scan s.rt s.stats ~pending:(Vec.length th.free_set) (fun () ->
+  Guard.scan s.rt s.stats ~pending:(Ivec.length th.free_set) (fun () ->
       if s.cfg.St_config.hash_scan then scan_and_free_hashed th
       else scan_and_free_plain th;
       s.stats.Guard.scan_words <- s.st.Scheme_stats.stack_words;
-      Vec.length th.free_set)
+      Ivec.length th.free_set)
 
 let free_impl th addr =
-  Vec.push th.free_set addr;
-  Guard.retire th.s.rt th.s.stats ~pending:(Vec.length th.free_set) addr;
-  if Vec.length th.free_set > th.s.cfg.St_config.max_free then
+  Ivec.push th.free_set addr;
+  Guard.retire th.s.rt th.s.stats ~pending:(Ivec.length th.free_set) addr;
+  if Ivec.length th.free_set > th.s.cfg.St_config.max_free then
     scan_and_free th
 
 (* FREE is not transactional (§5.1): commit the current segment first, run
@@ -850,13 +850,13 @@ let predictor_limits s =
     !rows
 
 let quiesce th =
-  if Vec.length th.free_set > 0 then scan_and_free th
+  if Ivec.length th.free_set > 0 then scan_and_free th
 
-let pending_frees th = Vec.length th.free_set
+let pending_frees th = Ivec.length th.free_set
 
 let total_pending_frees s =
   Array.fold_left
     (fun acc -> function
-      | Some th -> acc + Vec.length th.free_set
+      | Some th -> acc + Ivec.length th.free_set
       | None -> acc)
     0 s.threads

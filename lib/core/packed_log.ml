@@ -6,7 +6,7 @@
    simulator's hottest path.  Entries are instead packed into a single
    immediate [int]: the kind tag lives in the low [tag_bits] bits and the
    payload (read value, CAS outcome, random draw, allocation address) is
-   shifted above it.  An [int Vec.t] of packed entries is a flat unboxed
+   shifted above it.  An [Ivec.t] of packed entries is a flat unboxed
    array: pushing, truncating, and replaying the log never allocates.
 
    Encoding contract:

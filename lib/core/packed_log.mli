@@ -4,7 +4,7 @@
     CAS, random draw, allocation, retire) to make segment replay after a
     hardware abort deterministic.  Entries are packed into immediate [int]s
     — kind tag in the low 3 bits, payload shifted above — so the
-    log is a flat [int Vec.t] and the per-access push never allocates.
+    log is a flat {!St_sim.Ivec.t} and the per-access push never allocates.
 
     Round-trip contract: [payload (pack ~tag p) = p] for any [p] in
     [[{!min_payload}, {!max_payload}]] (the shift-decode is arithmetic, so

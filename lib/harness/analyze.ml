@@ -22,12 +22,14 @@
 let key_path prefix k = if prefix = "" then k else prefix ^ "." ^ k
 let index_path prefix i = Printf.sprintf "%s[%d]" prefix i
 
-(* Leaves only: containers contribute paths, not values.  An empty
-   object or list therefore flattens to nothing, which is fine — every
-   artifact field the gate cares about is a leaf. *)
+(* Leaves only: a non-empty container contributes paths, not values.  An
+   empty object or list below the root is itself a leaf, so a key whose
+   value is [[]] or [{}] is a path the gate compares like any other. *)
 let flatten v =
   let rec go prefix v acc =
     match (v : Json_out.t) with
+    | (Json_out.Obj [] | Json_out.List []) as leaf when prefix <> "" ->
+        (prefix, leaf) :: acc
     | Json_out.Obj fields ->
         List.fold_left (fun acc (k, v) -> go (key_path prefix k) v acc) acc fields
     | Json_out.List items ->

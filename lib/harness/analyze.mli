@@ -2,10 +2,11 @@
     and tolerance-gated diffs.
 
     The diff side is the CI regression gate: flatten two artifacts to
-    dotted leaf paths ([htm.aborts.conflict], [metrics[3].ops], …),
-    compare numerics under a per-path relative tolerance, and return
-    every drift.  [bench/analyze.exe] turns a non-empty drift list into
-    a nonzero exit. *)
+    dotted leaf paths ([htm.aborts.conflict], [metrics[3].ops], …; an
+    empty list or object below the root is a leaf), compare numerics
+    under a per-path relative tolerance, and return every drift.
+    [bench/analyze.exe] turns a non-empty drift list into a nonzero
+    exit. *)
 
 (** {2 Tolerances} *)
 

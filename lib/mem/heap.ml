@@ -1,4 +1,4 @@
-module Vec = St_sim.Vec
+module Ivec = St_sim.Ivec
 
 (* Backing store layout: every per-address table (payload words, owner map,
    object sizes, birth indices) is a directory of fixed-size power-of-two
@@ -14,24 +14,40 @@ module Vec = St_sim.Vec
    granule-sized (the granule is the effective alignment, a power of two),
    so owner, size and birth are constant over a granule and their tables
    hold one entry per granule: [chunk_words lsr gshift] entries per chunk,
-   covering the same addresses as the payload chunk of the same index. *)
+   covering the same addresses as the payload chunk of the same index.
+
+   A chunk is a [Bytes.t] of native-endian 64-bit slots behind the
+   monomorphic [get]/[set] below, so an access compiles to a plain load or
+   store and a shift, with no float-array tag test and no [caml_modify].
+   Unlike an [int array], a new chunk is one [memset] rather than
+   [caml_make_vect]'s fill loop, and the major GC never scans the tables
+   (millions of words on a 10^6-object heap).  An OCaml int survives the
+   round trip through [Int64] exactly. *)
 let chunk_shift = 16
 let chunk_words = 1 lsl chunk_shift
 let chunk_mask = chunk_words - 1
 
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* Slot [i] of a chunk, unchecked: valid only for [0 <= i < slots]. *)
+let[@inline] get b i = Int64.to_int (get64u b (i lsl 3))
+let[@inline] set b i v = set64u b (i lsl 3) (Int64.of_int v)
+let make_chunk slots = Bytes.make (slots lsl 3) '\000'
+
 type t = {
   shadow : Shadow.t;
-  mutable words : int array array; (* indexed by addr, chunked *)
-  mutable owner : int array array; (* granule -> live object base, 0 when dead *)
-  mutable obj_size : int array array; (* base granule -> size, valid while live *)
-  mutable birth : int array array;
+  mutable words : Bytes.t array; (* indexed by addr, chunked *)
+  mutable owner : Bytes.t array; (* granule -> live object base, 0 when dead *)
+  mutable obj_size : Bytes.t array; (* base granule -> size, valid while live *)
+  mutable birth : Bytes.t array;
       (* base granule -> 1 + allocation seq while live, 0 when dead — the
          +1 keeps 0 free as the "no live object" sentinel for [birth_ix]
          without perturbing the externally visible 0-based sequence *)
   mutable chunks : int; (* chunks allocated in every directory, from 0 *)
   mutable next_birth : int;
   mutable brk : int; (* next never-used address *)
-  mutable free_by_class : int Vec.t array;
+  mutable free_by_class : Ivec.t array;
       (* size-class -> LIFO stack of bases.  Sizes are already rounded to
          multiples of the granule, so class = size / granule is an exact
          1:1 map and lookup is an array index, not a hash + cons. *)
@@ -61,7 +77,7 @@ let add_chunk t =
   if n >= Array.length t.words then begin
     let cap' = 2 * Array.length t.words in
     let grow d =
-      let d' = Array.make cap' [||] in
+      let d' = Array.make cap' Bytes.empty in
       Array.blit d 0 d' 0 n;
       d'
     in
@@ -71,10 +87,10 @@ let add_chunk t =
     t.birth <- grow t.birth
   end;
   let granules = chunk_words lsr t.gshift in
-  t.words.(n) <- Array.make chunk_words 0;
-  t.owner.(n) <- Array.make granules 0;
-  t.obj_size.(n) <- Array.make granules 0;
-  t.birth.(n) <- Array.make granules 0;
+  t.words.(n) <- make_chunk chunk_words;
+  t.owner.(n) <- make_chunk granules;
+  t.obj_size.(n) <- make_chunk granules;
+  t.birth.(n) <- make_chunk granules;
   t.chunks <- n + 1
 
 let create ?(initial_words = 1 lsl 16) ?(quarantine = 128) ?(align = 4)
@@ -90,7 +106,7 @@ let create ?(initial_words = 1 lsl 16) ?(quarantine = 128) ?(align = 4)
      chunks appear as the address space is touched. *)
   let hint = max initial_words (Word.heap_base * 2) in
   let dir_cap = max 4 ((hint + chunk_words - 1) / chunk_words) in
-  let dir () = Array.make dir_cap [||] in
+  let dir () = Array.make dir_cap Bytes.empty in
   let t =
     {
       shadow;
@@ -102,7 +118,7 @@ let create ?(initial_words = 1 lsl 16) ?(quarantine = 128) ?(align = 4)
       chunks = 0;
       next_birth = 0;
       brk = Word.heap_base;
-      free_by_class = Array.init 8 (fun _ -> Vec.create ());
+      free_by_class = Array.init 8 (fun _ -> Ivec.create ());
       q_addr = Array.make (quarantine + 1) 0;
       q_size = Array.make (quarantine + 1) 0;
       q_head = 0;
@@ -136,22 +152,18 @@ let ensure_capacity t needed =
    [tbl_*] pair indexes the per-word payload, the [gran_*] pair the
    per-granule tables, by the granule holding [addr]. *)
 let[@inline] tbl_get d addr =
-  Array.unsafe_get
-    (Array.unsafe_get d (addr lsr chunk_shift))
-    (addr land chunk_mask)
+  get (Array.unsafe_get d (addr lsr chunk_shift)) (addr land chunk_mask)
 
 let[@inline] tbl_set d addr v =
-  Array.unsafe_set
-    (Array.unsafe_get d (addr lsr chunk_shift))
-    (addr land chunk_mask) v
+  set (Array.unsafe_get d (addr lsr chunk_shift)) (addr land chunk_mask) v
 
 let[@inline] gran_get t d addr =
-  Array.unsafe_get
+  get
     (Array.unsafe_get d (addr lsr chunk_shift))
     ((addr land chunk_mask) lsr t.gshift)
 
 let[@inline] gran_set t d addr v =
-  Array.unsafe_set
+  set
     (Array.unsafe_get d (addr lsr chunk_shift))
     ((addr land chunk_mask) lsr t.gshift)
     v
@@ -191,7 +203,7 @@ let free_list t size =
     done;
     t.free_by_class <-
       Array.init !cap (fun i ->
-          if i < n then t.free_by_class.(i) else Vec.create ())
+          if i < n then t.free_by_class.(i) else Ivec.create ())
   end;
   Array.unsafe_get t.free_by_class cls
 
@@ -200,10 +212,10 @@ let alloc t ~tid:_ ~size =
   let size = round_up t size in
   let fl = free_list t size in
   let base =
-    let n = Vec.length fl in
+    let n = Ivec.length fl in
     if n > 0 then begin
-      let base = Vec.get fl (n - 1) in
-      Vec.truncate fl (n - 1);
+      let base = Ivec.get fl (n - 1) in
+      Ivec.truncate fl (n - 1);
       base
     end
     else begin
@@ -271,7 +283,7 @@ let free t ~tid addr =
       let old_size = t.q_size.(t.q_head) in
       t.q_head <- (t.q_head + 1) mod cap;
       t.q_len <- t.q_len - 1;
-      Vec.push (free_list t old_size) old_addr
+      Ivec.push (free_list t old_size) old_addr
     end
   end
 

@@ -46,7 +46,6 @@
     written against the recovery API. *)
 
 open St_sim
-open St_mem
 open St_htm
 
 type blocked = Wait | Neutralize of int
@@ -60,7 +59,7 @@ type scheme = {
   mutable epoch : int; (* global epoch clock *)
   announce : int array; (* indexed by tid *)
   neutralized : bool array; (* set by the handler, cleared on recovery *)
-  registered : int Vec.t; (* tids, in registration order *)
+  registered : Ivec.t; (* tids, in registration order *)
   mutable neutralizations : int; (* signals delivered *)
   mutable recoveries : int; (* restarts observed by live victims *)
 }
@@ -73,7 +72,7 @@ module Hooks = struct
   type thread = {
     s : scheme;
     tid : int;
-    bags : Word.addr Vec.t array; (* limbo bags, indexed by epoch mod 3 *)
+    bags : Ivec.t array; (* limbo bags, indexed by epoch mod 3 *)
     mutable my_epoch : int; (* epoch the bags are synced to *)
     mutable check_idx : int; (* rotating peer index for amortized advance *)
     mutable blocked_on : int; (* peer the check is parked on, -1 if none *)
@@ -85,8 +84,8 @@ module Hooks = struct
 
   let create_thread s ~tid =
     (* Dedupe: a re-registered tid must not be checked twice per round. *)
-    if not (Vec.exists (fun t -> t = tid) s.registered) then
-      Vec.push s.registered tid;
+    if not (Ivec.exists (fun t -> t = tid) s.registered) then
+      Ivec.push s.registered tid;
     (match s.blocked with
     | Wait -> ()
     | Neutralize _ ->
@@ -105,7 +104,7 @@ module Hooks = struct
     {
       s;
       tid;
-      bags = Array.init bags_count (fun _ -> Vec.create ());
+      bags = Array.init bags_count (fun _ -> Ivec.create ());
       my_epoch = 0;
       check_idx = 0;
       blocked_on = -1;
@@ -117,12 +116,12 @@ module Hooks = struct
      double-free on the restarted operation's re-rotation. *)
   let free_bag th bag =
     let s = th.s in
-    let pending = Vec.length bag in
+    let pending = Ivec.length bag in
     if pending > 0 then
       Guard.scan s.rt s.stats ~pending (fun () ->
-          while Vec.length bag > 0 do
-            let addr = Vec.get bag (Vec.length bag - 1) in
-            Vec.truncate bag (Vec.length bag - 1);
+          while Ivec.length bag > 0 do
+            let addr = Ivec.get bag (Ivec.length bag - 1) in
+            Ivec.truncate bag (Ivec.length bag - 1);
             Guard.free s.rt s.stats addr
           done;
           0)
@@ -166,10 +165,10 @@ module Hooks = struct
     let s = th.s in
     let sched = s.rt.Guard.sched in
     let costs = Sched.costs sched in
-    let n = Vec.length s.registered in
+    let n = Ivec.length s.registered in
     if n > 0 then begin
       if th.check_idx >= n then th.check_idx <- 0;
-      let peer = Vec.get s.registered th.check_idx in
+      let peer = Ivec.get s.registered th.check_idx in
       let a = s.announce.(peer) in
       Sched.consume sched costs.load;
       s.stats.Guard.scan_words <- s.stats.Guard.scan_words + 1;
@@ -228,8 +227,8 @@ module Hooks = struct
 
   let retire th addr =
     let bag = th.bags.(th.my_epoch mod bags_count) in
-    Vec.push bag addr;
-    Guard.retire th.s.rt th.s.stats ~pending:(Vec.length bag) addr
+    Ivec.push bag addr;
+    Guard.retire th.s.rt th.s.stats ~pending:(Ivec.length bag) addr
 
   (* Between-operations drain: with no peer announced inside an operation
      the epoch can be advanced directly; three rounds cycle every bag out.
@@ -241,15 +240,15 @@ module Hooks = struct
     let s = th.s in
     let sched = s.rt.Guard.sched in
     let costs = Sched.costs sched in
-    if Array.exists (fun bag -> Vec.length bag > 0) th.bags then
+    if Array.exists (fun bag -> Ivec.length bag > 0) th.bags then
       let stuck = ref false in
       for _round = 1 to bags_count do
         if not !stuck then begin
           let e = s.epoch in
           Sched.consume sched costs.load;
           sync_bags th e;
-          for i = 0 to Vec.length s.registered - 1 do
-            let peer = Vec.get s.registered i in
+          for i = 0 to Ivec.length s.registered - 1 do
+            let peer = Ivec.get s.registered i in
             Sched.consume sched costs.load;
             s.stats.Guard.scan_words <- s.stats.Guard.scan_words + 1;
             let a = s.announce.(peer) in
@@ -286,7 +285,7 @@ let create ~blocked rt =
     epoch = 0;
     announce = Array.make Topology.max_threads 0;
     neutralized = Array.make Topology.max_threads false;
-    registered = Vec.create ();
+    registered = Ivec.create ();
     neutralizations = 0;
     recoveries = 0;
   }

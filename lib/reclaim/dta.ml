@@ -49,7 +49,7 @@ module Hooks = struct
   type thread = {
     s : scheme;
     tid : int;
-    buffer : Word.addr Vec.t;
+    buffer : Ivec.t;
     scan_scratch : (int, unit) Hashtbl.t; (* protected-set table, reused *)
     mutable ring_pos : int;
     mutable hops : int;
@@ -64,7 +64,7 @@ module Hooks = struct
     {
       s;
       tid;
-      buffer = Vec.create ();
+      buffer = Ivec.create ();
       scan_scratch = Hashtbl.create 32;
       ring_pos = 0;
       hops = 0;
@@ -188,7 +188,7 @@ module Hooks = struct
   let reclaim th =
     let s = th.s in
     let sched = s.rt.Guard.sched in
-    Guard.scan s.rt s.stats ~pending:(Vec.length th.buffer) (fun () ->
+    Guard.scan s.rt s.stats ~pending:(Ivec.length th.buffer) (fun () ->
         let protected_set = th.scan_scratch in
         Hashtbl.clear protected_set;
         (* The wait is the scheme's stall: a grace period when no peer had
@@ -198,7 +198,7 @@ module Hooks = struct
           (Guard.stall s.rt s.stats (fun () ->
                frozen := wait_or_freeze th protected_set;
                !frozen = []));
-        Vec.filter_in_place
+        Ivec.filter_in_place
           (fun addr ->
             if Hashtbl.mem protected_set addr then true
             else begin
@@ -212,19 +212,19 @@ module Hooks = struct
             s.frozen.(tid) <- false;
             Sched.consume sched (Sched.costs sched).store)
           !frozen;
-        Vec.length th.buffer)
+        Ivec.length th.buffer)
 
   (* Like epoch, reclamation runs at the quiescent operation boundary so
      reclaimers never stall each other mid-operation. *)
   let retire th addr =
-    Vec.push th.buffer addr;
-    Guard.retire th.s.rt th.s.stats ~pending:(Vec.length th.buffer) addr
+    Ivec.push th.buffer addr;
+    Guard.retire th.s.rt th.s.stats ~pending:(Ivec.length th.buffer) addr
 
   let on_end th =
     bump th;
-    if Vec.length th.buffer >= th.s.batch then reclaim th
+    if Ivec.length th.buffer >= th.s.batch then reclaim th
 
-  let quiesce th = if Vec.length th.buffer > 0 then reclaim th
+  let quiesce th = if Ivec.length th.buffer > 0 then reclaim th
   let alloc th ~size = Tsx.alloc th.s.rt.Guard.tsx ~size
   let write th addr v = Tsx.nt_write th.s.rt.Guard.tsx addr v
   let cas th addr ~expect v = Tsx.nt_cas th.s.rt.Guard.tsx addr ~expect v

@@ -31,7 +31,7 @@ type scheme = {
 module Hooks = struct
   type t = scheme
 
-  type thread = { s : scheme; tid : int; buffer : St_mem.Word.addr Vec.t }
+  type thread = { s : scheme; tid : int; buffer : Ivec.t }
 
   let runtime t = t.rt
   let stats t = t.stats
@@ -39,7 +39,7 @@ module Hooks = struct
   let create_thread s ~tid =
     (* Dedupe: a re-registered tid must not be waited on twice. *)
     if not (List.mem tid s.registered) then s.registered <- tid :: s.registered;
-    { s; tid; buffer = Vec.create () }
+    { s; tid; buffer = Ivec.create () }
 
   let bump th =
     let s = th.s in
@@ -88,26 +88,26 @@ module Hooks = struct
 
   let reclaim th =
     let s = th.s in
-    Guard.scan s.rt s.stats ~pending:(Vec.length th.buffer) (fun () ->
+    Guard.scan s.rt s.stats ~pending:(Ivec.length th.buffer) (fun () ->
         if wait_for_grace th then begin
-          Vec.iter (fun addr -> Guard.free s.rt s.stats addr) th.buffer;
-          Vec.clear th.buffer
+          Ivec.iter (fun addr -> Guard.free s.rt s.stats addr) th.buffer;
+          Ivec.clear th.buffer
         end;
-        Vec.length th.buffer)
+        Ivec.length th.buffer)
 
   (* Retires only buffer; reclamation runs at the next quiescent point
      (operation end), where this thread provably holds no references — this
      is how epoch implementations avoid reclaimers blocking each other
      while both are mid-operation. *)
   let retire th addr =
-    Vec.push th.buffer addr;
-    Guard.retire th.s.rt th.s.stats ~pending:(Vec.length th.buffer) addr
+    Ivec.push th.buffer addr;
+    Guard.retire th.s.rt th.s.stats ~pending:(Ivec.length th.buffer) addr
 
   let on_end th =
     bump th;
-    if Vec.length th.buffer >= th.s.batch then reclaim th
+    if Ivec.length th.buffer >= th.s.batch then reclaim th
 
-  let quiesce th = if Vec.length th.buffer > 0 then reclaim th
+  let quiesce th = if Ivec.length th.buffer > 0 then reclaim th
   let alloc th ~size = Tsx.alloc th.s.rt.Guard.tsx ~size
   let write th addr v = Tsx.nt_write th.s.rt.Guard.tsx addr v
   let cas th addr ~expect v = Tsx.nt_cas th.s.rt.Guard.tsx addr ~expect v

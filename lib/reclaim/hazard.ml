@@ -33,7 +33,7 @@ module Hooks = struct
   type thread = {
     s : scheme;
     tid : int;
-    buffer : Word.addr Vec.t;
+    buffer : Ivec.t;
     used_slots : bool array; (* cleared at op end *)
     scan_scratch : (int, unit) Hashtbl.t; (* protected-set table, reused *)
   }
@@ -47,7 +47,7 @@ module Hooks = struct
     {
       s;
       tid;
-      buffer = Vec.create ();
+      buffer = Ivec.create ();
       used_slots = Array.make slots_per_thread false;
       scan_scratch = Hashtbl.create 64;
     }
@@ -119,7 +119,7 @@ module Hooks = struct
     let s = th.s in
     let sched = s.rt.Guard.sched in
     let costs = Sched.costs sched in
-    Guard.scan s.rt s.stats ~pending:(Vec.length th.buffer) (fun () ->
+    Guard.scan s.rt s.stats ~pending:(Ivec.length th.buffer) (fun () ->
         (* Reused per-thread scratch: [Hashtbl.clear] keeps the bucket
            array, so repeated scans stop allocating a fresh table each. *)
         let protected_set = th.scan_scratch in
@@ -133,7 +133,7 @@ module Hooks = struct
               if p <> 0 then Hashtbl.replace protected_set p ()
             done)
           s.registered;
-        Vec.filter_in_place
+        Ivec.filter_in_place
           (fun addr ->
             if Hashtbl.mem protected_set addr then true
             else begin
@@ -141,14 +141,14 @@ module Hooks = struct
               false
             end)
           th.buffer;
-        Vec.length th.buffer)
+        Ivec.length th.buffer)
 
   let retire th addr =
-    Vec.push th.buffer addr;
-    Guard.retire th.s.rt th.s.stats ~pending:(Vec.length th.buffer) addr;
-    if Vec.length th.buffer >= th.s.batch then scan th
+    Ivec.push th.buffer addr;
+    Guard.retire th.s.rt th.s.stats ~pending:(Ivec.length th.buffer) addr;
+    if Ivec.length th.buffer >= th.s.batch then scan th
 
-  let quiesce th = if Vec.length th.buffer > 0 then scan th
+  let quiesce th = if Ivec.length th.buffer > 0 then scan th
   let alloc th ~size = Tsx.alloc th.s.rt.Guard.tsx ~size
   let write th addr v = Tsx.nt_write th.s.rt.Guard.tsx addr v
   let cas th addr ~expect v = Tsx.nt_cas th.s.rt.Guard.tsx addr ~expect v

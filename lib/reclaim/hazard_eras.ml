@@ -50,7 +50,7 @@ module Hooks = struct
     s : scheme;
     tid : int;
     (* Retired-node buffer, stride 3: addr, birth era, retire era. *)
-    buffer : int Vec.t;
+    buffer : Ivec.t;
     (* Reservation snapshot scratch, reused across scans. *)
     snap_lo : int array;
     snap_hi : int array;
@@ -65,7 +65,7 @@ module Hooks = struct
     {
       s;
       tid;
-      buffer = Vec.create ();
+      buffer = Ivec.create ();
       snap_lo = Array.make Topology.max_threads 0;
       snap_hi = Array.make Topology.max_threads 0;
     }
@@ -134,7 +134,7 @@ module Hooks = struct
     let s = th.s in
     let sched = s.rt.Guard.sched in
     let costs = Sched.costs sched in
-    Guard.scan s.rt s.stats ~pending:(Vec.length th.buffer / 3) (fun () ->
+    Guard.scan s.rt s.stats ~pending:(Ivec.length th.buffer / 3) (fun () ->
         (* Snapshot every thread's published interval (two words each). *)
         let n_res = ref 0 in
         List.iter
@@ -152,28 +152,28 @@ module Hooks = struct
         let n_res = !n_res in
         (* Keep a buffered node only if some interval overlaps its
            lifetime; compact the stride-3 buffer in place. *)
-        let len = Vec.length th.buffer in
+        let len = Ivec.length th.buffer in
         let w = ref 0 in
         let r = ref 0 in
         while !r < len do
-          let addr = Vec.get th.buffer !r in
-          let birth = Vec.get th.buffer (!r + 1) in
-          let retired = Vec.get th.buffer (!r + 2) in
+          let addr = Ivec.get th.buffer !r in
+          let birth = Ivec.get th.buffer (!r + 1) in
+          let retired = Ivec.get th.buffer (!r + 2) in
           let held = ref false in
           for i = 0 to n_res - 1 do
             if birth <= th.snap_hi.(i) && retired >= th.snap_lo.(i) then
               held := true
           done;
           if !held then begin
-            Vec.set th.buffer !w addr;
-            Vec.set th.buffer (!w + 1) birth;
-            Vec.set th.buffer (!w + 2) retired;
+            Ivec.set th.buffer !w addr;
+            Ivec.set th.buffer (!w + 1) birth;
+            Ivec.set th.buffer (!w + 2) retired;
             w := !w + 3
           end
           else Guard.free s.rt s.stats addr;
           r := !r + 3
         done;
-        Vec.truncate th.buffer !w;
+        Ivec.truncate th.buffer !w;
         !w / 3)
 
   let retire th addr =
@@ -184,19 +184,19 @@ module Hooks = struct
       if ix > 0 && ix < Array.length s.birth_eras then s.birth_eras.(ix)
       else 0 (* pre-scheme allocation: conservatively "born at era 0" *)
     in
-    Vec.push th.buffer addr;
-    Vec.push th.buffer birth;
-    Vec.push th.buffer s.era;
-    Guard.retire s.rt s.stats ~pending:(Vec.length th.buffer / 3) addr;
+    Ivec.push th.buffer addr;
+    Ivec.push th.buffer birth;
+    Ivec.push th.buffer s.era;
+    Guard.retire s.rt s.stats ~pending:(Ivec.length th.buffer / 3) addr;
     (* The era clock ticks on retirement volume, not on wall time. *)
     s.retire_count <- s.retire_count + 1;
     if s.retire_count mod s.era_freq = 0 then begin
       s.era <- s.era + 1;
       Sched.consume sched (Sched.costs sched).fetch_add
     end;
-    if Vec.length th.buffer / 3 >= s.batch then scan th
+    if Ivec.length th.buffer / 3 >= s.batch then scan th
 
-  let quiesce th = if Vec.length th.buffer > 0 then scan th
+  let quiesce th = if Ivec.length th.buffer > 0 then scan th
   let write th addr v = Tsx.nt_write th.s.rt.Guard.tsx addr v
   let cas th addr ~expect v = Tsx.nt_cas th.s.rt.Guard.tsx addr ~expect v
 end

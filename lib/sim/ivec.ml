@@ -29,3 +29,27 @@ let truncate t n =
   t.len <- n
 
 let clear t = t.len <- 0
+
+(* The loops below index below [t.len], which never exceeds the capacity;
+   [t.data] is re-read on every step, so [f] may push (and so grow) [t]. *)
+let iter f t =
+  for i = 0 to t.len - 1 do
+    f (Array.unsafe_get t.data i)
+  done
+
+let to_list t = List.init t.len (fun i -> Array.unsafe_get t.data i)
+
+let exists p t =
+  let rec go i = i < t.len && (p (Array.unsafe_get t.data i) || go (i + 1)) in
+  go 0
+
+let filter_in_place p t =
+  let j = ref 0 in
+  for i = 0 to t.len - 1 do
+    let x = Array.unsafe_get t.data i in
+    if p x then begin
+      Array.unsafe_set t.data !j x;
+      incr j
+    end
+  done;
+  t.len <- !j

@@ -1,11 +1,11 @@
-(** Int-specialized growable vector.
+(** Growable vector of ints (OCaml 5.1 has no [Dynarray] yet).
 
-    {!Vec} is polymorphic, so every [push] store goes through the generic
-    write barrier ([caml_modify]) even when the payload is an immediate.
-    The StackTrack replay log and the HTM transaction footprints and write
-    buffers push on every simulated memory access; specializing to
-    [int array] makes that store a plain write, and a [get] needs no
-    float-array tag check. *)
+    Every vector in the simulator holds immediates: heap free lists, the
+    StackTrack replay log and free set, the HTM transaction footprints and
+    write buffers, and the reclamation schemes' retire buffers.
+    Specializing to [int array] makes a [push] store a plain write, with no
+    [caml_modify] write barrier, and a [get] needs no float-array tag
+    check. *)
 
 type t
 
@@ -20,3 +20,12 @@ val truncate : t -> int -> unit
 (** Keep only the first [n] elements. *)
 
 val clear : t -> unit
+
+val iter : (int -> unit) -> t -> unit
+(** Visit the elements in index order. *)
+
+val to_list : t -> int list
+val exists : (int -> bool) -> t -> bool
+
+val filter_in_place : (int -> bool) -> t -> unit
+(** Keep the elements satisfying the predicate, in their order. *)

@@ -164,6 +164,24 @@ let test_diff_missing_and_type () =
   Alcotest.(check int) "infinity ignores missing" 0
     (List.length (Analyze.diff ~tols doc missing))
 
+(* An empty container is a leaf: a key holding [[]] or [{}] is compared
+   like a number, so a stale or dropped empty key is a drift. *)
+let test_diff_empty_containers () =
+  let drifts a b =
+    List.map
+      (fun d -> d.Analyze.path)
+      (Analyze.diff (Json_in.parse a) (Json_in.parse b))
+  in
+  let check name want a b =
+    Alcotest.(check (list string)) name want (drifts a b)
+  in
+  check "[] vs absent" [ "a" ] {|{"a":[]}|} {|{}|};
+  check "absent vs {}" [ "a" ] {|{}|} {|{"a":{}}|};
+  check "[] vs []" [] {|{"a":[]}|} {|{"a":[]}|};
+  check "{} vs {}" [] {|{"a":{}}|} {|{"a":{}}|};
+  check "[] vs {}" [ "a" ] {|{"a":[]}|} {|{"a":{}}|};
+  check "[] vs [1]" [ "a"; "a[0]" ] {|{"a":[]}|} {|{"a":[1]}|}
+
 (* ------------------------------------------------------------------ *)
 (* Report                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -320,6 +338,7 @@ let () =
           quick "drift + tolerance" test_diff_detects_drift;
           quick "subtree rules" test_diff_subtree_rules;
           quick "missing / retyped" test_diff_missing_and_type;
+          quick "empty containers" test_diff_empty_containers;
         ] );
       ( "report",
         [

@@ -72,6 +72,126 @@ let test_predictor_per_segment () =
   checki "segment (2,0) untouched" 50 (Predictor.limit p ~op_id:2 ~split:0);
   checki "two segments tracked" 3 (Predictor.segments_tracked p)
 
+(* Reference model: the predictor as a hash table keyed by (op_id, split),
+   one cell per segment seen.  The dense table must agree with it on every
+   limit, the tracked count, the set of segments [iter] visits and every
+   [on_adjust] call. *)
+module Ref_predictor = struct
+  type cell = { mutable limit : int; mutable consec : int }
+
+  type t = {
+    cfg : St_config.t;
+    cells : (int * int, cell) Hashtbl.t;
+    adjusts : (int * int * int * int * bool) list ref;
+  }
+
+  let create cfg = { cfg; cells = Hashtbl.create 64; adjusts = ref [] }
+
+  let cell t ~op_id ~split =
+    match Hashtbl.find_opt t.cells (op_id, split) with
+    | Some c -> c
+    | None ->
+        let c = { limit = t.cfg.St_config.initial_limit; consec = 0 } in
+        Hashtbl.add t.cells (op_id, split) c;
+        c
+
+  let limit t ~op_id ~split = (cell t ~op_id ~split).limit
+
+  let adjust t ~op_id ~split c limit ~grow =
+    let old_limit = c.limit in
+    c.limit <- limit;
+    c.consec <- 0;
+    if limit <> old_limit then
+      t.adjusts := (op_id, split, old_limit, limit, grow) :: !(t.adjusts)
+
+  let on_commit t ~op_id ~split =
+    let c = cell t ~op_id ~split in
+    c.consec <- (if c.consec > 0 then c.consec + 1 else 1);
+    if c.consec >= t.cfg.St_config.consec_threshold then
+      adjust t ~op_id ~split c ~grow:true
+        (min t.cfg.St_config.max_limit (c.limit + 1))
+
+  let on_abort t ~op_id ~split =
+    let c = cell t ~op_id ~split in
+    c.consec <- (if c.consec < 0 then c.consec - 1 else -1);
+    if -c.consec >= t.cfg.St_config.consec_threshold then
+      adjust t ~op_id ~split c ~grow:false
+        (max t.cfg.St_config.min_limit (c.limit - 1))
+
+  let rows t =
+    List.sort compare
+      (Hashtbl.fold (fun (o, s) c acc -> (o, s, c.limit) :: acc) t.cells [])
+end
+
+(* Random (op_id, split, commit | abort) steps on a few hot segments, so
+   runs cross the threshold, plus sparse ones with splits past 4095 and
+   op ids past the first row block, under a random threshold and limit
+   range narrow enough to hit both clamps. *)
+let prop_predictor_matches_reference =
+  let open QCheck.Gen in
+  let step =
+    triple
+      (frequency [ (6, int_bound 3); (1, int_bound 70) ])
+      (frequency
+         [ (6, int_bound 3); (2, int_range 4094 4097); (1, int_bound 20_000) ])
+      bool
+  in
+  let cfg =
+    map
+      (fun (threshold, (lo, span, init)) ->
+        {
+          St_config.default with
+          consec_threshold = threshold;
+          min_limit = lo;
+          max_limit = lo + span;
+          initial_limit = lo + min span init;
+        })
+      (pair (int_range 1 4)
+         (triple (int_range 1 3) (int_bound 4) (int_bound 4)))
+  in
+  QCheck.Test.make ~name:"dense predictor = hash-table reference" ~count:300
+    (QCheck.make (pair cfg (list_size (int_bound 400) step)))
+    (fun (cfg, steps) ->
+      let adjusts = ref [] in
+      let p =
+        Predictor.create cfg ~on_adjust:(fun ~op_id ~split ~old_limit ~limit
+                                               ~grow ->
+            adjusts := (op_id, split, old_limit, limit, grow) :: !adjusts)
+      in
+      let r = Ref_predictor.create cfg in
+      List.iter
+        (fun (op_id, split, commit) ->
+          if commit then begin
+            Predictor.on_commit p ~op_id ~split;
+            Ref_predictor.on_commit r ~op_id ~split
+          end
+          else begin
+            Predictor.on_abort p ~op_id ~split;
+            Ref_predictor.on_abort r ~op_id ~split
+          end;
+          let l = Predictor.limit p ~op_id ~split
+          and l' = Ref_predictor.limit r ~op_id ~split in
+          if l <> l' then
+            QCheck.Test.fail_reportf "limit (%d, %d): %d, reference %d" op_id
+              split l l')
+        steps;
+      let rows = ref [] in
+      Predictor.iter p (fun ~op_id ~split ~limit ->
+          rows := (op_id, split, limit) :: !rows);
+      Predictor.segments_tracked p = Hashtbl.length r.Ref_predictor.cells
+      && List.sort compare !rows = Ref_predictor.rows r
+      && !adjusts = !(r.Ref_predictor.adjusts))
+
+let test_predictor_negative_segment () =
+  let p = Predictor.create St_config.default in
+  List.iter
+    (fun (op_id, split) ->
+      match Predictor.limit p ~op_id ~split with
+      | _ -> Alcotest.failf "segment (%d, %d) accepted" op_id split
+      | exception Invalid_argument _ -> ())
+    [ (-1, 0); (0, -1) ];
+  checki "nothing tracked" 0 (Predictor.segments_tracked p)
+
 (* ------------------------------------------------------------------ *)
 (* Engine worlds                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -391,6 +511,9 @@ let () =
             test_predictor_mixed_resets_run;
           Alcotest.test_case "clamps" `Quick test_predictor_clamps;
           Alcotest.test_case "per segment" `Quick test_predictor_per_segment;
+          Alcotest.test_case "negative segment" `Quick
+            test_predictor_negative_segment;
+          QCheck_alcotest.to_alcotest prop_predictor_matches_reference;
         ] );
       ( "engine",
         [

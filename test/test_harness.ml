@@ -539,7 +539,17 @@ let test_hosttime_gate () =
     (gate {|{ "target": "scan-list", "best_ms": 1e9 }|})
     2 "no baseline entry for target fig1-list";
   expect "committed baseline" (check_against "../BENCH_hosttime.json") 0
-    "gate: fig1-list      ok"
+    "gate: fig1-list      ok";
+  (* An unwritable --json-out exits 2 before any target is timed. *)
+  let ((_, out) as r) =
+    run_exe hosttime
+      [
+        "--duration"; "20000"; "--json-out"; "/nonexistent/x.json";
+        "--check-against"; "../BENCH_hosttime.json"; "fig1-list";
+      ]
+  in
+  expect "unwritable --json-out" r 2 "hosttime: --json-out: cannot write";
+  checkb "unwritable --json-out: no target timed" false (contains out "host_ms")
 
 let () =
   Alcotest.run "st_harness"

@@ -221,7 +221,7 @@ let prop_reuse_same_size =
    alloc addresses, same LIFO reuse and quarantine order, same birth
    indices, same poison fills, same violation verdicts. *)
 module Dense_oracle = struct
-  module Vec = St_sim.Vec
+  module Ivec = St_sim.Ivec
 
   type t = {
     mutable words : int array;
@@ -230,7 +230,7 @@ module Dense_oracle = struct
     mutable birth : int array;
     mutable next_birth : int;
     mutable brk : int;
-    free_lists : (int, int Vec.t) Hashtbl.t;
+    free_lists : (int, Ivec.t) Hashtbl.t;
     q_addr : int array;
     q_size : int array;
     mutable q_head : int;
@@ -318,7 +318,7 @@ module Dense_oracle = struct
     match Hashtbl.find t.free_lists size with
     | v -> v
     | exception Not_found ->
-        let v = Vec.create () in
+        let v = Ivec.create () in
         Hashtbl.add t.free_lists size v;
         v
 
@@ -326,10 +326,10 @@ module Dense_oracle = struct
     let size = chunk_size t size in
     let fl = free_list t size in
     let base =
-      let n = Vec.length fl in
+      let n = Ivec.length fl in
       if n > 0 then begin
-        let base = Vec.get fl (n - 1) in
-        Vec.truncate fl (n - 1);
+        let base = Ivec.get fl (n - 1) in
+        Ivec.truncate fl (n - 1);
         base
       end
       else begin
@@ -372,7 +372,7 @@ module Dense_oracle = struct
         let old_size = t.q_size.(t.q_head) in
         t.q_head <- (t.q_head + 1) mod cap;
         t.q_len <- t.q_len - 1;
-        Vec.push (free_list t old_size) old_addr
+        Ivec.push (free_list t old_size) old_addr
       end
     end
 
@@ -391,6 +391,20 @@ module Dense_oracle = struct
       if addr >= 0 && addr < Array.length t.words then t.words.(addr) <- v
     end
 end
+
+(* A word to write: a random one from the whole 63-bit range, or one of the
+   values a storage encoding that truncated or mis-signed words would get
+   wrong — the extremes, -1, the poison pattern, and marked pointers near
+   a live object. *)
+let any_word rng ~near =
+  match Random.State.int rng 8 with
+  | 0 -> min_int
+  | 1 -> max_int
+  | 2 -> -1
+  | 3 -> Heap.poison
+  | 4 -> Word.mark near
+  | 5 -> near
+  | _ -> Int64.to_int (Random.State.bits64 rng)
 
 (* One randomized trace: mixed allocs (random sizes), frees of live bases,
    violating frees, writes, and reads of both live and stale addresses,
@@ -448,7 +462,7 @@ let run_oracle_trace ~seed ~quarantine ~align ~steps =
          chunk-rounded and doubled-dense bounds legitimately differ. *)
       let a = pick_live () in
       let off = Random.State.int rng 2 in
-      let v = Random.State.int rng 1_000_000 in
+      let v = any_word rng ~near:a in
       Heap.write h ~tid:0 (a + off) v;
       Dense_oracle.write o (a + off) v
     end
@@ -456,7 +470,7 @@ let run_oracle_trace ~seed ~quarantine ~align ~steps =
       (* Wild writes below [brk]: hits dead (poisoned) words or other live
          objects, exercising the write-after-free path on both sides. *)
       let a = Random.State.int rng o.Dense_oracle.brk in
-      let v = Random.State.int rng 1_000_000 in
+      let v = any_word rng ~near:a in
       Heap.write h ~tid:0 a v;
       Dense_oracle.write o a v
     end
@@ -531,6 +545,56 @@ let test_oracle_heavy () =
      directory growth, and deep free-list recycling. *)
   ignore (run_oracle_trace ~seed:0xC0FFEE ~quarantine:128 ~align:4 ~steps:50_000)
 
+(* An object straddling the first 2^16-word chunk boundary holds every
+   full-range word, word for word against the oracle; once freed it reads
+   as poison and, reallocated, as zeros on both sides of the boundary. *)
+let test_words_across_chunk_boundary () =
+  let shadow = Shadow.create () in
+  let h = Heap.create ~quarantine:0 ~align:4 ~shadow () in
+  let o = Dense_oracle.create ~quarantine:0 ~align:4 () in
+  let alloc size =
+    let a = Heap.alloc h ~tid:0 ~size and a' = Dense_oracle.alloc o ~size in
+    checki "alloc address" a' a;
+    a
+  in
+  (* Size-4 fillers up to 8 words short of the boundary, then 16 words. *)
+  let boundary = Heap.chunk_words in
+  while o.Dense_oracle.brk < boundary - 8 do
+    ignore (alloc 4)
+  done;
+  let a = alloc 16 in
+  checki "straddles the boundary" (boundary - 8) a;
+  checki "a second chunk" 2 (Heap.touched_chunks h);
+  let rng = Random.State.make [| 7 |] in
+  let words =
+    Array.init 16 (fun i ->
+        if i < 8 then [| min_int; max_int; -1; 0; Heap.poison; Word.mark a;
+                         min_int + 1; max_int - 1 |].(i)
+        else Int64.to_int (Random.State.bits64 rng))
+  in
+  Array.iteri
+    (fun i v ->
+      Heap.write h ~tid:0 (a + i) v;
+      Dense_oracle.write o (a + i) v)
+    words;
+  Array.iteri
+    (fun i v ->
+      checki (Printf.sprintf "word %d" i) v (Heap.read h ~tid:0 (a + i));
+      checki (Printf.sprintf "oracle word %d" i) v
+        (Dense_oracle.read o (a + i));
+      checki (Printf.sprintf "owner %d" i) a (Heap.owner_of h (a + i)))
+    words;
+  Heap.free h ~tid:0 a;
+  Dense_oracle.free o a;
+  for i = 0 to 15 do
+    checki "poisoned" Heap.poison (Heap.peek h (a + i))
+  done;
+  checki "reused" a (alloc 16);
+  for i = 0 to 15 do
+    checki "zeroed" 0 (Heap.read h ~tid:0 (a + i))
+  done;
+  checki "no violations" 0 (Shadow.count shadow)
+
 let test_freelist_alloc_budget () =
   (* The recycling path (size-class hit -> LIFO pop -> claim; free -> poison
      -> quarantine push) must not touch the OCaml minor heap at all: it runs
@@ -572,6 +636,8 @@ let () =
             test_align_power_of_two;
           Alcotest.test_case "dense oracle, multi-chunk trace" `Quick
             test_oracle_heavy;
+          Alcotest.test_case "full-range words across a chunk boundary"
+            `Quick test_words_across_chunk_boundary;
           Alcotest.test_case "free-list path allocates nothing" `Quick
             test_freelist_alloc_budget;
         ] );

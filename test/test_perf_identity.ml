@@ -87,7 +87,7 @@ let test_roundtrip_extremes () =
     [ Packed_log.max_payload; Packed_log.min_payload; 0; 1; -1 ]
 
 let decode_all log =
-  List.init (Vec.length log) (fun i -> Packed_log.decode (Vec.get log i))
+  List.init (Ivec.length log) (fun i -> Packed_log.decode (Ivec.get log i))
 
 (* Replay equivalence against the boxed reference: encoding a segment's
    entries, rolling back to an arbitrary checkpoint (what a crash mid-
@@ -98,15 +98,15 @@ let prop_replay_equivalence =
     ~name:"packed log replay = boxed entries (any crash point)" ~count:300
     QCheck.(pair (list_of_size (QCheck.Gen.int_range 0 64) entry_arb) small_nat)
     (fun (entries, cut) ->
-      let log = Vec.create () in
-      List.iter (fun e -> Vec.push log (Packed_log.encode e)) entries;
+      let log = Ivec.create () in
+      List.iter (fun e -> Ivec.push log (Packed_log.encode e)) entries;
       let full_ok = decode_all log = entries in
       (* Crash mid-segment: rollback truncates to the checkpoint, the
          segment re-executes deterministically and appends the same tail. *)
       let cut = min cut (List.length entries) in
-      Vec.truncate log cut;
+      Ivec.truncate log cut;
       List.iteri
-        (fun i e -> if i >= cut then Vec.push log (Packed_log.encode e))
+        (fun i e -> if i >= cut then Ivec.push log (Packed_log.encode e))
         entries;
       full_ok && decode_all log = entries)
 

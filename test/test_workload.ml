@@ -1,7 +1,7 @@
 (* Tests for the workload generators: mix ratios, key distributions
    (uniform and zipfian), initial-key drawing (against the hash-table
-   version it replaced), and the Vec helper used by the reclamation
-   buffers. *)
+   version it replaced), and the Ivec helper behind the heap free lists
+   and the reclamation buffers. *)
 
 open St_sim
 open St_workload
@@ -168,41 +168,45 @@ let test_initial_keys_bad_sizes () =
     "empty range, nothing asked" [||]
     (Workload.initial_keys ~rng:(Rng.create ~seed:1) ~key_range:0 ~size:0)
 
-(* Vec behaviour (reclamation buffers, the replay log). *)
+(* Ivec behaviour (heap free lists, reclamation buffers, the replay log). *)
 let test_vec_basics () =
-  let v = Vec.create () in
-  checki "empty" 0 (Vec.length v);
+  let v = Ivec.create () in
+  checki "empty" 0 (Ivec.length v);
   for i = 1 to 100 do
-    Vec.push v i
+    Ivec.push v i
   done;
-  checki "length" 100 (Vec.length v);
-  checki "get" 50 (Vec.get v 49);
-  Vec.set v 0 999;
-  checki "set" 999 (Vec.get v 0);
-  Vec.truncate v 10;
-  checki "truncate" 10 (Vec.length v);
-  checkb "exists" true (Vec.exists (fun x -> x = 999) v);
-  Vec.filter_in_place (fun x -> x mod 2 = 0) v;
-  checkb "filtered" true (Vec.length v < 10);
-  Vec.clear v;
-  checki "clear" 0 (Vec.length v)
+  checki "length" 100 (Ivec.length v);
+  checki "get" 50 (Ivec.get v 49);
+  Ivec.set v 0 999;
+  checki "set" 999 (Ivec.get v 0);
+  Ivec.truncate v 10;
+  checki "truncate" 10 (Ivec.length v);
+  checkb "exists" true (Ivec.exists (fun x -> x = 999) v);
+  checkb "not exists" false (Ivec.exists (fun x -> x = 50) v);
+  let sum = ref 0 in
+  Ivec.iter (fun x -> sum := !sum + x) v;
+  checki "iter" (999 + 2 + 3 + 4 + 5 + 6 + 7 + 8 + 9 + 10) !sum;
+  Ivec.filter_in_place (fun x -> x mod 2 = 0) v;
+  Alcotest.(check (list int)) "filtered" [ 2; 4; 6; 8; 10 ] (Ivec.to_list v);
+  Ivec.clear v;
+  checki "clear" 0 (Ivec.length v)
 
 let prop_vec_push_get =
   QCheck.Test.make ~name:"vec push/to_list round trip" ~count:200
     QCheck.(small_list small_int)
     (fun xs ->
-      let v = Vec.create () in
-      List.iter (Vec.push v) xs;
-      Vec.to_list v = xs)
+      let v = Ivec.create () in
+      List.iter (Ivec.push v) xs;
+      Ivec.to_list v = xs)
 
 let prop_vec_filter =
   QCheck.Test.make ~name:"vec filter_in_place = List.filter" ~count:200
     QCheck.(small_list small_int)
     (fun xs ->
-      let v = Vec.create () in
-      List.iter (Vec.push v) xs;
-      Vec.filter_in_place (fun x -> x mod 3 = 0) v;
-      Vec.to_list v = List.filter (fun x -> x mod 3 = 0) xs)
+      let v = Ivec.create () in
+      List.iter (Ivec.push v) xs;
+      Ivec.filter_in_place (fun x -> x mod 3 = 0) v;
+      Ivec.to_list v = List.filter (fun x -> x mod 3 = 0) xs)
 
 let () =
   Alcotest.run "st_workload"
