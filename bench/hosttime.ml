@@ -26,7 +26,11 @@
    [--jobs], so the parallel driver's host wall-clock speedup is measured,
    not asserted: run the same sweep with --jobs 1 and --jobs N and
    compare.  Targets: sweep-FIGURE for any [Figures.registry] name, and
-   sweep-all (the four fig1/fig2 throughput sweeps). *)
+   sweep-all (the four fig1/fig2 throughput sweeps).
+
+   [--pc-profile FILE] samples the program counter on SIGPROF while the
+   targets run ([Pcprof]) and writes the functions that host time went to
+   into FILE.  Linux x86-64 only: elsewhere the flag exits 2. *)
 
 open St_harness
 
@@ -39,6 +43,7 @@ let jobs = ref 1
 let targets = ref []
 let json_out = ref ""
 let check_against = ref ""
+let pc_profile = ref ""
 
 let git_rev =
   (* No subprocess: CI passes the sha through the flag or GIT_REV. *)
@@ -71,6 +76,11 @@ let spec =
       "FILE  Compare against a previously written --json-out file; exit 1 \
        if any target regressed by more than 25%, exit 2 if a target has no \
        entry there" );
+    ( "--pc-profile",
+      Arg.Set_string pc_profile,
+      "FILE  Sample the program counter on SIGPROF while the targets run and \
+       write samples, share and name per function to FILE (Linux x86-64 \
+       only)" );
     ( "--git-rev",
       Arg.Set_string git_rev,
       "REV  Git revision recorded in --json-out (default: $GIT_REV or \
@@ -335,7 +345,31 @@ let () =
       Printf.eprintf "hosttime: --json-out: cannot write %s\n" msg;
       exit 2
   end;
+  let profile_oc =
+    if !pc_profile = "" then None
+    else if not Pcprof.supported then begin
+      Printf.eprintf
+        "hosttime: --pc-profile: no program-counter sampling on %s (Linux \
+         x86-64 only)\n"
+        Pcprof.platform;
+      exit 2
+    end
+    else
+      try Some (open_out !pc_profile)
+      with Sys_error msg ->
+        Printf.eprintf "hosttime: --pc-profile: cannot write %s\n" msg;
+        exit 2
+  in
+  Option.iter (fun _ -> Pcprof.start ()) profile_oc;
   let results = List.map run_target ts in
+  Option.iter
+    (fun oc ->
+      let p = Pcprof.stop () in
+      Pcprof.write_report oc p;
+      close_out oc;
+      Printf.printf "pc-profile: %s (%d samples)\n%!" !pc_profile
+        (Array.length p.Pcprof.samples))
+    profile_oc;
   Printf.printf "\nbest-of-%d summary:\n" (max 1 !repeat);
   List.iter (fun (t, ms) -> Printf.printf "  %-14s %9.1f ms\n" t ms) results;
   if !json_out <> "" then write_json !json_out results;

@@ -235,6 +235,9 @@ type result = {
   yields : int;
       (** Scheduling effects performed ({!Sched.yields}); never emitted to
           JSON. *)
+  dispatches : int;
+      (** Threads the scheduler ran ({!Sched.dispatches}); never emitted to
+          JSON. *)
 }
 
 let throughput_of ~ops ~makespan =
@@ -742,4 +745,5 @@ let run cfg =
     resident_words = Heap.resident_words heap;
     line_table_words = Tsx.line_table_words tsx;
     yields = Sched.yields sched;
+    dispatches = Sched.dispatches sched;
   }

@@ -222,6 +222,10 @@ type result = {
       (** Scheduling effects the run performed ({!St_sim.Sched.yields}):
           one per fiber suspend and resume round trip.  Never emitted to
           JSON. *)
+  dispatches : int;
+      (** Threads the run's scheduler picked and ran
+          ({!St_sim.Sched.dispatches}): the switch count of the schedule
+          with every crossing taken eagerly.  Never emitted to JSON. *)
 }
 
 val run : config -> result

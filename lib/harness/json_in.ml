@@ -3,13 +3,13 @@
     The repo deliberately takes no JSON dependency, so the offline
     analyzer parses result artifacts with this hand-rolled
     recursive-descent parser.  It accepts standard JSON (RFC 8259) and
-    produces the same {!Json_out.t} AST the writers emit, so
-    [parse (Json_out.to_string v)] round-trips for every value the
-    exporters can produce.
+    produces the same {!Json_out.t} AST the writers emit; the mli states
+    what a round trip preserves.
 
-    Numbers without a fraction, exponent, or leading minus-zero quirk
-    become [Int]; everything else becomes [Float].  Object key order is
-    preserved as read.  Errors raise {!Parse_error} with a byte offset. *)
+    Numbers without a fraction or exponent become [Int], except [-0],
+    which becomes [Float (-0.)]; everything else becomes [Float].  Object
+    key order is preserved as read.  Errors raise {!Parse_error} with a
+    byte offset. *)
 
 exception Parse_error of string * int
 (** [(message, byte offset)] of the first offending character. *)
@@ -165,7 +165,9 @@ let parse_number st =
   | _ -> ());
   let text = String.sub st.src start (st.pos - start) in
   if text = "" || text = "-" then fail st "invalid number";
-  if !is_int then
+  (* [-0] is what [Json_out] prints for [Float (-0.)]; an [Int] never
+     prints it. *)
+  if !is_int && text <> "-0" then
     match int_of_string_opt text with
     | Some v -> Json_out.Int v
     | None -> Json_out.Float (float_of_string text)

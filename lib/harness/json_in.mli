@@ -2,13 +2,19 @@
 
     Parses standard JSON (RFC 8259) into the {!Json_out.t} AST so the
     offline analyzer can read result artifacts without a JSON
-    dependency.  Round-trips everything the exporters emit:
-    [parse (Json_out.to_string v)] structurally equals [v] for any [v]
-    built from finite floats.
+    dependency.
+
+    Printing a reparse reproduces the text: for every [v],
+    [Json_out.to_string (parse (Json_out.to_string v))] equals
+    [Json_out.to_string v].  [parse (Json_out.to_string v)] structurally
+    equals [v] when [v] holds no [Float]: {!Json_out} prints a float with
+    six significant digits, so it reads back rounded, and as [Int] when
+    its text has no fraction or exponent ([Float 1.] prints [1]);
+    non-finite floats print as [null].
 
     Numbers with no fraction or exponent parse as [Int] (falling back to
-    [Float] on overflow); all others parse as [Float].  Object key order
-    is preserved. *)
+    [Float] on overflow), except [-0], which parses as [Float (-0.)];
+    all others parse as [Float].  Object key order is preserved. *)
 
 exception Parse_error of string * int
 (** [(message, byte offset)] of the first offending character. *)

@@ -3,8 +3,9 @@
     The scheduler is a discrete-event loop: every simulated thread runs inside
     an effect handler and surrenders control each time it consumes virtual
     cycles (every simulated memory access does).  The loop always resumes the
-    runnable thread whose logical core has the smallest virtual clock, so a
-    run is a deterministic function of the seed and the thread bodies.
+    runnable thread whose logical core has the smallest virtual clock (the
+    lowest-indexed such core on ties), so a run is a deterministic function
+    of the seed and the thread bodies.
 
     Modelled behaviours needed by the paper's evaluation:
     - per-logical-core virtual clocks (throughput = ops / max clock);
@@ -196,6 +197,13 @@ val yields : t -> int
 (** Scheduling effects performed so far: one per fiber suspend and resume
     round trip.  A deferred crossing and the charge after it share one;
     an owed charge that the scheduler applies performs none. *)
+
+val dispatches : t -> int
+(** Threads the scheduler has picked and run so far: first starts,
+    resumes, owed charges it applied (resuming the thread or not) and
+    unwinds of crashed or signalled threads.  The count of switches the
+    schedule makes with every crossing taken eagerly, so deferring a
+    crossing leaves it unchanged. *)
 
 val consumed_by_thread : t -> int array
 (** Total cycles each registered thread has advanced its core's clock by

@@ -65,6 +65,70 @@ let test_parse_extras () =
       | _ -> Alcotest.failf "accepted invalid input %S" bad)
     [ "{"; "[1,]"; "1 2"; "{\"a\" 1}"; "\"unterminated"; "nul"; "" ]
 
+(* Random documents: every int including [min_int] and [max_int], floats
+   finite and not, [-0.] and whole floats among them, strings and keys of
+   arbitrary bytes, nested and empty lists and objects.  One round trip
+   through the parser reaches the printer's fixed point. *)
+let json_gen =
+  QCheck.Gen.(
+    let bytes = string_size ~gen:char (int_range 0 8) in
+    let int_ =
+      frequency
+        [ (3, int); (2, small_signed_int); (1, oneofl [ min_int; max_int; 0 ]) ]
+    in
+    let float_ =
+      frequency
+        [
+          (3, float);
+          (2, map float_of_int small_signed_int);
+          ( 1,
+            oneofl
+              [ -0.; 0.; max_float; -.max_float; min_float; 5e-324; 1e21;
+                Float.nan; Float.infinity ] );
+        ]
+    in
+    let leaf =
+      oneof
+        [
+          return Json_out.Null;
+          map (fun b -> Json_out.Bool b) bool;
+          map (fun i -> Json_out.Int i) int_;
+          map (fun f -> Json_out.Float f) float_;
+          map (fun s -> Json_out.String s) bytes;
+        ]
+    in
+    sized_size (int_bound 12)
+    @@ fix (fun self n ->
+           if n = 0 then leaf
+           else
+             let sub = list_size (int_range 0 4) (self (n / 2)) in
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun vs -> Json_out.List vs) sub);
+                 ( 1,
+                   map
+                     (fun kvs -> Json_out.Obj kvs)
+                     (list_size (int_range 0 4) (pair bytes (self (n / 2)))) );
+               ]))
+
+let prop_print_parse_print =
+  QCheck.Test.make ~name:"to_string (parse (to_string v)) = to_string v"
+    ~count:1000
+    (QCheck.make ~print:Json_out.to_string json_gen)
+    (fun v ->
+      let s = Json_out.to_string v in
+      Json_out.to_string (Json_in.parse s) = s)
+
+let test_negative_zero () =
+  Alcotest.(check bool)
+    "-0 reads as a float" true
+    (Json_in.parse "-0" = Json_out.Float (-0.));
+  Alcotest.(check string)
+    "and prints back" "-0"
+    (Json_out.to_string (Json_in.parse (Json_out.to_string (Json_out.Float (-0.)))));
+  Alcotest.(check bool) "0 stays an int" true (Json_in.parse "0" = Json_out.Int 0)
+
 let test_roundtrip_goldens () =
   List.iter
     (fun path ->
@@ -331,6 +395,8 @@ let () =
           quick "ast roundtrip" test_roundtrip_ast;
           quick "syntax corners" test_parse_extras;
           quick "golden files reparse" test_roundtrip_goldens;
+          quick "negative zero" test_negative_zero;
+          QCheck_alcotest.to_alcotest prop_print_parse_print;
         ] );
       ( "diff",
         [

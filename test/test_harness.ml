@@ -465,6 +465,25 @@ let test_cli_bad_sizes () =
       ("figures", [ "--jobs=-1" ], "--jobs");
     ]
 
+(* A metrics interval far past the duration sends the harness sampler
+   to a clock of 10^18 cycles in one wait: with two workers each thread
+   has a core to itself, so no SMT penalty scales the wait.  The
+   scheduler orders that clock like any other, the run ends normally,
+   and its one sample is taken there. *)
+let test_cli_far_sampler_deadline () =
+  match
+    run_cli "run"
+      [
+        "--duration"; "20000"; "--threads"; "2"; "--metrics-interval";
+        "1000000000000000000"; "--json";
+      ]
+  with
+  | None, _ -> Alcotest.fail "still running after the timeout"
+  | Some code, out ->
+      checki "exit" 0 code;
+      checkb "sampled at 10^18 cycles" true
+        (contains out {|"time":1000000000000000000|})
+
 (* An unwritable --flame-out or --json-out used to run the whole
    simulation (every figure of [figures all]) and then die with an
    uncaught [Sys_error].  Every output path is now opened before any
@@ -549,7 +568,25 @@ let test_hosttime_gate () =
       ]
   in
   expect "unwritable --json-out" r 2 "hosttime: --json-out: cannot write";
-  checkb "unwritable --json-out: no target timed" false (contains out "host_ms")
+  checkb "unwritable --json-out: no target timed" false (contains out "host_ms");
+  (* The program-counter sampler writes its report where it can sample,
+     and refuses, naming the one target it supports, where it cannot. *)
+  let profile = Filename.temp_file "pc_profile" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove profile) @@ fun () ->
+  let r =
+    run_exe hosttime
+      [
+        "--duration"; "20000"; "--repeat"; "2"; "--pc-profile"; profile;
+        "fig1-list";
+      ]
+  in
+  match r with
+  | Some 2, _ -> expect "--pc-profile unsupported" r 2 "Linux x86-64 only"
+  | _ ->
+      expect "--pc-profile" r 0 "pc-profile: ";
+      checkb "--pc-profile: header line" true
+        (String.starts_with ~prefix:"# pc-profile: "
+           (In_channel.with_open_bin profile In_channel.input_all))
 
 let () =
   Alcotest.run "st_harness"
@@ -588,6 +625,8 @@ let () =
           Alcotest.test_case "bad set-up sizes" `Quick test_cli_bad_sizes;
           Alcotest.test_case "unwritable outputs" `Quick
             test_cli_unwritable_outputs;
+          Alcotest.test_case "sampler deadline past the run" `Quick
+            test_cli_far_sampler_deadline;
           Alcotest.test_case "hosttime baseline gate" `Quick test_hosttime_gate;
         ] );
       ( "figures",

@@ -442,12 +442,29 @@ let identity_cases =
       } );
   ]
 
-(* Scheduling effects ([Sched.yields]) of two of those runs, pinned next
-   to their results. *)
-let pinned_yields =
+(* Scheduling counts of every one of those runs, pinned next to their
+   results: [Sched.yields] (fiber round trips) and [Sched.dispatches]
+   (threads run, the eager schedule's switch count).  Exact per seed, so
+   a scheduler change that keeps every result but costs more switches
+   shows here. *)
+let pinned_counts =
   [
-    ("goldens/identity_list_st.json", 152786);
-    ("goldens/identity_list_hazards.json", 89304);
+    ("goldens/identity_list_st.json", (152786, 247485));
+    ("goldens/identity_list_st_hashscan.json", (151807, 246495));
+    ("goldens/identity_list_hazards.json", (89304, 110386));
+    ("goldens/identity_list_epoch.json", (220255, 220267));
+    ("goldens/identity_list_dta.json", (218634, 218646));
+    ("goldens/identity_queue_st.json", (22482, 24147));
+    ("goldens/identity_queue_hazards.json", (79587, 92730));
+    ("goldens/identity_queue_epoch.json", (114668, 114676));
+    ("goldens/identity_list_debra.json", (183564, 183576));
+    ("goldens/identity_list_debra_plus.json", (190529, 190541));
+    ("goldens/identity_list_hazard_eras.json", (183041, 183053));
+    ("goldens/identity_list_st_lifecycle.json", (142746, 225987));
+    ("goldens/identity_queue_st_observed.json", (22482, 24147));
+    ("goldens/identity_hash_st.json", (92169, 110827));
+    ("goldens/identity_hash_refcount.json", (69539, 69551));
+    ("goldens/identity_hash_hazards.json", (88496, 107986));
   ]
 
 let test_identity_goldens () =
@@ -458,10 +475,13 @@ let test_identity_goldens () =
         (golden ^ " byte-identical")
         (read_file golden)
         (Result_json.to_string r ^ "\n");
-      Option.iter
-        (fun yields ->
-          Alcotest.(check int) (golden ^ ": yields") yields r.Experiment.yields)
-        (List.assoc_opt golden pinned_yields))
+      match List.assoc_opt golden pinned_counts with
+      | None -> Alcotest.failf "%s: no pinned yields and dispatches" golden
+      | Some (yields, dispatches) ->
+          Alcotest.(check int) (golden ^ ": yields") yields r.Experiment.yields;
+          Alcotest.(check int)
+            (golden ^ ": dispatches")
+            dispatches r.Experiment.dispatches)
     identity_cases
 
 let test_identity_trace_golden () =

@@ -1,7 +1,8 @@
 (* Tests for the simulation kernel: PRNG determinism and distribution,
    topology placement, and scheduler semantics (determinism, fairness,
-   multiplexing, preemption hooks, crash injection, HT penalty, and
-   deferred crossings against eager yields). *)
+   multiplexing, preemption hooks, crash injection, HT penalty, deferred
+   crossings against eager yields, and the run order against the
+   per-dispatch scan it replaced, kept as [Sched_ref]). *)
 
 open St_sim
 
@@ -373,7 +374,7 @@ let step_to_string = function
 (* Everything a run shows: the clock after every [Charge], the shared log
    in global order (tid, clock, counter; -1 for a caught signal), both
    cycle ledgers, the preemptions, how each thread ended, the makespan,
-   and the yields, which only the deferral may change. *)
+   the dispatches, and the yields, which only the deferral may change. *)
 type outcome = {
   clocks : int list array;
   shared : (int * int * int) list;
@@ -382,10 +383,48 @@ type outcome = {
   switches : int;
   ends : (bool * bool) array;
   makespan : int;
+  dispatches : int;
   yields : int;
 }
 
-let run_bodies ~deferred ?(cores = 2) ?(smt = 1) ?(quantum = 50_000) bodies =
+(* What [run_bodies] uses of a scheduler, so that the same bodies can run
+   on [Sched] and on the reference [Sched_ref]. *)
+module type SCHED = sig
+  type t
+
+  exception Signal_interrupt
+
+  val create :
+    ?topology:Topology.t ->
+    ?costs:Costs.t ->
+    ?quantum:int ->
+    ?ht_penalty_pct:int ->
+    ?trace:Trace.t ->
+    ?profile:Profile.t ->
+    seed:int ->
+    unit ->
+    t
+
+  val add_thread : t -> (int -> unit) -> int
+  val run : t -> unit
+  val consume : t -> int -> unit
+  val consume_deferred : t -> int -> unit
+  val sync : t -> unit
+  val now : t -> int
+  val crash : t -> int -> unit
+  val signal : t -> int -> unit
+  val consumed_by_thread : t -> int array
+  val global_time : t -> int
+  val context_switches : t -> int
+  val crashed : t -> int -> bool
+  val finished : t -> int -> bool
+  val yields : t -> int
+  val dispatches : t -> int
+end
+
+let run_bodies ?(sched = (module Sched : SCHED)) ~deferred ?(cores = 2)
+    ?(smt = 1) ?(quantum = 50_000) bodies =
+  let module Sched = (val sched) in
   let profile = Profile.create ~enabled:true () in
   let s =
     Sched.create ~topology:(Topology.create ~cores ~smt ()) ~quantum ~profile
@@ -439,6 +478,7 @@ let run_bodies ~deferred ?(cores = 2) ?(smt = 1) ?(quantum = 50_000) bodies =
     switches = Sched.context_switches s;
     ends = Array.init n (fun i -> (Sched.crashed s i, Sched.finished s i));
     makespan;
+    dispatches = Sched.dispatches s;
     yields = Sched.yields s;
   }
 
@@ -446,7 +486,8 @@ let run_both ?cores ?smt ?quantum bodies =
   ( run_bodies ~deferred:false ?cores ?smt ?quantum bodies,
     run_bodies ~deferred:true ?cores ?smt ?quantum bodies )
 
-(* The same schedule, and no more yields when deferred. *)
+(* The same schedule, the same dispatches, and no more yields when
+   deferred. *)
 let agree (eager, deferred) =
   { eager with yields = 0 } = { deferred with yields = 0 }
   && deferred.yields <= eager.yields
@@ -527,16 +568,19 @@ let test_defer_sync_orders_shared () =
     [ (1, 100, 1); (0, 150, 2) ]
     d.shared
 
-(* Random machines and bodies: 1-2 cores x 1-2 SMT, 2-5 threads, every
-   step kind, four quanta.  The deferred run must be the eager run, with
-   no more yields. *)
-let bodies_gen =
+(* Random machines and bodies: 1 to [max_cores] cores x 1-2 SMT, 2 to
+   [max_threads] threads, every step kind, four quanta.  A third of the
+   charges are multiples of 40, so clocks of several lcores meet.  The
+   deferred run must be the eager run, with no more yields. *)
+let bodies_gen ~max_cores ~max_threads =
   QCheck.Gen.(
-    let* cores = int_range 1 2 in
+    let* cores = int_range 1 max_cores in
     let* smt = int_range 1 2 in
     let* quantum = oneofl [ 60; 150; 500; 50_000 ] in
-    let* n = int_range 2 5 in
-    let cost = int_range 0 200 in
+    let* n = int_range 2 max_threads in
+    let cost =
+      frequency [ (2, int_range 0 200); (1, map (( * ) 40) (int_range 0 5)) ]
+    in
     let step =
       frequency
         [
@@ -559,9 +603,112 @@ let bodies_print (cores, smt, quantum, bodies) =
 let prop_defer_matches_eager =
   QCheck.Test.make ~name:"deferred crossings = eager schedule" ~count:300
     ~long_factor:20
-    (QCheck.make ~print:bodies_print bodies_gen)
+    (QCheck.make ~print:bodies_print (bodies_gen ~max_cores:2 ~max_threads:5))
     (fun (cores, smt, quantum, bodies) ->
       agree (run_both ~cores ~smt ~quantum bodies))
+
+(* ------------------------------------------------------------------ *)
+(* Run order against the per-dispatch scan                             *)
+(* ------------------------------------------------------------------ *)
+
+(* [Sched] keeps the runnable lcores in one (clock, lcore) order and
+   re-places only the lcore that ran; [Sched_ref], the scheduler it
+   replaced, scans every lcore at every dispatch.  Both must give the same
+   outcome, eager and deferred. *)
+let same_as_ref ?cores ?smt ?quantum bodies =
+  List.for_all
+    (fun deferred ->
+      run_bodies ~deferred ?cores ?smt ?quantum bodies
+      = run_bodies ~sched:(module Sched_ref) ~deferred ?cores ?smt ?quantum
+          bodies)
+    [ false; true ]
+
+(* Checks [same_as_ref] and returns [Sched]'s eager outcome. *)
+let oracle ?cores ?smt ?quantum bodies =
+  checkb "run order = per-dispatch scan" true
+    (same_as_ref ?cores ?smt ?quantum bodies);
+  run_bodies ~deferred:false ?cores ?smt ?quantum bodies
+
+let tids d = List.map (fun (tid, _, _) -> tid) d.shared
+
+(* Four threads on two SMT cores: tids 0, 1, 2, 3 sit on lcores 0, 2, 1, 3.
+   Every charge ties all four clocks, and at a tie the lower lcore runs
+   first, so each round logs tids 0, 2, 1, 3. *)
+let test_order_tie () =
+  let body = [ Shared; Charge 100; Shared; Charge 100; Shared ] in
+  let d = oracle ~cores:2 ~smt:2 [ body; body; body; body ] in
+  check Alcotest.(list int) "lcore order at every tie"
+    [ 0; 2; 1; 3; 0; 2; 1; 3; 0; 2; 1; 3 ]
+    (tids d);
+  check Alcotest.(list int) "penalized clocks" [ 0; 0; 0; 0; 140; 140; 140; 140 ]
+    (List.filteri (fun i _ -> i < 8) (List.map (fun (_, c, _) -> c) d.shared))
+
+(* Thread 0 (lcore 0) finishes while threads 1 (lcore 2) and 2 (lcore 1,
+   its SMT sibling) are suspended mid-body: lcore 0 leaves the order from
+   its middle, and thread 2's charges stop paying the SMT penalty. *)
+let test_order_finish_mid_burst () =
+  let three = [ Charge 100; Charge 100; Charge 100 ] in
+  let d = oracle ~cores:2 ~smt:2 [ [ Charge 50 ]; three; three ] in
+  check Alcotest.(list int) "thread 0" [ 70 ] d.clocks.(0);
+  check Alcotest.(list int) "thread 1, no sibling" [ 100; 200; 300 ]
+    d.clocks.(1);
+  check Alcotest.(list int) "thread 2, penalized until thread 0 finishes"
+    [ 140; 240; 340 ] d.clocks.(2);
+  checki "dispatches" 10 d.dispatches
+
+(* Thread 1 crashes thread 2 before it ever ran.  Thread 2 waits behind
+   thread 0 on lcore 0, so the quantum rotation puts its corpse at the
+   queue head; the scheduler drops it without running it, and thread 0
+   runs on with its lcore to itself. *)
+let test_order_corpse_at_head () =
+  let d =
+    oracle ~quantum:100
+      [
+        [ Charge 60; Charge 60; Shared; Charge 60; Charge 60 ];
+        [ Charge 10; Crash 2; Charge 200 ];
+        [ Shared ];
+      ]
+  in
+  let cs = Costs.default.Costs.context_switch in
+  checkb "thread 2 crashed" true (fst d.ends.(2));
+  check Alcotest.(list int) "thread 2 never ran" [ 0 ] (tids d);
+  checki "one rotation" 1 d.switches;
+  check Alcotest.(list int) "thread 0 alone after the rotation"
+    [ 60; 120 + cs; 180 + cs; 240 + cs ]
+    d.clocks.(0)
+
+(* Three threads on one lcore, quantum 100: each burst ends at the charge
+   that takes its slice past the quantum, and the lcore rotates its queue,
+   until fewer than two threads are left. *)
+let test_order_quantum_rotation () =
+  let body = [ Charge 60; Shared; Charge 60; Shared; Charge 60; Shared ] in
+  let d = oracle ~cores:1 ~quantum:100 [ body; body; body ] in
+  let cs = Costs.default.Costs.context_switch in
+  check Alcotest.(list int) "rotation order" [ 0; 1; 2; 0; 0; 1; 1; 2; 2 ]
+    (tids d);
+  checki "three rotations" 3 d.switches;
+  checki "makespan" ((9 * 60) + (3 * cs)) d.makespan
+
+(* The run order compares clocks as plain ints, so clocks of 2^60 cycles
+   (a harness sampler told to wait that long reaches them) order like
+   small ones: thread 1 logs first, at clock 1, then thread 0 at 2^60,
+   then thread 1 past it. *)
+let test_order_huge_clocks () =
+  let d =
+    oracle ~cores:2
+      [
+        [ Charge (1 lsl 60); Shared ];
+        [ Charge 1; Shared; Charge (1 lsl 60); Shared ];
+      ]
+  in
+  check Alcotest.(list int) "order" [ 1; 0; 1 ] (tids d);
+  checki "makespan" ((1 lsl 60) + 1) d.makespan
+
+let prop_run_order_matches_scan =
+  QCheck.Test.make ~name:"run order = per-dispatch scan" ~count:300
+    ~long_factor:20
+    (QCheck.make ~print:bodies_print (bodies_gen ~max_cores:4 ~max_threads:12))
+    (fun (cores, smt, quantum, bodies) -> same_as_ref ~cores ~smt ~quantum bodies)
 
 (* ------------------------------------------------------------------ *)
 (* Trace                                                               *)
@@ -689,5 +836,20 @@ let () =
             test_defer_sync_orders_shared;
           QCheck_alcotest.to_alcotest ~speed_level:`Quick
             prop_defer_matches_eager;
+        ] );
+      ( "run order",
+        [
+          Alcotest.test_case "equal clocks: lower lcore first" `Quick
+            test_order_tie;
+          Alcotest.test_case "finish mid-burst" `Quick
+            test_order_finish_mid_burst;
+          Alcotest.test_case "never-started corpse at a queue head" `Quick
+            test_order_corpse_at_head;
+          Alcotest.test_case "quantum rotation" `Quick
+            test_order_quantum_rotation;
+          Alcotest.test_case "clocks of 2^60 cycles" `Quick
+            test_order_huge_clocks;
+          QCheck_alcotest.to_alcotest ~speed_level:`Quick
+            prop_run_order_matches_scan;
         ] );
     ]
