@@ -9,7 +9,8 @@
      Compare two artifacts metric-by-metric.  PATH rules apply to the
      exact path or any '.'/'['-nested metric under it; the longest match
      wins; F = inf ignores the subtree.  Exits 1 when any metric drifts
-     beyond its tolerance — the CI perf-smoke regression gate.
+     beyond its tolerance, listing each drift: the way to read which
+     metrics a failing golden moved.
 
    Exit codes: 0 ok, 1 drift, 2 usage or parse error, or a report of a
    document that is not a result artifact. *)

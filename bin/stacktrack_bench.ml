@@ -211,17 +211,33 @@ let run_cmd =
             "Ring capacity (events, at least 1) of the recorded trace; the \
              oldest events are dropped beyond this.")
   in
+  (* The sampler stops at --duration, so a later first tick could only
+     sample past the run: checked once both are parsed, like the --crash
+     ids. *)
   let metrics_interval =
-    Arg.(
-      value
-      & opt (int_within 0 max_int) 0
-      & info [ "metrics-interval" ] ~docv:"N"
-          ~doc:
-            "Sample machine-wide counters every $(docv) virtual cycles \
-             into a time series (0 = off); included in --json output.  The \
-             samples are taken by the harness sampler thread, which \
-             --lifecycle shares, so the schedule differs from an unsampled \
-             run.")
+    let interval =
+      Arg.(
+        value
+        & opt (int_within 0 max_int) 0
+        & info [ "metrics-interval" ] ~docv:"N"
+            ~doc:
+              "Sample machine-wide counters every $(docv) virtual cycles \
+               (0 = off, else at most --duration) into a time series; \
+               included in --json output.  The samples are taken by the \
+               harness sampler thread, which --lifecycle shares, so the \
+               schedule differs from an unsampled run.")
+    in
+    let within duration interval =
+      if interval > duration then
+        `Error
+          ( true,
+            Printf.sprintf
+              "option '--metrics-interval': %d is past the %d-cycle \
+               --duration"
+              interval duration )
+      else `Ok interval
+    in
+    Term.(ret (const within $ duration $ interval))
   in
   let profile =
     Arg.(

@@ -1,11 +1,8 @@
 (* Offline analyzer: JSON reader round-trips, tolerance-gated diffs, and
-   the committed golden artifacts.
+   the report renderer.
 
-   The goldens pin the full result-JSON format for two representative
-   runs (list/StackTrack and queue/Epoch).  Re-running those
-   configurations must reproduce the files byte-for-byte — this is the
-   guarantee that lets CI diff artifacts across commits and lets the
-   profiler PR claim it changed nothing it didn't mean to. *)
+   The committed result goldens must reparse to their own bytes; that
+   their runs reproduce them is test_perf_identity's table. *)
 
 open St_harness
 
@@ -352,41 +349,6 @@ let test_run_one_renderer () =
       ([ "--trace-out"; trace; "--trace-capacity"; "16" ], "WARNING: trace");
     ]
 
-(* ------------------------------------------------------------------ *)
-(* Golden byte-identity                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* Mirror of the bin/stacktrack_bench.exe run-subcommand defaults that
-   produced the goldens. *)
-let golden_cfg structure scheme threads duration =
-  {
-    Experiment.default_config with
-    structure;
-    scheme;
-    threads;
-    duration;
-    key_range = 1024;
-    init_size = 512;
-    mutation_pct = 20;
-    seed = 0xC0FFEE;
-    n_buckets = 512;
-  }
-
-let test_golden_byte_identity () =
-  List.iter
-    (fun (golden, cfg) ->
-      let r = Experiment.run cfg in
-      Alcotest.(check string)
-        (golden ^ " byte-identical")
-        (read_file golden)
-        (Result_json.to_string r ^ "\n"))
-    [
-      ( "goldens/golden_run_st.json",
-        golden_cfg Experiment.List_s Experiment.stacktrack_default 8 300_000 );
-      ( "goldens/golden_run_epoch.json",
-        golden_cfg Experiment.Queue_s Experiment.Epoch 6 200_000 );
-    ]
-
 let () =
   Alcotest.run "analyze"
     [
@@ -412,6 +374,4 @@ let () =
           quick "not a result" test_report_not_a_result;
           quick "run has one renderer" test_run_one_renderer;
         ] );
-      ( "goldens",
-        [ quick "re-run reproduces artifacts" test_golden_byte_identity ] );
     ]

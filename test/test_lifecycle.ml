@@ -1,8 +1,7 @@
 (* Memory-lifecycle observability: the ledger's census must conserve
    objects across every scheme (crash and oversubscribed schedules
    included), the stalled-reclamation watchdog must fire exactly on
-   stagnation, and the whole subsystem must be invisible when off —
-   unflagged runs stay byte-identical to the committed goldens.
+   stagnation, and the whole subsystem must be invisible when off.
 
    Four groups:
 
@@ -24,19 +23,14 @@
 
    - Flag gating: the epoch-with-crash run stagnates (ongoing incident,
      limbo backlog at exit) where the same schedule under StackTrack does
-     not; reclaim_lifecycle appears in result JSON iff the flag was set;
-     an unflagged identity run still reproduces its golden byte-for-byte. *)
+     not; reclaim_lifecycle appears in result JSON iff the flag was set.
+     That unflagged runs reproduce their goldens is test_perf_identity's
+     table. *)
 
 open St_sim
 open St_harness
 
 let quick name f = Alcotest.test_case name `Quick f
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 (* ------------------------------------------------------------------ *)
 (* Ledger unit tests                                                   *)
@@ -461,30 +455,6 @@ let test_json_gating () =
     "unflagged JSON omits it" false
     (contains unflagged "\"reclaim_lifecycle\"")
 
-(* Unflagged identity run: the disabled ledger hooks and the absent
-   sampler must leave the committed golden byte-for-byte intact (mirror
-   of test_perf_identity's pinned configuration). *)
-let test_unflagged_identity () =
-  let cfg =
-    {
-      Experiment.default_config with
-      structure = Experiment.List_s;
-      scheme = Experiment.Epoch;
-      threads = 12;
-      duration = 250_000;
-      key_range = 1024;
-      init_size = 512;
-      mutation_pct = 20;
-      seed = 0xC0FFEE;
-      n_buckets = 512;
-    }
-  in
-  let r = Experiment.run cfg in
-  Alcotest.(check string)
-    "goldens/identity_list_epoch.json byte-identical"
-    (read_file "goldens/identity_list_epoch.json")
-    (Result_json.to_string r ^ "\n")
-
 let () =
   Alcotest.run "lifecycle"
     [
@@ -516,6 +486,5 @@ let () =
           quick "clean run silent" test_clean_run_silent;
           quick "one sampler for both probes" test_one_sampler;
           quick "json section iff flagged" test_json_gating;
-          quick "unflagged identity golden" test_unflagged_identity;
         ] );
     ]

@@ -14,11 +14,12 @@
      tripwire for someone reintroducing a closure, [Some] box, or fresh
      table on a per-access path.
 
-   - Same-seed identity goldens: re-running the pinned list/queue
-     configurations across schemes reproduces the committed result JSON
-     (and one Chrome trace) byte-for-byte.  These goldens were generated
-     BEFORE the hot-path rewrites, so they pin the rewrites to the old
-     behaviour, interleaving included. *)
+   - Same-seed identity goldens: the one table of pinned result runs.
+     Re-running each row's config reproduces its committed result JSON
+     byte-for-byte, with its scheduling counts; each scheme's Chrome trace
+     of one small list run is pinned the same way.  Most of these goldens
+     were generated BEFORE the hot-path rewrites, so they pin the rewrites
+     to the old behaviour, interleaving included. *)
 
 open St_sim
 open St_mem
@@ -353,9 +354,9 @@ let test_alloc_budget_switch () =
 (* Same-seed identity goldens                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Mirror of the bin/stacktrack_bench.exe run-subcommand defaults that
-   produced the identity goldens (same mirror as test_analyze's
-   [golden_cfg], at the identity runs' duration). *)
+(* The one mirror of bin/stacktrack_bench.exe's [run] defaults, at the
+   identity runs' duration.  Every result golden below is [run] of this
+   config with the options its row sets. *)
 let identity_cfg structure scheme threads =
   {
     Experiment.default_config with
@@ -374,30 +375,63 @@ let hash_scan_scheme =
   Experiment.Stacktrack_s
     { Stacktrack.St_config.default with hash_scan = true; max_free = 4 }
 
-let identity_cases =
+(* [run --duration 300000]: StackTrack on the list with 8 threads. *)
+let list_st_run =
+  {
+    (identity_cfg Experiment.List_s Experiment.stacktrack_default 8) with
+    Experiment.duration = 300_000;
+  }
+
+(* A crashed thread on the list: thread 0 of 8 stops at 25% of 2000000
+   cycles, with the lifecycle ledger on. *)
+let crash_lifecycle scheme =
+  {
+    (identity_cfg Experiment.List_s scheme 8) with
+    Experiment.duration = 2_000_000;
+    crash_tids = [ 0 ];
+    lifecycle = true;
+  }
+
+(* Every pinned result run: its golden, its config, and its scheduling
+   counts, [Sched.yields] (fiber round trips) and [Sched.dispatches]
+   (threads run, the eager schedule's switch count).  The counts are in no
+   JSON but exact per seed, so a scheduler change that keeps every result
+   but costs more switches shows here. *)
+let identity_rows =
   [
     ( "goldens/identity_list_st.json",
-      identity_cfg Experiment.List_s Experiment.stacktrack_default 12 );
+      identity_cfg Experiment.List_s Experiment.stacktrack_default 12,
+      (152786, 247485) );
     ( "goldens/identity_list_st_hashscan.json",
-      identity_cfg Experiment.List_s hash_scan_scheme 12 );
+      identity_cfg Experiment.List_s hash_scan_scheme 12,
+      (151807, 246495) );
     ( "goldens/identity_list_hazards.json",
-      identity_cfg Experiment.List_s Experiment.Hazards 12 );
+      identity_cfg Experiment.List_s Experiment.Hazards 12,
+      (89304, 110386) );
     ( "goldens/identity_list_epoch.json",
-      identity_cfg Experiment.List_s Experiment.Epoch 12 );
+      identity_cfg Experiment.List_s Experiment.Epoch 12,
+      (220255, 220267) );
     ( "goldens/identity_list_dta.json",
-      identity_cfg Experiment.List_s Experiment.Dta 12 );
+      identity_cfg Experiment.List_s Experiment.Dta 12,
+      (218634, 218646) );
     ( "goldens/identity_queue_st.json",
-      identity_cfg Experiment.Queue_s Experiment.stacktrack_default 8 );
+      identity_cfg Experiment.Queue_s Experiment.stacktrack_default 8,
+      (22482, 24147) );
     ( "goldens/identity_queue_hazards.json",
-      identity_cfg Experiment.Queue_s Experiment.Hazards 8 );
+      identity_cfg Experiment.Queue_s Experiment.Hazards 8,
+      (79587, 92730) );
     ( "goldens/identity_queue_epoch.json",
-      identity_cfg Experiment.Queue_s Experiment.Epoch 8 );
+      identity_cfg Experiment.Queue_s Experiment.Epoch 8,
+      (114668, 114676) );
     ( "goldens/identity_list_debra.json",
-      identity_cfg Experiment.List_s Experiment.Debra 12 );
+      identity_cfg Experiment.List_s Experiment.Debra 12,
+      (183564, 183576) );
     ( "goldens/identity_list_debra_plus.json",
-      identity_cfg Experiment.List_s Experiment.Debra_plus 12 );
+      identity_cfg Experiment.List_s Experiment.Debra_plus 12,
+      (190529, 190541) );
     ( "goldens/identity_list_hazard_eras.json",
-      identity_cfg Experiment.List_s Experiment.Hazard_eras 12 );
+      identity_cfg Experiment.List_s Experiment.Hazard_eras 12,
+      (183041, 183053) );
     (* The lifecycle ledger rides the same run: its sampler and per-object
        event stream are schedule-sensitive, so this golden also pins the
        sampler timed-wait path ([Sched.sleep_until]). *)
@@ -405,7 +439,8 @@ let identity_cases =
       {
         (identity_cfg Experiment.List_s Experiment.stacktrack_default 12) with
         Experiment.lifecycle = true;
-      } );
+      },
+      (142746, 225987) );
     (* The observed views of the per-line contention record: the heat rows
        of [profile] and the doomed lines of [forensics], in their orders. *)
     ( "goldens/identity_queue_st_observed.json",
@@ -413,7 +448,35 @@ let identity_cases =
         (identity_cfg Experiment.Queue_s Experiment.stacktrack_default 8) with
         Experiment.profile = true;
         forensics = true;
-      } );
+      },
+      (22482, 24147) );
+    (* [run --duration 300000], unflagged and observed.  The first document,
+       less its closing brace, is the second's byte prefix, so the pair pins
+       that [profile] and [forensics] leave the run alone and only append
+       sections: latency histogram, cycle accounts and heat rows, then the
+       who-doomed-whom matrix, wasted-cycle split, retry depths and
+       predictor timeline. *)
+    ("goldens/golden_run_st.json", list_st_run, (182873, 299146));
+    ( "goldens/identity_list_st_observed.json",
+      { list_st_run with Experiment.profile = true; forensics = true },
+      (182873, 299146) );
+    (* The stagnation contrast of a crashed thread, series included: under
+       Epoch the limbo backlog grows and the watchdog is still open at
+       exit; DEBRA+ neutralizes the crashed thread, its backlog drains and
+       the watchdog stays quiet. *)
+    ( "goldens/identity_list_epoch_crash_lifecycle.json",
+      crash_lifecycle Experiment.Epoch,
+      (1227710, 1227720) );
+    ( "goldens/identity_list_debra_plus_crash_lifecycle.json",
+      crash_lifecycle Experiment.Debra_plus,
+      (1206554, 1206564) );
+    (* The queue under Epoch with fewer threads than lcores. *)
+    ( "goldens/golden_run_epoch.json",
+      {
+        (identity_cfg Experiment.Queue_s Experiment.Epoch 6) with
+        Experiment.duration = 200_000;
+      },
+      (72416, 72422) );
     (* The hash table's raw build and census.  The first is the benchmark's
        hash-1m run: 10^6 initial objects.  The other two span several heap
        chunks with more buckets than the census has lanes; RefCount is the
@@ -425,64 +488,51 @@ let identity_cases =
         key_range = 2_000_000;
         init_size = 1_000_000;
         n_buckets = 250_000;
-      } );
+      },
+      (92169, 110827) );
     ( "goldens/identity_hash_refcount.json",
       {
         (identity_cfg Experiment.Hash_s Experiment.Refcount_s 12) with
         Experiment.key_range = 80_000;
         init_size = 40_000;
         n_buckets = 1000;
-      } );
+      },
+      (69539, 69551) );
     ( "goldens/identity_hash_hazards.json",
       {
         (identity_cfg Experiment.Hash_s Experiment.Hazards 12) with
         Experiment.key_range = 80_000;
         init_size = 40_000;
         n_buckets = 1000;
-      } );
+      },
+      (88496, 107986) );
   ]
 
-(* Scheduling counts of every one of those runs, pinned next to their
-   results: [Sched.yields] (fiber round trips) and [Sched.dispatches]
-   (threads run, the eager schedule's switch count).  Exact per seed, so
-   a scheduler change that keeps every result but costs more switches
-   shows here. *)
-let pinned_counts =
-  [
-    ("goldens/identity_list_st.json", (152786, 247485));
-    ("goldens/identity_list_st_hashscan.json", (151807, 246495));
-    ("goldens/identity_list_hazards.json", (89304, 110386));
-    ("goldens/identity_list_epoch.json", (220255, 220267));
-    ("goldens/identity_list_dta.json", (218634, 218646));
-    ("goldens/identity_queue_st.json", (22482, 24147));
-    ("goldens/identity_queue_hazards.json", (79587, 92730));
-    ("goldens/identity_queue_epoch.json", (114668, 114676));
-    ("goldens/identity_list_debra.json", (183564, 183576));
-    ("goldens/identity_list_debra_plus.json", (190529, 190541));
-    ("goldens/identity_list_hazard_eras.json", (183041, 183053));
-    ("goldens/identity_list_st_lifecycle.json", (142746, 225987));
-    ("goldens/identity_queue_st_observed.json", (22482, 24147));
-    ("goldens/identity_hash_st.json", (92169, 110827));
-    ("goldens/identity_hash_refcount.json", (69539, 69551));
-    ("goldens/identity_hash_hazards.json", (88496, 107986));
-  ]
-
-let test_identity_goldens () =
+let check_rows rows =
   List.iter
-    (fun (golden, cfg) ->
+    (fun (golden, cfg, (yields, dispatches)) ->
       let r = Experiment.run cfg in
       Alcotest.(check string)
         (golden ^ " byte-identical")
         (read_file golden)
         (Result_json.to_string r ^ "\n");
-      match List.assoc_opt golden pinned_counts with
-      | None -> Alcotest.failf "%s: no pinned yields and dispatches" golden
-      | Some (yields, dispatches) ->
-          Alcotest.(check int) (golden ^ ": yields") yields r.Experiment.yields;
-          Alcotest.(check int)
-            (golden ^ ": dispatches")
-            dispatches r.Experiment.dispatches)
-    identity_cases
+      Alcotest.(check int) (golden ^ ": yields") yields r.Experiment.yields;
+      Alcotest.(check int)
+        (golden ^ ": dispatches")
+        dispatches r.Experiment.dispatches)
+    rows
+
+(* The [golden_run_*] rows are the analyzer's sample artifacts (test_analyze
+   reparses them and diffs against [golden_run_st.json]); they are checked
+   under their own name, every other row under the identity one. *)
+let artifact_rows, scheme_rows =
+  List.partition
+    (fun (golden, _, _) ->
+      String.starts_with ~prefix:"goldens/golden_run_" golden)
+    identity_rows
+
+let test_identity_goldens () = check_rows scheme_rows
+let test_artifact_goldens () = check_rows artifact_rows
 
 let test_identity_trace_golden () =
   let trace = Trace.create ~capacity:4096 ~enabled:true () in
@@ -557,4 +607,6 @@ let () =
           quick "result JSON across schemes" test_identity_goldens;
           quick "chrome trace" test_identity_trace_golden;
         ] );
+      ( "goldens",
+        [ quick "re-run reproduces artifacts" test_artifact_goldens ] );
     ]
