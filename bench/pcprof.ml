@@ -31,30 +31,42 @@ let stop () =
   let samples = stop_ () in
   { samples; dropped = dropped_ (); cpu_s = cpu_time () -. !started }
 
-(* Function symbols of [exe], ascending by address, with their sizes when
-   [nm] knows them (-1 otherwise). *)
+(* Function symbols of [exe], ascending by address, each with the
+   address where it ends: its start plus its size when [nm] gives one,
+   else the next higher address [nm] lists for a symbol of any type.  A
+   sizeless symbol at the top of the listing covers nothing. *)
 let text_symbols exe =
   let ic = Unix.open_process_args_in "nm" [| "nm"; "-n"; "-S"; exe |] in
-  let syms = ref [] in
-  let add addr size name =
-    match
-      (int_of_string_opt ("0x" ^ addr), int_of_string_opt ("0x" ^ size))
-    with
-    | Some a, Some s -> syms := (a, s, name) :: !syms
-    | Some a, None -> syms := (a, -1, name) :: !syms
-    | None, _ -> ()
+  let entries = ref [] in
+  let add addr size ty name =
+    match int_of_string_opt ("0x" ^ addr) with
+    | Some a ->
+        entries := (a, int_of_string_opt ("0x" ^ size), ty, name) :: !entries
+    | None -> ()
   in
-  let text ty = ty = "T" || ty = "t" in
   (try
      while true do
        match String.split_on_char ' ' (input_line ic) with
-       | [ addr; size; ty; name ] when text ty -> add addr size name
-       | [ addr; ty; name ] when text ty -> add addr "" name
+       | [ addr; size; ty; name ] -> add addr size ty name
+       | [ addr; ty; name ] -> add addr "" ty name
        | _ -> ()
      done
    with End_of_file -> ());
   ignore (Unix.close_process_in ic);
-  Array.of_list (List.rev !syms)
+  (* [entries] is descending by address; [above] is the least address
+     listed above the current entry's, -1 until there is one. *)
+  let syms = ref [] and above = ref (-1) and last = ref (-1) in
+  List.iter
+    (fun (a, size, ty, name) ->
+      if !last > a then above := !last;
+      (if ty = "T" || ty = "t" then
+         let stop =
+           match size with Some s -> a + s | None -> max a !above
+         in
+         syms := (a, stop, name) :: !syms);
+      last := a)
+    !entries;
+  Array.of_list !syms
 
 (* [camlSt_sim__Sched.dispatch_1234] -> [camlSt_sim__Sched.dispatch]: the
    stamp changes with any edit to the module. *)
@@ -73,7 +85,7 @@ let function_name sym =
 let outside = "(outside the executable)"
 
 (* The symbol holding [addr]: the last one at or below it, if [addr] is
-   inside its size. *)
+   below its end. *)
 let symbol_at syms addr =
   let rec go lo hi =
     (* invariant: syms.(lo) <= addr < syms.(hi) *)
@@ -87,8 +99,8 @@ let symbol_at syms addr =
   let first, _, _ = if n > 0 then syms.(0) else (max_int, 0, "") in
   if addr < first then outside
   else
-    let a, size, name = syms.(go 0 n) in
-    if size >= 0 && addr >= a + size then outside else function_name name
+    let _, stop, name = syms.(go 0 n) in
+    if addr >= stop then outside else function_name name
 
 let write_report oc p =
   let syms = text_symbols Sys.executable_name in

@@ -7,9 +7,10 @@
       anything.  This is the one renderer of a run: [stacktrack_bench run]
       prints the report of its own result document.
     - {b diff}: compare two artifacts metric-by-metric under per-path
-      relative tolerances and list every drift.  This is the CI
-      regression gate: a fresh perf-smoke run is diffed against a
-      committed baseline and any out-of-tolerance metric fails the job.
+      relative tolerances and list every drift.  A change that moves a
+      pinned golden on purpose diffs the old file against the
+      regenerated one, to say which metrics moved; the pins themselves
+      are byte comparisons in [test_perf_identity].
 
     Both operate on the generic {!Json_out.t} AST (via {!Json_in}), so
     they keep working as new sections are appended to the artifact
@@ -24,7 +25,7 @@ let index_path prefix i = Printf.sprintf "%s[%d]" prefix i
 
 (* Leaves only: a non-empty container contributes paths, not values.  An
    empty object or list below the root is itself a leaf, so a key whose
-   value is [[]] or [{}] is a path the gate compares like any other. *)
+   value is [[]] or [{}] is a path the diff compares like any other. *)
 let flatten v =
   let rec go prefix v acc =
     match (v : Json_out.t) with

@@ -1,10 +1,13 @@
 (** Offline analysis of result JSON artifacts: human-readable reports
     and tolerance-gated diffs.
 
-    The diff side is the CI regression gate: flatten two artifacts to
-    dotted leaf paths ([htm.aborts.conflict], [metrics[3].ops], …; an
-    empty list or object below the root is a leaf), compare numerics
-    under a per-path relative tolerance, and return every drift.
+    The diff side compares two result documents: flatten both to dotted
+    leaf paths ([htm.aborts.conflict], [metrics[3].ops], …; an empty list
+    or object below the root is a leaf), compare numerics under a
+    per-path relative tolerance, and return every drift.  Its use is
+    re-baselining: a change that moves a pinned golden on purpose diffs
+    the old file against the regenerated one to list the metrics that
+    moved.  The pins themselves are byte comparisons in the test suite.
     [bench/analyze.exe] turns a non-empty drift list into a nonzero
     exit. *)
 
@@ -35,8 +38,7 @@ type drift = {
 val diff : ?tols:tolerances -> Json_out.t -> Json_out.t -> drift list
 (** All out-of-tolerance leaves between two artifacts, in first-document
     order (second-side-only paths last).  [tols] defaults to zero
-    tolerance everywhere.  Empty means "within tolerance" — the gate
-    passes. *)
+    tolerance everywhere.  Empty means "within tolerance". *)
 
 val pp_drift : Format.formatter -> drift -> unit
 (** One line: path, both values, and the relative delta vs tolerance. *)

@@ -527,57 +527,47 @@ let remove_from_queue t th =
   let head = rq_pop t.queues.(th.lcore) in
   assert (head == th)
 
-let handler t th =
-  (* Hoisted out of [effc]: building this closure inside the [Consume]
-     branch allocated it afresh on every single yield.  Every thread is
-     registered before the first yield ([add_thread] is refused once [run]
-     starts), so the [conts] it creates has a slot for every tid. *)
-  let on_consume (k : (unit, unit) continuation) =
-    if Array.length t.conts = 0 then t.conts <- Array.make t.n_registered k
-    else Array.unsafe_set t.conts th.tid k;
-    t.yields <- t.yields + 1;
-    maybe_preempt t th
-  in
-  let on_consume_some = Some on_consume in
-  {
-    retc =
-      (fun () ->
-        Trace.instant t.trace ~time:t.clocks.(th.lcore) ~tid:th.tid
-          Trace.Sched "finish" Trace.no_detail;
-        mark_dead t th Finished;
-        remove_from_queue t th);
-    exnc =
-      (fun e ->
-        match e with
-        | Thread_crashed ->
-            mark_dead t th Crashed;
-            remove_from_queue t th
-        | e ->
-            mark_dead t th Crashed;
-            remove_from_queue t th;
-            raise e);
-    effc =
-      (fun (type a) (e : a Effect.t) ->
-        match e with
-        | Consume _ ->
-            (on_consume_some : ((a, _) continuation -> _) option)
-        | _ -> None);
-  }
-
 (* A body that returns with a crossing pending first takes it, as it
    would have yielded there before returning. *)
 let run_body t th =
   th.body th.tid;
   sync t
 
+(* The handoff.  A thread's turn ends in its handler ([on_consume],
+   [retc], [exnc]), and the handler itself runs the next thread: [next]
+   settles the lcore [lc] that just ran and picks the head of the run
+   order, dropping a corpse at a queue head (a thread crashed before it
+   ever ran) without running it, and [dispatch] resumes the head.  A
+   switch is therefore one [perform] and one resume.  Every call from a
+   handler through [next] and [dispatch] to the resume is in tail
+   position, so the handler's frame is gone before the next fiber runs
+   and the main stack stays as deep as it was when [run] started the
+   first thread; any statement after a resume would leave one frame per
+   switch.  When every queue is empty [next] returns, and with it the
+   resume [run] began. *)
+let rec next t lc =
+  t.cur <- -1;
+  settle t lc;
+  if t.n_order > 0 then begin
+    let lc = Array.unsafe_get t.order 0 in
+    let q = t.queues.(lc) in
+    let th = rq_peek q in
+    match th.state with
+    | Crashed | Finished ->
+        ignore (rq_pop q);
+        next t lc
+    | _ -> dispatch t th
+  end
+
 (* [Suspended] and [Owing] are only entered by a yield, and [Doomed] and
    [Signalled] only from those two, so in all four the thread's [conts]
-   slot holds its continuation. *)
-let dispatch t th =
+   slot holds its continuation.  Each branch ends in a resume or in
+   [next], in tail position. *)
+and dispatch t th =
   t.dispatches <- t.dispatches + 1;
   t.cur <- th.tid;
   recompute_next_event t th;
-  (match th.state with
+  match th.state with
   | Not_started ->
       th.state <- Running;
       match_with (run_body t) th (handler t th)
@@ -591,7 +581,8 @@ let dispatch t th =
          its [consume] would have, without resuming the fiber. *)
       if charge t th th.owed then begin
         th.state <- Suspended;
-        maybe_preempt t th
+        maybe_preempt t th;
+        next t th.lcore
       end
       else begin
         th.state <- Running;
@@ -606,8 +597,46 @@ let dispatch t th =
       (* Unwind with Signal_interrupt; a recovery-capable scheme catches
          it inside its operation wrapper and restarts the operation. *)
       discontinue t.conts.(th.tid) Signal_interrupt
-  | Running | Finished | Crashed -> assert false);
-  t.cur <- -1
+  | Running | Finished | Crashed -> assert false
+
+and handler t th =
+  (* Hoisted out of [effc]: building this closure inside the [Consume]
+     branch allocated it afresh on every single yield.  Every thread is
+     registered before the first yield ([add_thread] is refused once [run]
+     starts), so the [conts] it creates has a slot for every tid. *)
+  let on_consume (k : (unit, unit) continuation) =
+    if Array.length t.conts = 0 then t.conts <- Array.make t.n_registered k
+    else Array.unsafe_set t.conts th.tid k;
+    t.yields <- t.yields + 1;
+    maybe_preempt t th;
+    next t th.lcore
+  in
+  let on_consume_some = Some on_consume in
+  {
+    retc =
+      (fun () ->
+        Trace.instant t.trace ~time:t.clocks.(th.lcore) ~tid:th.tid
+          Trace.Sched "finish" Trace.no_detail;
+        mark_dead t th Finished;
+        remove_from_queue t th;
+        next t th.lcore);
+    exnc =
+      (fun e ->
+        (* A body can die with a crossing pending; it is dropped with the
+           thread, or a later [sync] would perform outside any handler.
+           An exception that escapes [run] leaves no thread running. *)
+        t.crossed <- false;
+        t.cur <- -1;
+        mark_dead t th Crashed;
+        remove_from_queue t th;
+        match e with Thread_crashed -> next t th.lcore | e -> raise e);
+    effc =
+      (fun (type a) (e : a Effect.t) ->
+        match e with
+        | Consume _ ->
+            (on_consume_some : ((a, _) continuation -> _) option)
+        | _ -> None);
+  }
 
 let run t =
   assert (not t.started);
@@ -632,15 +661,7 @@ let run t =
         t.n_order <- t.n_order + 1
       end)
     t.queues;
-  (* Run the head thread of the run order's first lcore, until every queue
-     is empty.  A corpse at a queue head — a thread crashed before it ever
-     ran — is dropped without running. *)
-  while t.n_order > 0 do
-    let lc = Array.unsafe_get t.order 0 in
-    let q = t.queues.(lc) in
-    let th = rq_peek q in
-    (match th.state with
-    | Crashed | Finished -> ignore (rq_pop q)
-    | _ -> dispatch t th);
-    settle t lc
-  done
+  (* Nothing has run, so no thread is dead yet: the head of the first
+     lcore starts, and from there each thread's handler runs the next.
+     This returns when every queue is empty. *)
+  if t.n_order > 0 then dispatch t (rq_peek t.queues.(t.order.(0)))

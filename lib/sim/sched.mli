@@ -1,11 +1,15 @@
 (** Deterministic cooperative scheduler for simulated threads.
 
-    The scheduler is a discrete-event loop: every simulated thread runs inside
-    an effect handler and surrenders control each time it consumes virtual
-    cycles (every simulated memory access does).  The loop always resumes the
-    runnable thread whose logical core has the smallest virtual clock (the
-    lowest-indexed such core on ties), so a run is a deterministic function
-    of the seed and the thread bodies.
+    The scheduler is discrete-event: every simulated thread runs inside an
+    effect handler and surrenders control when the cycles it consumes
+    (every simulated memory access charges some) would let another thread
+    run first.  The next thread is always the runnable one whose logical
+    core has the smallest virtual clock (the lowest-indexed such core on
+    ties), so a run is a deterministic function of the seed and the thread
+    bodies.  There is no dispatch loop: the handler of the thread that
+    stops picks and resumes the next one itself, in tail position, so a
+    switch is one effect and one resume, and the host stack stays flat
+    however many switches a run makes.
 
     Modelled behaviours needed by the paper's evaluation:
     - per-logical-core virtual clocks (throughput = ops / max clock);
@@ -78,9 +82,12 @@ val on_preempt : t -> (int -> unit) -> unit
     Also fired when a thread is crashed. *)
 
 val run : t -> unit
-(** Run every registered thread to completion (or crash).  Exceptions other
-    than {!Thread_crashed} escaping a thread body abort the run and are
-    re-raised. *)
+(** Run every registered thread to completion (or crash).  [run] starts
+    the first thread; from there each thread's turn ends in its handler,
+    which runs the next, and [run] returns once every queue is empty.
+    Exceptions other than {!Thread_crashed} escaping a thread body abort
+    the run and are re-raised.  No thread is current afterwards, and the
+    scheduler can still be queried. *)
 
 (** {2 Called from inside thread bodies} *)
 

@@ -599,6 +599,21 @@ let test_hosttime_gate () =
         (String.starts_with ~prefix:"# pc-profile: "
            (In_channel.with_open_bin profile In_channel.input_all))
 
+(* A PC above everything the executable's symbol table lists (a shared
+   library's, the vDSO's) is outside the executable, not in [_fini]: the
+   last text symbol, which [nm] lists without a size. *)
+let test_pcprof_outside () =
+  if not Pcprof.supported then Alcotest.skip ();
+  let file = Filename.temp_file "pc_profile" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  Out_channel.with_open_bin file (fun oc ->
+      Pcprof.write_report oc
+        { samples = [| 0x7fff_0000_0000 |]; dropped = 0; cpu_s = 1. });
+  let report = In_channel.with_open_bin file In_channel.input_all in
+  checkb "counted outside the executable" true
+    (contains report "100.00%  (outside the executable)");
+  checkb "no _fini row" false (contains report "_fini")
+
 let () =
   Alcotest.run "st_harness"
     [
@@ -639,6 +654,8 @@ let () =
           Alcotest.test_case "sampler deadline past the run" `Quick
             test_cli_far_sampler_deadline;
           Alcotest.test_case "hosttime baseline gate" `Quick test_hosttime_gate;
+          Alcotest.test_case "pc-profile: samples past the executable" `Quick
+            test_pcprof_outside;
         ] );
       ( "figures",
         [

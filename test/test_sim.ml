@@ -270,15 +270,35 @@ let test_sched_ht_penalty () =
   checki "4 threads unpenalized" 10_000 alone;
   checkb "sibling pair penalized" true (shared > alone)
 
+(* Six threads switch thousands of times before thread 3 raises, right
+   after a deferred charge that certainly crosses its horizon (another
+   lcore is live, and its clock is far below the charge).  The exception
+   escapes [run] from wherever the handoff chain had got to, and the
+   crossing dies with the thread: a later query must not take it as a
+   yield outside any handler, nor see thread 3 as running. *)
 let test_sched_exception_propagates () =
   let s = mk () in
-  let _ =
-    Sched.add_thread s (fun _ ->
-        Sched.consume s 1;
-        failwith "boom")
-  in
+  for tid = 0 to 5 do
+    ignore
+      (Sched.add_thread s (fun _ ->
+           for _ = 1 to 4_000 do
+             Sched.consume s 3
+           done;
+           if tid = 3 then begin
+             Sched.consume_deferred s 1_000_000;
+             failwith "boom"
+           end;
+           for _ = 1 to 4_000 do
+             Sched.consume s 3
+           done))
+  done;
   Alcotest.check_raises "exception escapes run" (Failure "boom") (fun () ->
-      Sched.run s)
+      Sched.run s);
+  checkb "switched before the raise" true (Sched.yields s > 4_000);
+  checkb "thread 3 marked crashed" true (Sched.crashed s 3);
+  Alcotest.check_raises "no thread running"
+    (Invalid_argument "Sched.current: no thread running") (fun () ->
+      ignore (Sched.current s))
 
 let test_sched_thread_rng_independent () =
   let s = mk () in
@@ -345,6 +365,76 @@ let test_sched_zero_cost_consume () =
   in
   Sched.run s;
   checki "no time passed" 0 (Sched.global_time s)
+
+(* A switch is a handoff: the handler of the thread that stops resumes
+   the next thread in tail position.  Were a statement to follow a
+   resume, each switch would leave a frame on the main stack, and a
+   fiber's call stack (on OCaml 5.1 it runs through the fiber's parents)
+   would grow with the run.  Fourteen threads on 8
+   lcores with a 300-cycle quantum rotate their queues and take every
+   path a turn starts or ends on: first starts, resumes, owed charges
+   that cross again ([consume_deferred] then [consume]), a corpse at a
+   queue head, the unwind of a thread crashed while suspended, and
+   finishes.  Thread 0 lives through all of them. *)
+let test_sched_handoff_stack_flat () =
+  let s = mk ~quantum:300 () in
+  let n = 14 and corpse = 12 and victim = 13 in
+  let depth () =
+    Printexc.raw_backtrace_length (Printexc.get_callstack max_int)
+  in
+  let d10 = ref (-1) and d10k = ref (-1) in
+  let ran = Array.make n false and completed = Array.make n false in
+  let worker iters =
+    for _ = 1 to iters do
+      Sched.consume_deferred s 7;
+      Sched.consume s 3
+    done
+  in
+  for tid = 0 to n - 1 do
+    let body () =
+      match tid with
+      | 0 ->
+          for i = 1 to 10_000 do
+            Sched.consume s 10;
+            if i = 10 then d10 := depth ()
+            else if i = 10_000 then d10k := depth ()
+          done
+      | 4 ->
+          (* Thread 12 waits behind thread 4 on lcore 1, not started. *)
+          Sched.crash s corpse;
+          worker 2_000
+      | 5 ->
+          (* Thread 13 shares lcore 3 and has had turns by now. *)
+          worker 200;
+          Sched.crash s victim;
+          worker 2_000
+      | 13 -> worker 5_000
+      | k -> worker (500 * k)
+    in
+    ignore
+      (Sched.add_thread s (fun _ ->
+           ran.(tid) <- true;
+           body ();
+           completed.(tid) <- true))
+  done;
+  Sched.run s;
+  checkb "depth read" true (!d10 > 0);
+  checki "stack depth at charge 10 000 = at charge 10" !d10 !d10k;
+  checkb "corpse crashed" true (Sched.crashed s corpse);
+  checkb "corpse never ran" false ran.(corpse);
+  checkb "victim crashed" true (Sched.crashed s victim);
+  checkb "victim ran, then unwound" true
+    (ran.(victim) && not completed.(victim));
+  for tid = 0 to n - 1 do
+    if tid <> corpse && tid <> victim then
+      checkb (Printf.sprintf "thread %d finished" tid) true
+        (Sched.finished s tid && completed.(tid))
+  done;
+  (* Every dispatch is a first start, the one resume or unwind a yield's
+     continuation gets, or an owed charge that crossed again. *)
+  let started = Array.fold_left (fun a r -> if r then a + 1 else a) 0 ran in
+  checkb "owed charges crossed again" true
+    (Sched.dispatches s - Sched.yields s - started > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Deferred crossings                                                  *)
@@ -822,6 +912,8 @@ let () =
           Alcotest.test_case "thread bound" `Quick test_sched_thread_bound;
           Alcotest.test_case "zero-cost consume" `Quick
             test_sched_zero_cost_consume;
+          Alcotest.test_case "handoff keeps the stack flat" `Quick
+            test_sched_handoff_stack_flat;
         ] );
       ( "deferred",
         [
