@@ -27,95 +27,203 @@ let create_raw heap ~n_buckets =
 
 let bucket_head_raw heap t b = Heap.peek heap (t.buckets + b)
 
-(* Stable sort of [order.(lo .. hi-1)] (key positions) by key.  Buckets are
-   short, so insertion sort is the common case; a long bucket (few buckets,
-   many keys) falls back to a merge sort instead of going quadratic. *)
-let sort_bucket keys order lo hi =
-  if hi - lo <= 16 then
+(* The bulk build's scratch is [Bytes] of native-endian 32- and 64-bit
+   slots, read and written unchecked like the heap's chunks.  Every index
+   is a position below the key count, a bucket below [n_buckets] or a
+   record of the widest partition, established before it is used.
+   Positions, bucket offsets and node addresses fit the 32-bit slots below
+   [slot_limit]; a heap of 2^31 words is 16 GiB. *)
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline] get32 b i = Int32.to_int (get32u b (i lsl 2))
+let[@inline] set32 b i v = set32u b (i lsl 2) (Int32.of_int v)
+let slot_limit = 1 lsl 31
+
+(* A record is 12 bytes: a key, then its input position. *)
+let[@inline] rec_key r s = Int64.to_int (get64u r (12 * s))
+let[@inline] rec_pos r s = Int32.to_int (get32u r ((12 * s) + 8))
+
+let[@inline] set_rec r s key pos =
+  set64u r (12 * s) (Int64.of_int key);
+  set32u r ((12 * s) + 8) (Int32.of_int pos)
+
+(* A partition is a run of [1 lsl shift] consecutive buckets, with [shift]
+   the least that leaves at most [max_partitions] of them: the scatter
+   writes one stream per partition. *)
+let max_partitions = 512
+
+(* Buckets up to this many keys are insertion-sorted. *)
+let insertion_cutoff = 16
+
+(* [succ]'s marks: the end of a chain, and a later copy of a kept key. *)
+let chain_end = -1
+let dropped = -2
+
+(* Stable sort of the records [lo, hi) of [r] by key.  Stable, so the
+   first copy of a duplicate leads its run. *)
+let sort_by_key r lo hi =
+  if hi - lo <= insertion_cutoff then
     for s = lo + 1 to hi - 1 do
-      let p = order.(s) in
-      let k = keys.(p) in
+      let k = rec_key r s and p = rec_pos r s in
       let j = ref (s - 1) in
-      while !j >= lo && keys.(order.(!j)) > k do
-        order.(!j + 1) <- order.(!j);
+      while !j >= lo && rec_key r !j > k do
+        set_rec r (!j + 1) (rec_key r !j) (rec_pos r !j);
         decr j
       done;
-      order.(!j + 1) <- p
+      set_rec r (!j + 1) k p
     done
   else begin
-    let slice = Array.sub order lo (hi - lo) in
-    Array.stable_sort (fun p q -> Int.compare keys.(p) keys.(q)) slice;
-    Array.blit slice 0 order lo (hi - lo)
+    let ix = Array.init (hi - lo) (fun j -> lo + j) in
+    Array.stable_sort (fun p q -> Int.compare (rec_key r p) (rec_key r q)) ix;
+    let ks = Array.map (rec_key r) ix and ps = Array.map (rec_pos r) ix in
+    Array.iteri (fun j k -> set_rec r (lo + j) k ps.(j)) ks
   end
 
 (* Bulk build, equivalent to inserting the keys one at a time in array
-   order.  Each key's bucket is computed once.  Positions are
-   counting-sorted by bucket (stable, so each bucket keeps input order) and
-   each bucket is sorted by key (stable, so the first occurrence of a
-   duplicate leads its run and is the one kept); that order gives each
-   kept key its successor in its chain.  The kept keys are allocated in
-   input order (the order one-at-a-time insertion allocates them, hence
-   the same addresses and birth indices).  Then every [next] is stored in
-   one pass in address order, the bucket sentinels first, so the heap is
-   written front to back instead of scattered chain by chain. *)
-let populate_raw heap t ~keys ~note_link =
-  let n = Array.length keys in
-  let nb = t.n_buckets in
-  let bucket = Array.map (bucket_of t) keys in
-  (* [start.(b)] ends as the first slot of bucket [b] in [order]; bucket
-     [b] is [order.(start.(b) .. start.(b+1) - 1)]. *)
-  let start = Array.make (nb + 1) 0 in
-  Array.iter (fun b -> start.(b) <- start.(b) + 1) bucket;
-  for b = 1 to nb do
-    start.(b) <- start.(b) + start.(b - 1)
+   order, in passes that each stream through memory or stay within one
+   cache-sized partition:
+   + one read of the keys checks them and counts each partition's keys;
+   + a stable scatter of (key, position) records by partition;
+   + per partition, a counting sort by bucket into a buffer sized to the
+     widest partition, then a stable sort by key within each bucket,
+     which gives each bucket's first kept key and each kept key's
+     successor, and drops later copies of a key;
+   + allocation of the kept keys in input order (the order one-at-a-time
+     insertion allocates them, hence the same addresses and birth
+     indices);
+   + the successors' addresses, gathered in place, then every [next]
+     stored in address order, the bucket sentinels first.
+   It runs once per table, so it is kept out of line, where host-time
+   profiles name it. *)
+let[@inline never] populate_raw heap t ~keys ~note_link =
+  let n = Array.length keys and nb = t.n_buckets in
+  if n >= slot_limit || nb < 1 || nb >= slot_limit then
+    invalid_arg
+      (Printf.sprintf
+         "Hash_table.populate_raw: %d keys in %d buckets, need fewer than \
+          2^31 keys and 1 to 2^31 - 1 buckets"
+         n nb);
+  let shift = ref 0 in
+  while (nb - 1) lsr !shift >= max_partitions do
+    incr shift
   done;
-  let order = Array.make n 0 in
-  for i = n - 1 downto 0 do
-    let b = bucket.(i) in
-    start.(b) <- start.(b) - 1;
-    order.(start.(b)) <- i
+  let shift = !shift in
+  let np = ((nb - 1) lsr shift) + 1 in
+  let pstart = Array.make (np + 1) 0 in
+  for i = 0 to n - 1 do
+    let key = keys.(i) in
+    if key < 0 then
+      invalid_arg
+        (Printf.sprintf "Hash_table.populate_raw: keys.(%d) = %d is negative"
+           i key);
+    let p = ((key mod nb) lsr shift) + 1 in
+    Array.unsafe_set pstart p (Array.unsafe_get pstart p + 1)
   done;
-  (* The chains, as key positions: [first.(b)] heads bucket [b]'s chain
-     and [succ.(i)] follows key [i] in its chain, [-1] ending either; a
-     later copy of a key is [dropped].  [succ] reuses [bucket]'s array,
-     whose buckets are spent. *)
-  let dropped = -2 in
-  let first = Array.make nb (-1) and succ = bucket in
-  Array.fill succ 0 n dropped;
-  for b = 0 to nb - 1 do
-    let lo = start.(b) and hi = start.(b + 1) in
-    sort_bucket keys order lo hi;
-    let prev = ref (-1) in
-    for s = lo to hi - 1 do
-      let i = order.(s) in
-      if s = lo || keys.(i) <> keys.(order.(s - 1)) then begin
-        if !prev < 0 then first.(b) <- i else succ.(!prev) <- i;
-        succ.(i) <- -1;
-        prev := i
-      end
+  (* [pstart.(p)] is partition [p]'s first record. *)
+  let widest = ref 0 in
+  for p = 1 to np do
+    widest := Int.max !widest pstart.(p);
+    pstart.(p) <- pstart.(p) + pstart.(p - 1)
+  done;
+  let recs = Bytes.create (12 * n) in
+  let cursor = Array.sub pstart 0 np in
+  for i = 0 to n - 1 do
+    let key = Array.unsafe_get keys i in
+    let p = (key mod nb) lsr shift in
+    let s = Array.unsafe_get cursor p in
+    Array.unsafe_set cursor p (s + 1);
+    set_rec recs s key i
+  done;
+  (* The chains, as key positions: [first] heads each bucket's chain and
+     [succ] follows each key in its chain. *)
+  let succ = Bytes.create (4 * n) and first = Bytes.make (4 * nb) '\255' in
+  (* A partition's records, counting-sorted by bucket, then each record's
+     bucket offset while it waits: [widest] of each. *)
+  let local = Bytes.create (16 * !widest) and off_at = 3 * !widest in
+  let w = 1 lsl shift in
+  let count = Array.make (w + 1) 0 in
+  for p = 0 to np - 1 do
+    let ps = pstart.(p) and pe = pstart.(p + 1) in
+    let b0 = p lsl shift in
+    let wp = Int.min w (nb - b0) in
+    Array.fill count 0 (wp + 1) 0;
+    for s = ps to pe - 1 do
+      let off = (rec_key recs s mod nb) - b0 in
+      set32 local (off_at + s - ps) off;
+      Array.unsafe_set count (off + 1) (Array.unsafe_get count (off + 1) + 1)
+    done;
+    for j = 1 to wp do
+      count.(j) <- count.(j) + count.(j - 1)
+    done;
+    for s = ps to pe - 1 do
+      let off = get32 local (off_at + s - ps) in
+      let d = Array.unsafe_get count off in
+      Array.unsafe_set count off (d + 1);
+      set_rec local d (rec_key recs s) (rec_pos recs s)
+    done;
+    (* [count.(j)] is now where bucket [b0 + j]'s records end. *)
+    let lo = ref 0 in
+    for j = 0 to wp - 1 do
+      let hi = count.(j) in
+      if hi > !lo then begin
+        sort_by_key local !lo hi;
+        let prev = ref (rec_pos local !lo) in
+        set32 first (b0 + j) !prev;
+        for s = !lo + 1 to hi - 1 do
+          let i = rec_pos local s in
+          if rec_key local s <> rec_key local (s - 1) then begin
+            set32 succ !prev i;
+            prev := i
+          end
+          else set32 succ i dropped
+        done;
+        set32 succ !prev chain_end
+      end;
+      lo := hi
     done
   done;
-  (* Each kept key's node address, in [order]'s array: the chains are
-     built. *)
-  let node = order in
+  (* Each kept key's node address, in the spent records' first [4 n]
+     bytes. *)
+  let node = recs in
   for i = 0 to n - 1 do
-    if succ.(i) <> dropped then begin
+    if get32 succ i <> dropped then begin
       let a = Heap.alloc heap ~tid:0 ~size:Harris_list.node_size in
-      Heap.write heap ~tid:0 (a + Harris_list.key_off) keys.(i);
-      node.(i) <- a
+      if a >= slot_limit then
+        invalid_arg
+          (Printf.sprintf
+             "Hash_table.populate_raw: node address %d is not below 2^31" a);
+      Heap.write heap ~tid:0 (a + Harris_list.key_off) (Array.unsafe_get keys i);
+      set32 node i a
     end
+  done;
+  (* Positions become addresses: independent loads, no store depends on
+     another. *)
+  for i = 0 to n - 1 do
+    let s = get32 succ i in
+    if s >= 0 then set32 succ i (get32 node s)
+  done;
+  for b = 0 to nb - 1 do
+    let f = get32 first b in
+    if f >= 0 then set32 first b (get32 node f)
   done;
   (* A fresh node's [next] is already null, so only the links into kept
      nodes are stored, each reported once. *)
-  let link from i =
-    Heap.write heap ~tid:0 (from + Harris_list.next_off) node.(i);
-    note_link node.(i)
-  in
   for b = 0 to nb - 1 do
-    if first.(b) >= 0 then link (bucket_head_raw heap t b) first.(b)
+    let a = get32 first b in
+    if a >= 0 then begin
+      Heap.write heap ~tid:0 (bucket_head_raw heap t b + Harris_list.next_off) a;
+      note_link a
+    end
   done;
   for i = 0 to n - 1 do
-    if succ.(i) >= 0 then link node.(i) succ.(i)
+    let a = get32 succ i in
+    if a >= 0 then begin
+      Heap.write heap ~tid:0 (get32 node i + Harris_list.next_off) a;
+      note_link a
+    end
   done
 
 let to_list_raw heap t =

@@ -28,7 +28,40 @@ val populate_raw :
     [note_link] is called once per final link, with the node it points
     to, in that store order, so link-counting schemes can prime their
     counts (as {!Harris_list.populate_raw}).  The table must be fresh:
-    links already in it are neither kept nor reported. *)
+    links already in it are neither kept nor reported.
+
+    The build makes streaming passes, and sorts within partitions: runs
+    of [2^k] consecutive buckets, [k] the least that leaves at most 512
+    (250,000 buckets make 489 partitions of 512).
+    + One read of the keys checks them and sizes the partitions.
+    + A stable scatter writes a 12-byte (key, position) record per key,
+      grouped by partition: one write stream per partition.
+    + Per partition, a counting sort by bucket into a buffer sized to
+      the widest partition, then a stable sort by key within each bucket
+      (insertion sort up to 16 keys, [Array.stable_sort] above), gives
+      each bucket's first kept key and each kept key's successor.  No key
+      is fetched from [keys] at random.
+    + The kept keys are allocated in input order; their addresses go
+      into the spent records.
+    + The successors' positions become addresses, in a loop of
+      independent loads, and then every link is stored.
+
+    Scratch is [Bytes], which the major GC never scans: 16 bytes per key
+    (the record, then a 4-byte successor), 4 per bucket, and 16 per key
+    of the widest partition, plus a word per bucket of a partition and
+    two per partition.  That is 2.13 words per key at 4 keys per bucket.
+    Minor-heap allocation is a constant, not per key, except
+    [Array.stable_sort]'s for buckets of more than 16 keys.
+
+    Positions, bucket offsets and node addresses are 32-bit slots, so
+    the limits are 2^31 - 1 keys, 2^31 - 1 buckets and node addresses
+    below 2^31 (a heap of 2^31 words is 16 GiB).
+    @raise Invalid_argument naming the key and its index if a key is
+    negative, or naming the counts if there are too many keys or
+    buckets (or fewer than 1 bucket).  Both are checked before anything
+    is allocated, so the heap is left untouched.
+    @raise Invalid_argument if a node's address reaches 2^31.  The nodes
+    allocated before it stay allocated. *)
 
 val to_list_raw : St_mem.Heap.t -> t -> int list
 (** Every key reachable from the bucket heads, marked nodes included,

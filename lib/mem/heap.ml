@@ -170,15 +170,31 @@ let[@inline] gran_set t d addr v =
 
 let in_heap t addr = addr >= Word.heap_base && addr < t.brk
 
+(* Stamp the size and birth in the base's chunk, then zero the words and
+   point the granules at [base] one chunk segment at a time, so each table's
+   directory is loaded once per chunk, not once per word.  Bases and sizes
+   are granule multiples and chunks are granule aligned, so a segment
+   covers whole granules; an object of at most one granule (every list
+   node) is one segment. *)
 let claim t base size =
-  for i = base to base + size - 1 do
-    tbl_set t.words i 0
+  let gshift = t.gshift in
+  let c = base lsr chunk_shift and lo = base land chunk_mask in
+  set (Array.unsafe_get t.obj_size c) (lo lsr gshift) size;
+  set (Array.unsafe_get t.birth c) (lo lsr gshift) (t.next_birth + 1);
+  let c = ref c and lo = ref lo and left = ref size in
+  while !left > 0 do
+    let n = Int.min !left (chunk_words - !lo) in
+    let w = Array.unsafe_get t.words !c and o = Array.unsafe_get t.owner !c in
+    for i = !lo to !lo + n - 1 do
+      set w i 0
+    done;
+    for g = !lo lsr gshift to ((!lo + n) lsr gshift) - 1 do
+      set o g base
+    done;
+    left := !left - n;
+    lo := 0;
+    incr c
   done;
-  for g = 0 to (size lsr t.gshift) - 1 do
-    gran_set t t.owner (base + (g lsl t.gshift)) base
-  done;
-  gran_set t t.obj_size base size;
-  gran_set t t.birth base (t.next_birth + 1);
   Lifecycle.on_alloc t.lifecycle ~birth:t.next_birth ~words:size;
   t.next_birth <- t.next_birth + 1;
   t.allocs <- t.allocs + 1;
@@ -193,22 +209,27 @@ let round_up t n =
   let m = (1 lsl t.gshift) - 1 in
   (n + m) land lnot m
 
-let free_list t size =
-  let cls = size lsr t.gshift in
+(* The free list of size class [cls], growing the class table to hold it. *)
+let grow_free_lists t cls =
   let n = Array.length t.free_by_class in
-  if cls >= n then begin
-    let cap = ref n in
-    while cls >= !cap do
-      cap := !cap * 2
-    done;
-    t.free_by_class <-
-      Array.init !cap (fun i ->
-          if i < n then t.free_by_class.(i) else Ivec.create ())
-  end;
-  Array.unsafe_get t.free_by_class cls
+  let cap = ref n in
+  while cls >= !cap do
+    cap := !cap * 2
+  done;
+  t.free_by_class <-
+    Array.init !cap (fun i ->
+        if i < n then t.free_by_class.(i) else Ivec.create ());
+  t.free_by_class.(cls)
+
+let[@inline] free_list t size =
+  let cls = size lsr t.gshift in
+  if cls < Array.length t.free_by_class then
+    Array.unsafe_get t.free_by_class cls
+  else grow_free_lists t cls
 
 let alloc t ~tid:_ ~size =
-  assert (size >= 1);
+  if size < 1 then
+    invalid_arg (Printf.sprintf "Heap.alloc: size = %d, need at least 1" size);
   let size = round_up t size in
   let fl = free_list t size in
   let base =

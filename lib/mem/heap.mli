@@ -51,8 +51,11 @@ val set_lifecycle : t -> Lifecycle.t -> unit
 (** {2 Allocation} *)
 
 val alloc : t -> tid:int -> size:int -> Word.addr
-(** Allocate [size] words (size ≥ 1) and return the object base address.
-    Contents are zeroed. *)
+(** Allocate [size] words and return the object base address.  Contents
+    are zeroed.  The words and owner entries are written one chunk at a
+    time, one directory load per table per chunk; an object of at most one
+    granule (every list node) lies in one chunk.
+    @raise Invalid_argument if [size < 1]. *)
 
 val free : t -> tid:int -> Word.addr -> unit
 (** Return an object to the allocator.  Freeing a non-base or dead address

@@ -516,6 +516,40 @@ let prop_bulk_populate =
   QCheck.Test.make ~name:"populate = incremental oracle" ~count:150 bulk_arb
     (fun (n_buckets, keys) -> check_bulk_matches_oracle ~n_buckets ~keys)
 
+(* A partition is the least power of two of consecutive buckets that
+   leaves at most 512 of them, so 515 to 5001 buckets make partitions of 2
+   to 16.  The count is odd, never a multiple of the partition width, so
+   the last partition is partial.  The key range is at most four times the
+   bucket count, so keys repeat and many buckets stay empty.  One bucket
+   gets 17 to 60 more keys, some repeated: longer than the insertion-sort
+   cut-off (16), beside the other buckets of its partition. *)
+let partitioned_arb =
+  let open QCheck.Gen in
+  let gen =
+    let* half = int_range 257 2500 in
+    let n_buckets = (2 * half) + 1 in
+    let* range = int_range 1 (4 * n_buckets) in
+    let* keys = list_size (0 -- 3000) (int_bound range) in
+    let* long_bucket = int_bound (n_buckets - 1) in
+    let* long_len = int_range 17 60 in
+    let* long =
+      list_repeat long_len
+        (map (fun q -> long_bucket + (q * n_buckets)) (int_bound 40))
+    in
+    let* keys = shuffle_l (keys @ long) in
+    return (n_buckets, Array.of_list keys)
+  in
+  QCheck.make
+    ~print:(fun (n_buckets, keys) ->
+      Printf.sprintf "%d buckets, keys [|%s|]" n_buckets
+        (String.concat "; " (Array.to_list (Array.map string_of_int keys))))
+    gen
+
+let prop_bulk_populate_partitions =
+  QCheck.Test.make ~name:"populate = incremental oracle, across partitions"
+    ~count:60 partitioned_arb (fun (n_buckets, keys) ->
+      check_bulk_matches_oracle ~n_buckets ~keys)
+
 (* Mark the [next] word of a random subset of the nodes (each then reads as
    logically deleted but still linked): the census still counts every node
    the list walk visits. *)
@@ -582,6 +616,81 @@ let test_hash_populate_links_once () =
     chain;
   checki "no other link reported" 4 (Hashtbl.length counts)
 
+(* [note_link]'s order is the store order the interface promises: the
+   [next] words read in address order, the bucket sentinels first, then
+   the nodes, skipping null ones. *)
+let test_hash_note_link_order () =
+  let rng = Rng.create ~seed:23 in
+  let n_buckets = 1501 in
+  let keys = Array.init 4000 (fun _ -> Rng.int rng 3000) in
+  let heap = Heap.create ~shadow:(Shadow.create ()) () in
+  let t = St_dslib.Hash_table.create_raw heap ~n_buckets in
+  let noted = ref [] in
+  St_dslib.Hash_table.populate_raw heap t ~keys ~note_link:(fun a ->
+      noted := a :: !noted);
+  let next a = Heap.peek heap (a + St_dslib.Harris_list.next_off) in
+  let sentinels =
+    List.init n_buckets (fun b -> Heap.peek heap (t.St_dslib.Hash_table.buckets + b))
+  in
+  let rec chain a acc = if a = Word.null then acc else chain (next a) (a :: acc) in
+  let nodes =
+    List.sort compare (List.concat_map (fun s -> chain (next s) []) sentinels)
+  in
+  let linked = sentinels @ nodes in
+  checkb "sentinels, then nodes, ascending" true
+    (List.sort compare linked = linked);
+  Alcotest.(check (list int))
+    "note_link order"
+    (List.filter (fun v -> v <> Word.null) (List.map next linked))
+    (List.rev !noted)
+
+(* A negative key is refused before the build touches anything: the heap
+   still holds only the empty table. *)
+let test_hash_populate_negative_key () =
+  let empty () = populated (fun _ _ ~keys:_ ~note_link:_ -> ()) ~n_buckets:8 ~keys:[||] in
+  let fresh, _ = empty () and heap, t = empty () in
+  (match
+     St_dslib.Hash_table.populate_raw heap t ~keys:[| 3; -5; 7 |]
+       ~note_link:(fun _ -> Alcotest.fail "a link was reported")
+   with
+  | () -> Alcotest.fail "negative key accepted"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string)
+        "names the key and its index"
+        "Hash_table.populate_raw: keys.(1) = -5 is negative" msg);
+  checkb "heap untouched" true (same_heap_image fresh heap)
+
+(* The build's own allocation, at the shape of the 10^6-object benchmark
+   scaled down 10x: 10^5 keys drawn as the benchmark draws them, in 25,000
+   buckets.  The directory is pre-sized, so the heap allocates nothing
+   outside its chunks.  Minor words are a constant, not per key: 66, the
+   per-bucket count of a 64-bucket partition (the [int array] build made
+   16).  Scratch is every major word the build allocates beyond the heap's
+   resident growth, read after a minor collection has folded the domain's
+   direct major allocations into the counter: the [int array] build took
+   2.50 words per key, the [Bytes] passes take 2.14. *)
+let test_hash_build_allocation () =
+  let n = 100_000 and n_buckets = 25_000 in
+  let keys =
+    St_workload.Workload.initial_keys ~rng:(Rng.create ~seed:0x5EED)
+      ~key_range:(2 * n) ~size:n
+  in
+  let heap = Heap.create ~initial_words:(1 lsl 20) ~shadow:(Shadow.create ()) () in
+  let t = St_dslib.Hash_table.create_raw heap ~n_buckets in
+  let resident = Heap.resident_words heap in
+  Gc.full_major ();
+  let major = (Gc.quick_stat ()).Gc.major_words in
+  let minor = Gc.minor_words () in
+  St_dslib.Hash_table.populate_raw heap t ~keys ~note_link:ignore;
+  let minor = Gc.minor_words () -. minor in
+  Gc.minor ();
+  let major = (Gc.quick_stat ()).Gc.major_words -. major in
+  let scratch = major -. float_of_int (Heap.resident_words heap - resident) in
+  if minor > 128. then Alcotest.failf "the build allocates %.0f minor words" minor;
+  if scratch /. float_of_int n >= 2.25 then
+    Alcotest.failf "the build's scratch is %.3f words per key"
+      (scratch /. float_of_int n)
+
 let test_hash_create_bad_buckets () =
   List.iter
     (fun n_buckets ->
@@ -620,11 +729,18 @@ let () =
       ( "hash bulk",
         [
           QCheck_alcotest.to_alcotest prop_bulk_populate;
+          QCheck_alcotest.to_alcotest prop_bulk_populate_partitions;
           QCheck_alcotest.to_alcotest prop_length_raw_marked;
           Alcotest.test_case "multi-chunk image" `Quick
             test_bulk_populate_chunks;
           Alcotest.test_case "each link reported once" `Quick
             test_hash_populate_links_once;
+          Alcotest.test_case "links reported in address order" `Quick
+            test_hash_note_link_order;
+          Alcotest.test_case "negative key refused" `Quick
+            test_hash_populate_negative_key;
+          Alcotest.test_case "build allocation" `Quick
+            test_hash_build_allocation;
           Alcotest.test_case "bad bucket counts" `Quick
             test_hash_create_bad_buckets;
         ] );

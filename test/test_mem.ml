@@ -595,6 +595,71 @@ let test_words_across_chunk_boundary () =
   done;
   checki "no violations" 0 (Shadow.count shadow)
 
+(* An object of 150,000 words from the first address covers all of chunk 1
+   and crosses two chunk boundaries, as the 10^6-object benchmark's bucket
+   array does.  Word for word against the oracle at and around each
+   boundary; a granule in the middle chunk is owned by the base; once
+   freed every word reads as poison and, reallocated, as zero. *)
+let test_object_across_three_chunks () =
+  let shadow = Shadow.create () in
+  let h = Heap.create ~quarantine:0 ~align:4 ~shadow () in
+  let o = Dense_oracle.create ~quarantine:0 ~align:4 () in
+  let size = 150_000 in
+  let alloc () =
+    let a = Heap.alloc h ~tid:0 ~size and a' = Dense_oracle.alloc o ~size in
+    checki "alloc address" a' a;
+    a
+  in
+  let a = alloc () in
+  let c = Heap.chunk_words in
+  checkb "crosses two boundaries" true (a < c && a + size > 2 * c);
+  checki "three chunks" 3 (Heap.touched_chunks h);
+  let near = List.concat_map (fun b -> [ b - 2; b - 1; b; b + 1 ]) [ c; 2 * c ] in
+  let rng = Random.State.make [| 11 |] in
+  List.iter
+    (fun i ->
+      let v = any_word rng ~near:a in
+      Heap.write h ~tid:0 i v;
+      Dense_oracle.write o i v)
+    near;
+  List.iter
+    (fun i ->
+      checki (Printf.sprintf "word %d" i) (Dense_oracle.read o i)
+        (Heap.read h ~tid:0 i);
+      checki (Printf.sprintf "owner %d" i) a (Heap.owner_of h i))
+    (a :: (a + size - 1) :: near);
+  checki "a middle-chunk granule" a (Heap.owner_of h (c + (c / 2) + 1));
+  checki "past the end" 0 (Heap.owner_of h (a + size));
+  checki "birth" (Dense_oracle.birth_ix o a) (Heap.birth_ix h a);
+  Heap.free h ~tid:0 a;
+  Dense_oracle.free o a;
+  for i = a to a + size - 1 do
+    if Heap.peek h i <> Heap.poison then Alcotest.failf "word %d not poisoned" i;
+    if Heap.owner_of h i <> 0 then Alcotest.failf "word %d still owned" i
+  done;
+  checki "reused" a (alloc ());
+  for i = a to a + size - 1 do
+    if Heap.read h ~tid:0 i <> 0 then Alcotest.failf "word %d not zeroed" i;
+    if Heap.owner_of h i <> Dense_oracle.owner_of o i then
+      Alcotest.failf "owner of %d diverged" i
+  done;
+  checki "no violations" 0 (Shadow.count shadow)
+
+(* A size below one word is refused, not asserted, and allocates nothing. *)
+let test_alloc_bad_size () =
+  let h = mk () in
+  List.iter
+    (fun size ->
+      match Heap.alloc h ~tid:0 ~size with
+      | _ -> Alcotest.failf "size %d accepted" size
+      | exception Invalid_argument msg ->
+          Alcotest.(check string)
+            "names the size"
+            (Printf.sprintf "Heap.alloc: size = %d, need at least 1" size)
+            msg)
+    [ 0; -3 ];
+  checki "nothing allocated" 0 (Heap.allocs h)
+
 let test_freelist_alloc_budget () =
   (* The recycling path (size-class hit -> LIFO pop -> claim; free -> poison
      -> quarantine push) must not touch the OCaml minor heap at all: it runs
@@ -638,6 +703,10 @@ let () =
             test_oracle_heavy;
           Alcotest.test_case "full-range words across a chunk boundary"
             `Quick test_words_across_chunk_boundary;
+          Alcotest.test_case "one object across three chunks" `Quick
+            test_object_across_three_chunks;
+          Alcotest.test_case "size below one refused" `Quick
+            test_alloc_bad_size;
           Alcotest.test_case "free-list path allocates nothing" `Quick
             test_freelist_alloc_budget;
         ] );
