@@ -46,7 +46,7 @@ type t = {
   stats : Guard.stats;
   st : Scheme_stats.t;
   mutable slow_path_count : int; (* global: threads currently on slow path *)
-  threads : thread option array; (* registry, for refs-set inspection *)
+  threads : thread Activity.t; (* the activity array, visited by tid *)
 }
 
 and thread = {
@@ -87,7 +87,6 @@ and env = {
 
 let stats t = t.stats
 let scheme_stats t = t.st
-let runtime t = t.rt
 
 let create ?(cfg = St_config.default) rt =
   {
@@ -96,12 +95,11 @@ let create ?(cfg = St_config.default) rt =
     stats = Guard.make_stats ();
     st = Scheme_stats.create ();
     slow_path_count = 0;
-    threads = Array.make Topology.max_threads None;
+    threads = Activity.create ();
   }
 
 let create_thread s ~tid =
   let ctx = Ctx.create ~tid in
-  Activity.register s.rt.Guard.activity ctx;
   (* The predictor decision timeline: installed only when forensics is on,
      so an unflagged run makes no extra calls and emits no extra trace
      events (the committed trace goldens stay byte-identical).  The
@@ -140,7 +138,7 @@ let create_thread s ~tid =
       env_cache = None;
     }
   in
-  s.threads.(tid) <- Some th;
+  Activity.register s.threads ~tid th;
   th
 
 let sched env = env.sc
@@ -553,32 +551,28 @@ let in_refs_set s ~ptr =
   let sched = s.rt.Guard.sched in
   let costs = Sched.costs sched in
   let found = ref false in
-  Array.iter
-    (function
-      | Some th ->
-          Sched.consume sched costs.load;
-          if Hashtbl.mem th.refs_set ptr then found := true
-      | None -> ())
-    s.threads;
+  Activity.iter s.threads (fun th ->
+      Sched.consume sched costs.load;
+      if Hashtbl.mem th.refs_set ptr then found := true);
   !found
 
 (* IS_FOUND for one pointer across all threads (Alg. 1 lines 12-30). *)
 let ptr_visible s ~self ~ptr =
   let slow_active = s.slow_path_count > 0 in
   let found = ref false in
-  Activity.iter s.rt.Guard.activity (fun ctx ->
-      if (not !found) && Ctx.tid ctx <> self && Ctx.op_active ctx then
-        if inspect_thread s ~ptr ctx then found := true);
+  Activity.iter s.threads (fun th ->
+      if (not !found) && th.tid <> self && Ctx.op_active th.ctx then
+        if inspect_thread s ~ptr th.ctx then found := true);
   if (not !found) && slow_active then found := in_refs_set s ~ptr;
   !found
 
-let scan_and_free_plain th =
+let scan_and_free_plain pass th =
   let s = th.s in
   Ivec.filter_in_place
     (fun ptr ->
       if ptr_visible s ~self:th.tid ~ptr then true
       else begin
-        Guard.free s.rt s.stats ptr;
+        Guard.free pass ptr;
         false
       end)
     th.free_set
@@ -587,7 +581,7 @@ let scan_and_free_plain th =
    object bases, then test each free-set pointer against it.  The table is
    the thread's reusable scratch ([Hashtbl.clear] keeps its bucket array),
    so a scan allocates nothing beyond genuine table growth. *)
-let scan_and_free_hashed th =
+let scan_and_free_hashed pass th =
   let s = th.s in
   let sched = s.rt.Guard.sched in
   let costs = Sched.costs sched in
@@ -602,8 +596,9 @@ let scan_and_free_hashed th =
     if b <> 0 then Hashtbl.replace table b ()
     else if w <> 0 then Hashtbl.replace table w ()
   in
-  Activity.iter s.rt.Guard.activity (fun ctx ->
-      if Ctx.tid ctx <> th.tid && Ctx.op_active ctx then begin
+  Activity.iter s.threads (fun peer ->
+      let ctx = peer.ctx in
+      if peer.tid <> th.tid && Ctx.op_active ctx then begin
         let oper_pre = Ctx.oper_counter ctx in
         Sched.consume sched costs.load;
         let rec attempt () =
@@ -632,7 +627,7 @@ let scan_and_free_hashed th =
         || (slow_active && in_refs_set s ~ptr)
       then true
       else begin
-        Guard.free s.rt s.stats ptr;
+        Guard.free pass ptr;
         false
       end)
     th.free_set
@@ -640,9 +635,9 @@ let scan_and_free_hashed th =
 let scan_and_free th =
   let s = th.s in
   s.st.Scheme_stats.scans <- s.st.Scheme_stats.scans + 1;
-  Guard.scan s.rt s.stats ~pending:(Ivec.length th.free_set) (fun () ->
-      if s.cfg.St_config.hash_scan then scan_and_free_hashed th
-      else scan_and_free_plain th;
+  Guard.scan s.rt s.stats ~pending:(Ivec.length th.free_set) (fun pass ->
+      if s.cfg.St_config.hash_scan then scan_and_free_hashed pass th
+      else scan_and_free_plain pass th;
       s.stats.Guard.scan_words <- s.st.Scheme_stats.stack_words;
       Ivec.length th.free_set)
 
@@ -822,26 +817,21 @@ let atomic_region env f =
 (* ------------------------------------------------------------------ *)
 
 let segments_tracked s =
-  Array.fold_left
-    (fun acc -> function
-      | Some th -> acc + Predictor.segments_tracked th.predictor
-      | None -> acc)
-    0 s.threads
+  let n = ref 0 in
+  Activity.iter s.threads (fun th ->
+      n := !n + Predictor.segments_tracked th.predictor);
+  !n
 
 type limit_row = { l_tid : int; l_op_id : int; l_split : int; l_limit : int }
 
 let predictor_limits s =
   let rows = ref [] in
-  Array.iter
-    (function
-      | Some th ->
-          Predictor.iter th.predictor (fun ~op_id ~split ~limit ->
-              rows :=
-                { l_tid = th.tid; l_op_id = op_id; l_split = split;
-                  l_limit = limit }
-                :: !rows)
-      | None -> ())
-    s.threads;
+  Activity.iter s.threads (fun th ->
+      Predictor.iter th.predictor (fun ~op_id ~split ~limit ->
+          rows :=
+            { l_tid = th.tid; l_op_id = op_id; l_split = split;
+              l_limit = limit }
+            :: !rows));
   List.sort
     (fun a b ->
       compare
@@ -855,8 +845,9 @@ let quiesce th =
 let pending_frees th = Ivec.length th.free_set
 
 let total_pending_frees s =
-  Array.fold_left
-    (fun acc -> function
-      | Some th -> acc + Ivec.length th.free_set
-      | None -> acc)
-    0 s.threads
+  let n = ref 0 in
+  Activity.iter s.threads (fun th -> n := !n + Ivec.length th.free_set);
+  !n
+
+let context s ~tid =
+  Option.map (fun th -> th.ctx) (Activity.get s.threads ~tid)

@@ -37,8 +37,6 @@ val scheme_stats : t -> Scheme_stats.t
 (** StackTrack-specific counters (segments, split lengths, scans, slow-path
     traffic) behind Figures 3-5. *)
 
-val runtime : t -> St_reclaim.Guard.runtime
-
 val atomic_region : env -> (unit -> 'a) -> 'a
 (** Programmer-defined transactional region (§5.5): the body executes
     inside a single segment — no split checkpoint commits within it — and
@@ -67,3 +65,7 @@ val total_pending_frees : t -> int
 (** Sum of {!pending_frees} over every registered thread — the scheme-wide
     backlog of retired-but-unfreed memory, sampled by the harness's
     metrics time series. *)
+
+val context : t -> tid:int -> St_machine.Ctx.t option
+(** The execution context of the thread registered last for [tid]: the
+    one a scan inspects. *)

@@ -986,20 +986,20 @@ let fence t = Sched.consume t.sched (costs t).fence
 let free t addr =
   Sched.sync t.sched;
   let me = tid t in
-  (match Heap.size_of t.heap addr with
-  | Some size ->
-      (* Freeing behaves like a write to every line of the object: any
-         uncommitted transaction that speculatively read the object must
-         abort rather than observe reclaimed memory. *)
-      let first = Cache.line_of t.cache addr in
-      let last = Cache.line_of t.cache (addr + size - 1) in
-      if t.backend = Stm then t.stm_clock <- t.stm_clock + 1;
-      for line = first to last do
-        ensure_lines t line;
-        doom_conflicting t ~me ~line ~against_readers:true;
-        if t.backend = Stm then bump_line_version t line
-      done
-  | None -> ());
+  let size = Heap.size_of t.heap addr in
+  if size > 0 then begin
+    (* Freeing behaves like a write to every line of the object: any
+       uncommitted transaction that speculatively read the object must
+       abort rather than observe reclaimed memory. *)
+    let first = Cache.line_of t.cache addr in
+    let last = Cache.line_of t.cache (addr + size - 1) in
+    if t.backend = Stm then t.stm_clock <- t.stm_clock + 1;
+    for line = first to last do
+      ensure_lines t line;
+      doom_conflicting t ~me ~line ~against_readers:true;
+      if t.backend = Stm then bump_line_version t line
+    done
+  end;
   Heap.free t.heap ~tid:me addr;
   Sched.consume t.sched (costs t).free
 

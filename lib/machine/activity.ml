@@ -1,35 +1,37 @@
+open St_sim
 
-type t = {
-  slots : Ctx.t option array;
-  mutable count : int;
+type 'a t = {
+  slots : 'a option array; (* by tid: its latest record *)
+  order : Ivec.t; (* tids, in first-registration order *)
   mutable high : int;
-      (* 1 + highest tid ever registered: [iter] scans [0, high) instead of
-         all [Topology.max_threads] slots.  Monotone — a deregistered tid
-         may leave a [None] hole below the watermark, which [iter] skips. *)
+      (* 1 + highest registered tid: [iter] scans [0, high) instead of all
+         [Topology.max_threads] slots. *)
 }
 
 let create () =
-  { slots = Array.make St_sim.Topology.max_threads None; count = 0; high = 0 }
+  {
+    slots = Array.make Topology.max_threads None;
+    order = Ivec.create ();
+    high = 0;
+  }
 
-let register t ctx =
-  let tid = Ctx.tid ctx in
-  if t.slots.(tid) = None then begin
-    t.slots.(tid) <- Some ctx;
-    t.count <- t.count + 1;
+let register t ~tid x =
+  if Option.is_none t.slots.(tid) then begin
+    Ivec.push t.order tid;
     if tid >= t.high then t.high <- tid + 1
-  end
+  end;
+  t.slots.(tid) <- Some x
 
-let deregister t ~tid =
-  if t.slots.(tid) <> None then begin
-    t.slots.(tid) <- None;
-    t.count <- t.count - 1
-  end
-
+let count t = Ivec.length t.order
 let get t ~tid = t.slots.(tid)
+let nth t i = Option.get t.slots.(Ivec.get t.order i)
 
 let iter t f =
   for tid = 0 to t.high - 1 do
-    match t.slots.(tid) with Some ctx -> f ctx | None -> ()
+    match t.slots.(tid) with Some x -> f x | None -> ()
   done
 
-let count t = t.count
+let iter_newest t f =
+  for i = count t - 1 downto 0 do
+    f (nth t i)
+  done

@@ -252,7 +252,7 @@ let alloc t ~tid:_ ~size =
 let is_allocated t addr = in_heap t addr && gran_get t t.owner addr = addr
 
 let size_of t addr =
-  if is_allocated t addr then Some (gran_get t t.obj_size addr) else None
+  if is_allocated t addr then gran_get t t.obj_size addr else 0
 
 let owner_of t v = if in_heap t v then gran_get t t.owner v else 0
 

@@ -65,8 +65,9 @@ val free : t -> tid:int -> Word.addr -> unit
 val is_allocated : t -> Word.addr -> bool
 (** True when [addr] is the base of a live object. *)
 
-val size_of : t -> Word.addr -> int option
-(** Size of the live object based at [addr]. *)
+val size_of : t -> Word.addr -> int
+(** Size of the live object based at [addr]; 0 if there is none.  No
+    option box: [Tsx.free] asks this on every free. *)
 
 val base_of : t -> Word.value -> Word.addr option
 (** Range query: if the word value points into any live object (including

@@ -59,7 +59,7 @@ type scheme = {
   mutable epoch : int; (* global epoch clock *)
   announce : int array; (* indexed by tid *)
   neutralized : bool array; (* set by the handler, cleared on recovery *)
-  registered : Ivec.t; (* tids, in registration order *)
+  threads : int St_machine.Activity.t; (* tids, checked oldest first *)
   mutable neutralizations : int; (* signals delivered *)
   mutable recoveries : int; (* restarts observed by live victims *)
 }
@@ -83,9 +83,7 @@ module Hooks = struct
   let stats t = t.stats
 
   let create_thread s ~tid =
-    (* Dedupe: a re-registered tid must not be checked twice per round. *)
-    if not (Ivec.exists (fun t -> t = tid) s.registered) then
-      Ivec.push s.registered tid;
+    St_machine.Activity.register s.threads ~tid tid;
     (match s.blocked with
     | Wait -> ()
     | Neutralize _ ->
@@ -118,11 +116,11 @@ module Hooks = struct
     let s = th.s in
     let pending = Ivec.length bag in
     if pending > 0 then
-      Guard.scan s.rt s.stats ~pending (fun () ->
+      Guard.scan s.rt s.stats ~pending (fun pass ->
           while Ivec.length bag > 0 do
             let addr = Ivec.get bag (Ivec.length bag - 1) in
             Ivec.truncate bag (Ivec.length bag - 1);
-            Guard.free s.rt s.stats addr
+            Guard.free pass addr
           done;
           0)
 
@@ -165,10 +163,10 @@ module Hooks = struct
     let s = th.s in
     let sched = s.rt.Guard.sched in
     let costs = Sched.costs sched in
-    let n = Ivec.length s.registered in
+    let n = St_machine.Activity.count s.threads in
     if n > 0 then begin
       if th.check_idx >= n then th.check_idx <- 0;
-      let peer = Ivec.get s.registered th.check_idx in
+      let peer = St_machine.Activity.nth s.threads th.check_idx in
       let a = s.announce.(peer) in
       Sched.consume sched costs.load;
       s.stats.Guard.scan_words <- s.stats.Guard.scan_words + 1;
@@ -247,8 +245,8 @@ module Hooks = struct
           let e = s.epoch in
           Sched.consume sched costs.load;
           sync_bags th e;
-          for i = 0 to Ivec.length s.registered - 1 do
-            let peer = Ivec.get s.registered i in
+          for i = 0 to St_machine.Activity.count s.threads - 1 do
+            let peer = St_machine.Activity.nth s.threads i in
             Sched.consume sched costs.load;
             s.stats.Guard.scan_words <- s.stats.Guard.scan_words + 1;
             let a = s.announce.(peer) in
@@ -285,7 +283,7 @@ let create ~blocked rt =
     epoch = 0;
     announce = Array.make Topology.max_threads 0;
     neutralized = Array.make Topology.max_threads false;
-    registered = Ivec.create ();
+    threads = St_machine.Activity.create ();
     neutralizations = 0;
     recoveries = 0;
   }

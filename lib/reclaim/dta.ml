@@ -40,7 +40,7 @@ type scheme = {
          acquire references the recovery scan has already missed.  This
          models the original protocol's property that a frozen thread
          cannot silently continue through its anchor window. *)
-  mutable registered : int list;
+  threads : int St_machine.Activity.t; (* tids, waited on newest first *)
 }
 
 module Hooks = struct
@@ -59,8 +59,7 @@ module Hooks = struct
   let stats t = t.stats
 
   let create_thread s ~tid =
-    (* Dedupe: a re-registered tid must not be scanned twice. *)
-    if not (List.mem tid s.registered) then s.registered <- tid :: s.registered;
+    St_machine.Activity.register s.threads ~tid tid;
     {
       s;
       tid;
@@ -163,8 +162,7 @@ module Hooks = struct
         if p <> 0 then Hashtbl.replace protected_set p ()
       done
     in
-    List.iter
-      (fun tid ->
+    St_machine.Activity.iter_newest s.threads (fun tid ->
         if tid <> th.tid then begin
           let snap = s.timestamps.(tid) in
           if snap land 1 = 1 then
@@ -181,14 +179,13 @@ module Hooks = struct
               end
             in
             spin ()
-        end)
-      s.registered;
+        end);
     !frozen
 
   let reclaim th =
     let s = th.s in
     let sched = s.rt.Guard.sched in
-    Guard.scan s.rt s.stats ~pending:(Ivec.length th.buffer) (fun () ->
+    Guard.scan s.rt s.stats ~pending:(Ivec.length th.buffer) (fun pass ->
         let protected_set = th.scan_scratch in
         Hashtbl.clear protected_set;
         (* The wait is the scheme's stall: a grace period when no peer had
@@ -202,7 +199,7 @@ module Hooks = struct
           (fun addr ->
             if Hashtbl.mem protected_set addr then true
             else begin
-              Guard.free s.rt s.stats addr;
+              Guard.free pass addr;
               false
             end)
           th.buffer;
@@ -243,5 +240,5 @@ let create ?(batch = 4) ?(k = 16) ?(window = 48) ?(patience = 30_000) rt =
     timestamps = Array.make Topology.max_threads 0;
     rings = Array.init Topology.max_threads (fun _ -> Array.make window 0);
     frozen = Array.make Topology.max_threads false;
-    registered = [];
+    threads = St_machine.Activity.create ();
   }

@@ -25,7 +25,7 @@ type scheme = {
   batch : int;
   patience : int;
   timestamps : int array; (* indexed by tid; odd = inside an operation *)
-  mutable registered : int list;
+  threads : int St_machine.Activity.t; (* tids, waited on newest first *)
 }
 
 module Hooks = struct
@@ -37,8 +37,7 @@ module Hooks = struct
   let stats t = t.stats
 
   let create_thread s ~tid =
-    (* Dedupe: a re-registered tid must not be waited on twice. *)
-    if not (List.mem tid s.registered) then s.registered <- tid :: s.registered;
+    St_machine.Activity.register s.threads ~tid tid;
     { s; tid; buffer = Ivec.create () }
 
   let bump th =
@@ -61,8 +60,7 @@ module Hooks = struct
     Guard.stall s.rt s.stats (fun () ->
         let deadline = Sched.now sched + s.patience in
         let ok = ref true in
-        List.iter
-          (fun tid ->
+        St_machine.Activity.iter_newest s.threads (fun tid ->
             if tid <> th.tid && !ok then begin
               let snap = s.timestamps.(tid) in
               if snap land 1 = 1 then
@@ -82,15 +80,14 @@ module Hooks = struct
                   end
                 in
                 spin ()
-            end)
-          s.registered;
+            end);
         !ok)
 
   let reclaim th =
     let s = th.s in
-    Guard.scan s.rt s.stats ~pending:(Ivec.length th.buffer) (fun () ->
+    Guard.scan s.rt s.stats ~pending:(Ivec.length th.buffer) (fun pass ->
         if wait_for_grace th then begin
-          Ivec.iter (fun addr -> Guard.free s.rt s.stats addr) th.buffer;
+          Ivec.iter (Guard.free pass) th.buffer;
           Ivec.clear th.buffer
         end;
         Ivec.length th.buffer)
@@ -122,5 +119,5 @@ let create ?(batch = 2) ?(patience = 250_000) rt =
     batch;
     patience;
     timestamps = Array.make Topology.max_threads 0;
-    registered = [];
+    threads = St_machine.Activity.create ();
   }

@@ -1,47 +1,11 @@
-(** The common interface between concurrent data structures and memory
-    reclamation schemes.
-
-    Every data structure in [st_dslib] is a functor over {!S}, so the same
-    algorithm runs unchanged under StackTrack, hazard pointers, epochs,
-    reference counting, drop-the-anchor, immediate (unsafe) freeing, or no
-    reclamation at all — mirroring the paper's benchmark methodology.
-
-    The contract for operation bodies passed to {!S.run_op}:
-
-    - All shared-memory access goes through the [env] operations; all
-      randomness through [rand]; all allocation through [alloc]/[retire].
-    - The body must be a deterministic function of the values returned by
-      those operations: StackTrack re-executes the body after a hardware
-      abort, replaying the already-committed prefix from a log (this models
-      the register rollback + re-execution of a real HTM segment restart).
-      Bodies must not mutate OCaml state other than through [env].
-    - A simulated pointer that will still be dereferenced after the next
-      [env] memory operation must be stored in a frame local ([local_set]):
-      frame locals and the 16 most recently loaded values are what a
-      reclaiming thread's scan can see, exactly like spilled locals and
-      registers of compiled code.  (Violations of this discipline are not
-      type errors; they are caught by the use-after-free shadow checker in
-      the stress tests.)
-    - [protected_read ~slot] marks loads of node pointers that the thread
-      will traverse through.  Pointer-based schemes (hazard pointers,
-      reference counting, drop-the-anchor) hook their per-node protection
-      here — the manual, structure-specific effort the paper criticises.
-      Automatic schemes (StackTrack, epoch, none) treat it as a plain
-      read. *)
-
 open St_sim
 open St_mem
 open St_htm
 
 (* Shared simulation plumbing handed to every scheme. *)
-type runtime = {
-  sched : Sched.t;
-  tsx : Tsx.t;
-  activity : St_machine.Activity.t;
-}
+type runtime = { sched : Sched.t; tsx : Tsx.t }
 
-let make_runtime ~sched ~tsx =
-  { sched; tsx; activity = St_machine.Activity.create () }
+let make_runtime ~sched ~tsx = { sched; tsx }
 
 let heap rt = Tsx.heap rt.tsx
 
@@ -82,6 +46,12 @@ let make_stats () =
     lifecycle = Lifecycle.disabled;
   }
 
+(* The capability to free: [scan] hands one to its body, [eager] to the
+   two schemes that free outside a pass. *)
+type pass = { rt : runtime; stats : stats }
+
+let eager rt stats = { rt; stats }
+
 (* The four calls every scheme's lifecycle goes through.  Each runs on the
    retiring thread, so [Sched.current] names the thread for the trace and
    the profiler. *)
@@ -97,23 +67,27 @@ let retire rt stats ~pending addr =
   Hashtbl.replace stats.retire_stamp addr now;
   Lifecycle.on_retire stats.lifecycle ~now addr
 
-let free rt stats addr =
+(* [Hashtbl.find], not [find_opt]: a free allocates nothing. *)
+let free { rt; stats } addr =
   Tsx.free rt.tsx addr;
   stats.freed <- stats.freed + 1;
-  match Hashtbl.find_opt stats.retire_stamp addr with
-  | Some t0 ->
+  match Hashtbl.find stats.retire_stamp addr with
+  | t0 ->
       let lag = Sched.now rt.sched - t0 in
       Hashtbl.remove stats.retire_stamp addr;
       stats.lag_sum <- stats.lag_sum + lag;
       if lag > stats.lag_max then stats.lag_max <- lag
-  | None -> ()
+  | exception Not_found -> ()
 
-(* [Fun.protect]: a crash injected mid-pass unwinds with [Thread_crashed]
-   and must still pop the attribution mode. *)
-let in_mode sched ~tid mode body =
+(* Popped on an exception too: a crash injected mid-pass unwinds with
+   [Thread_crashed] and must still pop the attribution mode.  A handler
+   rather than [Fun.protect], which would cost a closure per call. *)
+let in_mode sched ~tid mode body x =
   let profile = Sched.profile sched in
   Profile.push_mode profile ~tid mode;
-  Fun.protect ~finally:(fun () -> Profile.pop_mode profile ~tid) body
+  match body x with
+  | r -> Profile.pop_mode profile ~tid; r
+  | exception e -> Profile.pop_mode profile ~tid; raise e
 
 let scan rt stats ~pending body =
   let sched = rt.sched in
@@ -123,7 +97,7 @@ let scan rt stats ~pending body =
     Trace.span_begin tr ~time:(Sched.now sched) ~tid Trace.Reclaim "scan"
       (fun () -> Printf.sprintf "pending=%d" pending);
   stats.scans <- stats.scans + 1;
-  let held = in_mode sched ~tid Profile.Reclaim_scan body in
+  let held = in_mode sched ~tid Profile.Reclaim_scan body { rt; stats } in
   if Trace.on tr then
     Trace.span_end tr ~time:(Sched.now sched) ~tid Trace.Reclaim "scan"
       (fun () -> Printf.sprintf "freed=%d held=%d" (pending - held) held)
@@ -135,7 +109,7 @@ let stall rt stats body =
   let tr = Sched.trace sched in
   if Trace.on tr then
     Trace.span_begin tr ~time:t0 ~tid Trace.Reclaim "stall" Trace.no_detail;
-  let grace = in_mode sched ~tid Profile.Reclaim_stall body in
+  let grace = in_mode sched ~tid Profile.Reclaim_stall body () in
   let cycles = Sched.now sched - t0 in
   stats.stall_cycles <- stats.stall_cycles + cycles;
   if Trace.on tr then

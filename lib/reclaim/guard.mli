@@ -37,10 +37,22 @@
     - {!retire} once per node handed over for eventual reclamation (for
       StackTrack, only once its split-segment commit makes the retirement
       real);
-    - {!free} to return a retired node to the allocator;
     - {!scan} around each reclamation pass over the scheme's buffer;
+    - {!free} to return a retired node to the allocator.  It takes a
+      {!pass}, the capability that {!scan} hands to its body, so a
+      reclamation free outside a pass does not type-check;
     - {!stall} around each wait for other threads (a grace period, or
       DTA's snapshot-and-freeze).
+
+    Two schemes free without a pass and hold the one named {!eager}
+    capability instead: RefCount frees a retired node when its count
+    reaches zero, and Immediate frees at retire.  No scheme calls
+    [Tsx.free] or [Heap.free] itself; StackTrack's rollback of a
+    speculative allocation is not a reclamation and calls [Heap.free]
+    directly.  A free allocates nothing, and a pass at most a constant.
+
+    The runtime holds no thread registry: each scheme that inspects other
+    threads owns a {!St_machine.Activity.t}.
 
     They keep the counters below and the reclamation-lag aggregates, emit
     the [reclaim] trace events [retire], [scan] and [stall], and charge
@@ -73,11 +85,7 @@ open St_htm
 
 (** {1 Shared runtime} *)
 
-type runtime = {
-  sched : Sched.t;
-  tsx : Tsx.t;
-  activity : St_machine.Activity.t;
-}
+type runtime = { sched : Sched.t; tsx : Tsx.t }
 (** Simulation plumbing handed to every scheme instance. *)
 
 val make_runtime : sched:Sched.t -> tsx:Tsx.t -> runtime
@@ -114,16 +122,26 @@ val retire : runtime -> stats -> pending:int -> Word.addr -> unit
     nodes now in the caller's buffer, this one included, or 0 for a scheme
     without a buffer. *)
 
-val free : runtime -> stats -> Word.addr -> unit
-(** [free rt stats addr]: {!Tsx.free} the retired node at [addr], count
-    it, and add its retire-to-free lag to the aggregates. *)
+type pass
+(** The capability to free: held by the body of a {!scan}, and by the two
+    schemes given {!eager}. *)
 
-val scan : runtime -> stats -> pending:int -> (unit -> int) -> unit
+val scan : runtime -> stats -> pending:int -> (pass -> int) -> unit
 (** [scan rt stats ~pending body]: one reclamation pass over a buffer of
     [pending] nodes.  Counts the pass and runs [body] under the
     [Reclaim_scan] profiler mode (popped even if [body] raises) inside
-    the [scan] span.  [body] returns how many nodes it kept; the span
-    ends with [freed=… held=…]. *)
+    the [scan] span.  [body] frees through the {!pass} it is given and
+    returns how many nodes it kept; the span ends with
+    [freed=… held=…]. *)
+
+val free : pass -> Word.addr -> unit
+(** [free pass addr]: {!Tsx.free} the retired node at [addr], count it in
+    the pass's stats, and add its retire-to-free lag to the aggregates.
+    Allocates nothing. *)
+
+val eager : runtime -> stats -> pass
+(** The capability to free outside a pass, for RefCount and Immediate
+    only; each makes it once, at creation. *)
 
 val stall : runtime -> stats -> (unit -> bool) -> bool
 (** [stall rt stats body]: one wait for other threads.  Runs [body] under

@@ -24,7 +24,7 @@ type scheme = {
   stats : Guard.stats;
   batch : int;
   hazards : int array array; (* [tid].(slot) = protected base pointer *)
-  mutable registered : int list;
+  threads : int St_machine.Activity.t; (* tids, scanned newest first *)
 }
 
 module Hooks = struct
@@ -42,8 +42,7 @@ module Hooks = struct
   let stats t = t.stats
 
   let create_thread s ~tid =
-    (* Dedupe: a re-registered tid must not be scanned twice. *)
-    if not (List.mem tid s.registered) then s.registered <- tid :: s.registered;
+    St_machine.Activity.register s.threads ~tid tid;
     {
       s;
       tid;
@@ -119,25 +118,23 @@ module Hooks = struct
     let s = th.s in
     let sched = s.rt.Guard.sched in
     let costs = Sched.costs sched in
-    Guard.scan s.rt s.stats ~pending:(Ivec.length th.buffer) (fun () ->
+    Guard.scan s.rt s.stats ~pending:(Ivec.length th.buffer) (fun pass ->
         (* Reused per-thread scratch: [Hashtbl.clear] keeps the bucket
            array, so repeated scans stop allocating a fresh table each. *)
         let protected_set = th.scan_scratch in
         Hashtbl.clear protected_set;
-        List.iter
-          (fun tid ->
+        St_machine.Activity.iter_newest s.threads (fun tid ->
             for slot = 0 to slots_per_thread - 1 do
               let p = s.hazards.(tid).(slot) in
               Sched.consume sched costs.load;
               s.stats.Guard.scan_words <- s.stats.Guard.scan_words + 1;
               if p <> 0 then Hashtbl.replace protected_set p ()
-            done)
-          s.registered;
+            done);
         Ivec.filter_in_place
           (fun addr ->
             if Hashtbl.mem protected_set addr then true
             else begin
-              Guard.free s.rt s.stats addr;
+              Guard.free pass addr;
               false
             end)
           th.buffer;
@@ -162,5 +159,5 @@ let create ?(batch = 16) rt =
     stats = Guard.make_stats ();
     batch;
     hazards = Array.init Topology.max_threads (fun _ -> Array.make slots_per_thread 0);
-    registered = [];
+    threads = St_machine.Activity.create ();
   }

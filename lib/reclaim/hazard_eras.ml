@@ -32,7 +32,7 @@ type scheme = {
   reservations : int array array; (* [tid].(0) = lo, [tid].(1) = hi; 0 = none *)
   mutable birth_eras : int array; (* keyed by Heap.birth_ix (0 sentinel slot unused) *)
   mutable retire_count : int; (* global, drives the era clock *)
-  mutable registered : int list;
+  threads : int St_machine.Activity.t; (* tids, scanned newest first *)
 }
 
 let ensure_birth s ix =
@@ -60,8 +60,7 @@ module Hooks = struct
   let stats t = t.stats
 
   let create_thread s ~tid =
-    (* Dedupe: a re-registered tid must not be scanned twice. *)
-    if not (List.mem tid s.registered) then s.registered <- tid :: s.registered;
+    St_machine.Activity.register s.threads ~tid tid;
     {
       s;
       tid;
@@ -134,11 +133,10 @@ module Hooks = struct
     let s = th.s in
     let sched = s.rt.Guard.sched in
     let costs = Sched.costs sched in
-    Guard.scan s.rt s.stats ~pending:(Ivec.length th.buffer / 3) (fun () ->
+    Guard.scan s.rt s.stats ~pending:(Ivec.length th.buffer / 3) (fun pass ->
         (* Snapshot every thread's published interval (two words each). *)
         let n_res = ref 0 in
-        List.iter
-          (fun tid ->
+        St_machine.Activity.iter_newest s.threads (fun tid ->
             let res = s.reservations.(tid) in
             let lo = res.(0) and hi = res.(1) in
             Sched.consume sched (2 * costs.load);
@@ -147,8 +145,7 @@ module Hooks = struct
               th.snap_lo.(!n_res) <- lo;
               th.snap_hi.(!n_res) <- hi;
               incr n_res
-            end)
-          s.registered;
+            end);
         let n_res = !n_res in
         (* Keep a buffered node only if some interval overlaps its
            lifetime; compact the stride-3 buffer in place. *)
@@ -170,7 +167,7 @@ module Hooks = struct
             Ivec.set th.buffer (!w + 2) retired;
             w := !w + 3
           end
-          else Guard.free s.rt s.stats addr;
+          else Guard.free pass addr;
           r := !r + 3
         done;
         Ivec.truncate th.buffer !w;
@@ -215,5 +212,5 @@ let create ?(batch = 16) ?(era_freq = 8) rt =
     reservations = Array.init Topology.max_threads (fun _ -> Array.make 2 0);
     birth_eras = Array.make 1024 0;
     retire_count = 0;
-    registered = [];
+    threads = St_machine.Activity.create ();
   }

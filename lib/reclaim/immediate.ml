@@ -8,7 +8,7 @@
 open St_htm
 
 module Hooks = struct
-  type t = { rt : Guard.runtime; stats : Guard.stats }
+  type t = { rt : Guard.runtime; stats : Guard.stats; eager : Guard.pass }
   type thread = t
 
   let runtime t = t.rt
@@ -24,7 +24,7 @@ module Hooks = struct
 
   let retire th addr =
     Guard.retire th.rt th.stats ~pending:0 addr;
-    Guard.free th.rt th.stats addr
+    Guard.free th.eager addr
 
   let quiesce _ = ()
   let write th addr v = Tsx.nt_write th.rt.Guard.tsx addr v
@@ -33,4 +33,6 @@ end
 
 include Simple.Make (Hooks)
 
-let create rt = { Hooks.rt; stats = Guard.make_stats () }
+let create rt =
+  let stats = Guard.make_stats () in
+  { Hooks.rt; stats; eager = Guard.eager rt stats }

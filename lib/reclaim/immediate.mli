@@ -6,8 +6,9 @@
     means something).
 
     Hook contract: [retire] calls [Guard.retire ~pending:0], then
-    [Guard.free] on the spot — so its retire→free lag is the floor every
-    safe scheme is measured against. *)
+    [Guard.free] on the spot, with the scheme's [Guard.eager] capability —
+    so its retire→free lag is the floor every safe scheme is measured
+    against. *)
 
 include Guard.S
 

@@ -30,6 +30,7 @@ type scheme = {
   stats : Guard.stats;
   counts : (Word.addr, int) Hashtbl.t;
   retired_set : (Word.addr, unit) Hashtbl.t;
+  eager : Guard.pass; (* frees at count zero, outside any pass *)
 }
 
 module Hooks = struct
@@ -46,7 +47,7 @@ module Hooks = struct
   let free s p =
     Hashtbl.remove s.counts p;
     Hashtbl.remove s.retired_set p;
-    Guard.free s.rt s.stats p
+    Guard.free s.eager p
 
   let inc s p = Hashtbl.replace s.counts p (count s p + 1)
 
@@ -170,9 +171,11 @@ let note_initial_link s target =
   if p >= Word.heap_base then Hooks.inc s p
 
 let create rt =
+  let stats = Guard.make_stats () in
   {
     rt;
-    stats = Guard.make_stats ();
+    stats;
     counts = Hashtbl.create 1024;
     retired_set = Hashtbl.create 64;
+    eager = Guard.eager rt stats;
   }

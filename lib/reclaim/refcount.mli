@@ -17,7 +17,8 @@
 
     Hook contract: [retire] calls [Guard.retire ~pending:0] and
     [Guard.free]s at once when the count is already zero; otherwise
-    whichever decrement drops the count to zero calls [Guard.free]. *)
+    whichever decrement drops the count to zero calls [Guard.free].  Both
+    free outside a pass, with the scheme's [Guard.eager] capability. *)
 
 open St_mem
 

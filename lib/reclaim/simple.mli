@@ -10,11 +10,10 @@
 
     Hook obligations for the uniform bookkeeping (see the bookkeeping
     contract in [Guard]): the supplied [retire] calls [Guard.retire] once
-    per retirement, whatever path eventually frees the node calls
-    [Guard.free] (never [Tsx.free] directly), a reclamation pass runs
-    inside [Guard.scan], and a wait for other threads inside
-    [Guard.stall].  The hooks then state only the scheme's protection
-    policy. *)
+    per retirement, a reclamation pass runs inside [Guard.scan] and frees
+    with [Guard.free] and the pass it is given (never [Tsx.free]
+    directly), and a wait for other threads runs inside [Guard.stall].
+    The hooks then state only the scheme's protection policy. *)
 
 open St_mem
 

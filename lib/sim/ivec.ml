@@ -39,10 +39,6 @@ let iter f t =
 
 let to_list t = List.init t.len (fun i -> Array.unsafe_get t.data i)
 
-let exists p t =
-  let rec go i = i < t.len && (p (Array.unsafe_get t.data i) || go (i + 1)) in
-  go 0
-
 let filter_in_place p t =
   let j = ref 0 in
   for i = 0 to t.len - 1 do

@@ -25,7 +25,6 @@ val iter : (int -> unit) -> t -> unit
 (** Visit the elements in index order. *)
 
 val to_list : t -> int list
-val exists : (int -> bool) -> t -> bool
 
 val filter_in_place : (int -> bool) -> t -> unit
 (** Keep the elements satisfying the predicate, in their order. *)

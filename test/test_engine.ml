@@ -255,7 +255,7 @@ let test_oper_and_splits_counters () =
         done)
   in
   Sched.run sched;
-  match St_machine.Activity.get (Engine.runtime engine).Guard.activity ~tid:0 with
+  match Engine.context engine ~tid:0 with
   | None -> Alcotest.fail "no ctx registered"
   | Some ctx ->
       checki "three ops completed" 3 (St_machine.Ctx.oper_counter ctx);
@@ -419,6 +419,35 @@ let test_scan_respects_exposed_pointer () =
   checkb "freed after holder finished" true !freed_after;
   checki "no violations" 0 (Shadow.count (Heap.shadow heap))
 
+(* The same, with thread 0 calling [create_thread] a second time and
+   exposing N from the second thread record: the scan must read the
+   latest registration's context, not the first one's. *)
+let test_scan_sees_reregistered_thread () =
+  let cfg = { St_config.default with initial_limit = 2; max_free = 0 } in
+  let sched, heap, _tsx, engine = world ~cfg () in
+  let n = Heap.alloc heap ~tid:0 ~size:2 in
+  let cells = make_chain heap 8 in
+  let freed_while_held = ref true in
+  let _ =
+    Sched.add_thread sched (fun tid ->
+        ignore (Engine.create_thread engine ~tid);
+        let th = Engine.create_thread engine ~tid in
+        Engine.run_op th ~op_id:1 (fun env ->
+            Engine.local_set env 0 n;
+            Array.iter (fun a -> ignore (Engine.read env a)) cells;
+            Sched.consume sched 5_000))
+  in
+  let _ =
+    Sched.add_thread sched (fun tid ->
+        let th = Engine.create_thread engine ~tid in
+        Sched.consume sched 1_000;
+        Engine.run_op th ~op_id:2 (fun env -> Engine.retire env n);
+        freed_while_held := not (Heap.is_allocated heap n))
+  in
+  Sched.run sched;
+  checkb "not freed while exposed" false !freed_while_held;
+  checki "no violations" 0 (Shadow.count (Heap.shadow heap))
+
 let test_atomic_region_no_split () =
   (* A user-defined transactional region (sec 5.5) must execute inside a
      single segment even when it is longer than the split limit. *)
@@ -529,6 +558,8 @@ let () =
           Alcotest.test_case "forced slow path" `Quick test_forced_slow_path;
           Alcotest.test_case "scan respects exposure" `Quick
             test_scan_respects_exposed_pointer;
+          Alcotest.test_case "scan sees a re-registered thread" `Quick
+            test_scan_sees_reregistered_thread;
           Alcotest.test_case "atomic region no split" `Quick
             test_atomic_region_no_split;
           Alcotest.test_case "atomic region atomicity" `Quick

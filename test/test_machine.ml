@@ -65,20 +65,31 @@ let test_begin_clears_working () =
   ignore (Ctx.expose ctx);
   checkb "registers cleared" false (List.mem 88 (exposed_list ctx))
 
+(* The registration order of an 8-thread run on 4 cores x 2 SMT, then tid
+   4 again with a new record: the three visit orders, and the replaced
+   record in each. *)
 let test_activity_register () =
   let a = Activity.create () in
-  let c0 = Ctx.create ~tid:0 and c5 = Ctx.create ~tid:5 in
-  Activity.register a c0;
-  Activity.register a c5;
-  Activity.register a c5;
-  checki "count dedups" 2 (Activity.count a);
-  checkb "get 5" true (Activity.get a ~tid:5 = Some c5);
-  checkb "get 3" true (Activity.get a ~tid:3 = None);
-  let seen = ref [] in
-  Activity.iter a (fun c -> seen := Ctx.tid c :: !seen);
-  Alcotest.check Alcotest.(list int) "tid order" [ 0; 5 ] (List.rev !seen);
-  Activity.deregister a ~tid:0;
-  checki "deregistered" 1 (Activity.count a)
+  List.iter
+    (fun tid -> Activity.register a ~tid (tid, 0))
+    [ 0; 4; 1; 5; 2; 6; 3; 7 ];
+  Activity.register a ~tid:4 (4, 1);
+  checki "count" 8 (Activity.count a);
+  checkb "get 4" true (Activity.get a ~tid:4 = Some (4, 1));
+  checkb "get 8" true (Activity.get a ~tid:8 = None);
+  let visit iter =
+    let seen = ref [] in
+    iter (fun r -> seen := r :: !seen);
+    List.rev !seen
+  in
+  let records = Alcotest.(list (pair int int)) in
+  Alcotest.check records "ascending tid"
+    (List.init 8 (fun tid -> (tid, if tid = 4 then 1 else 0)))
+    (visit (Activity.iter a));
+  Alcotest.check Alcotest.(list int) "newest first" [ 7; 3; 6; 2; 5; 1; 4; 0 ]
+    (List.map fst (visit (Activity.iter_newest a)));
+  Alcotest.check Alcotest.(list int) "by index" [ 0; 4; 1; 5; 2; 6; 3; 7 ]
+    (List.init 8 (fun i -> fst (Activity.nth a i)))
 
 (* Property: after any sequence of loads and frame writes followed by an
    expose, every frame-local value written to a slot is present in the

@@ -16,7 +16,7 @@ let test_alloc_basics () =
   let a = Heap.alloc h ~tid:0 ~size:4 in
   checkb "in heap range" true (a >= Word.heap_base);
   checkb "allocated" true (Heap.is_allocated h a);
-  Alcotest.check Alcotest.(option int) "size" (Some 4) (Heap.size_of h a);
+  checki "size" 4 (Heap.size_of h a);
   checki "zeroed" 0 (Heap.read h ~tid:0 a)
 
 let test_alloc_even () =

@@ -220,6 +220,51 @@ let test_alloc_budget_hazard_eras () =
          St_reclaim.Hazard_eras.create rt))
     0.5
 
+(* One reclamation pass of one thread over [n] retired nodes, in minor
+   words.  The nodes were allocated, freed and allocated again, so the
+   heap's free list (no quarantine) has grown outside the measured
+   window. *)
+let pass_words n =
+  let module Guard = St_reclaim.Guard in
+  let sched =
+    Sched.create ~topology:(Topology.create ~cores:4 ~smt:2 ()) ~seed:17 ()
+  in
+  let heap = Heap.create ~quarantine:0 ~shadow:(Shadow.create ()) () in
+  let tsx = Tsx.create ~sched ~heap () in
+  let rt = Guard.make_runtime ~sched ~tsx in
+  let stats = Guard.make_stats () in
+  let words = ref infinity in
+  let _ =
+    Sched.add_thread sched (fun _tid ->
+        let alloc () = Array.init n (fun _ -> Tsx.alloc tsx ~size:4) in
+        Array.iter (Tsx.free tsx) (alloc ());
+        let nodes = alloc () in
+        Array.iter (Guard.retire rt stats ~pending:0) nodes;
+        let body pass =
+          Array.iter (Guard.free pass) nodes;
+          0
+        in
+        let w0 = Gc.minor_words () in
+        Guard.scan rt stats ~pending:n body;
+        words := Gc.minor_words () -. w0;
+        Alcotest.(check int) "all freed" n stats.Guard.freed)
+  in
+  Sched.run sched;
+  !words
+
+(* A free allocates nothing, so a pass that frees 1000 nodes allocates no
+   more than one that frees 10; and a pass allocates only a constant. *)
+let test_alloc_budget_pass () =
+  let small = pass_words 10 and large = pass_words 1000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "free: %.4f minor words each"
+       ((large -. small) /. 990.))
+    true
+    (large -. small <= 0.);
+  Alcotest.(check bool)
+    (Printf.sprintf "pass: %.0f minor words <= 16" small)
+    true (small <= 16.)
+
 (* The trampoline consume fast path: a charge that does not cross the
    event-wheel horizon is a plain function call — three int updates and a
    compare — and must allocate NOTHING.  One thread on the machine means
@@ -432,6 +477,10 @@ let identity_rows =
     ( "goldens/identity_list_hazard_eras.json",
       identity_cfg Experiment.List_s Experiment.Hazard_eras 12,
       (183041, 183053) );
+    (* The queue under Hazard Eras: its scan's visit order moves this run. *)
+    ( "goldens/identity_queue_hazard_eras.json",
+      identity_cfg Experiment.Queue_s Experiment.Hazard_eras 8,
+      (92095, 92103) );
     (* The lifecycle ledger rides the same run: its sampler and per-object
        event stream are schedule-sensitive, so this golden also pins the
        sampler timed-wait path ([Sched.sleep_until]). *)
@@ -601,6 +650,7 @@ let () =
           quick "scheduler switch" test_alloc_budget_switch;
           quick "hazard protected read" test_alloc_budget_hazard;
           quick "hazard-eras protected read" test_alloc_budget_hazard_eras;
+          quick "reclaim pass" test_alloc_budget_pass;
         ] );
       ( "identity",
         [

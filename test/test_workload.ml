@@ -181,8 +181,6 @@ let test_vec_basics () =
   checki "set" 999 (Ivec.get v 0);
   Ivec.truncate v 10;
   checki "truncate" 10 (Ivec.length v);
-  checkb "exists" true (Ivec.exists (fun x -> x = 999) v);
-  checkb "not exists" false (Ivec.exists (fun x -> x = 50) v);
   let sum = ref 0 in
   Ivec.iter (fun x -> sum := !sum + x) v;
   checki "iter" (999 + 2 + 3 + 4 + 5 + 6 + 7 + 8 + 9 + 10) !sum;
