@@ -99,7 +99,7 @@ let create ?(cfg = St_config.default) rt =
   }
 
 let create_thread s ~tid =
-  let ctx = Ctx.create ~tid in
+  let ctx = Ctx.create () in
   (* The predictor decision timeline: installed only when forensics is on,
      so an unflagged run makes no extra calls and emits no extra trace
      events (the committed trace goldens stay byte-identical).  The

@@ -2,7 +2,6 @@ let n_registers = 16
 let max_frame = 64
 
 type t = {
-  tid : int;
   work_regs : int array;
   mutable reg_cursor : int;
   work_frame : int array;
@@ -16,9 +15,8 @@ type t = {
   mutable op_id : int;
 }
 
-let create ~tid =
+let create () =
   {
-    tid;
     work_regs = Array.make n_registers 0;
     reg_cursor = 0;
     work_frame = Array.make max_frame 0;
@@ -31,8 +29,6 @@ let create ~tid =
     active = false;
     op_id = 0;
   }
-
-let tid t = t.tid
 
 (* [n_registers] is a power of two and the cursor is nonnegative, so the
    wrap is a mask (this runs on every simulated shared load). *)

@@ -28,9 +28,7 @@ val n_registers : int
 val max_frame : int
 (** Maximum locals per operation frame. *)
 
-val create : tid:int -> t
-
-val tid : t -> int
+val create : unit -> t
 
 (** {2 Working state (private to the owning thread)} *)
 

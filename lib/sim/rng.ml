@@ -26,8 +26,6 @@ let split t =
   let seed = next t in
   { state = seed }
 
-let copy t = { state = t.state }
-
 let int t bound =
   assert (bound > 0);
   next t mod bound

@@ -15,9 +15,6 @@ val split : t -> t
 (** [split t] derives an independent generator from [t], advancing [t].  Used
     to give each simulated thread its own stream. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state without advancing it. *)
-
 val next : t -> int
 (** [next t] returns the next raw 62-bit non-negative value. *)
 

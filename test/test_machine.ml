@@ -14,7 +14,7 @@ let exposed_list ctx =
   List.rev !acc
 
 let test_note_load_rotates () =
-  let ctx = Ctx.create ~tid:0 in
+  let ctx = Ctx.create () in
   (* Load more values than registers: the oldest rotate out. *)
   for i = 1 to Ctx.n_registers + 5 do
     Ctx.note_load ctx (1000 + i)
@@ -26,14 +26,14 @@ let test_note_load_rotates () =
   checkb "rotated-out load gone" false (List.mem 1001 exposed)
 
 let test_locals_round_trip () =
-  let ctx = Ctx.create ~tid:0 in
+  let ctx = Ctx.create () in
   Ctx.local_set ctx 0 42;
   Ctx.local_set ctx 7 99;
   checki "slot 0" 42 (Ctx.local_get ctx 0);
   checki "slot 7" 99 (Ctx.local_get ctx 7)
 
 let test_expose_is_snapshot () =
-  let ctx = Ctx.create ~tid:0 in
+  let ctx = Ctx.create () in
   Ctx.local_set ctx 0 11;
   let n = Ctx.expose ctx in
   checkb "word count includes frame" true (n >= Ctx.n_registers + 1);
@@ -44,7 +44,7 @@ let test_expose_is_snapshot () =
   checkb "working change invisible" false (List.mem 22 (exposed_list ctx))
 
 let test_splits_and_oper_counters () =
-  let ctx = Ctx.create ~tid:0 in
+  let ctx = Ctx.create () in
   checki "splits start 0" 0 (Ctx.splits ctx);
   ignore (Ctx.expose ctx);
   ignore (Ctx.expose ctx);
@@ -57,7 +57,7 @@ let test_splits_and_oper_counters () =
   checki "oper counter" 1 (Ctx.oper_counter ctx)
 
 let test_begin_clears_working () =
-  let ctx = Ctx.create ~tid:0 in
+  let ctx = Ctx.create () in
   Ctx.local_set ctx 3 77;
   Ctx.note_load ctx 88;
   Ctx.begin_operation ctx ~op_id:1;
@@ -98,7 +98,7 @@ let prop_expose_covers_locals =
   QCheck.Test.make ~name:"expose covers all frame locals" ~count:200
     QCheck.(list_of_size (QCheck.Gen.int_bound 20) (pair (int_bound 63) small_int))
     (fun writes ->
-      let ctx = Ctx.create ~tid:1 in
+      let ctx = Ctx.create () in
       List.iter (fun (slot, v) -> Ctx.local_set ctx slot (v + 1)) writes;
       ignore (Ctx.expose ctx);
       let exposed = exposed_list ctx in
@@ -111,7 +111,7 @@ let prop_expose_covers_recent_loads =
   QCheck.Test.make ~name:"expose covers recent loads" ~count:200
     QCheck.(small_list small_int)
     (fun loads ->
-      let ctx = Ctx.create ~tid:1 in
+      let ctx = Ctx.create () in
       List.iteri (fun i _ -> Ctx.note_load ctx (i + 1)) loads;
       ignore (Ctx.expose ctx);
       let exposed = exposed_list ctx in

@@ -55,12 +55,6 @@ let test_rng_uniformish () =
         (c > n / 10 * 9 / 10 && c < n / 10 * 11 / 10))
     buckets
 
-let test_rng_copy () =
-  let r = Rng.create ~seed:5 in
-  let _ = Rng.next r in
-  let c = Rng.copy r in
-  checki "copy continues identically" (Rng.next r) (Rng.next c)
-
 let test_rng_pct () =
   let r = Rng.create ~seed:9 in
   let hits = ref 0 in
@@ -866,7 +860,6 @@ let () =
           Alcotest.test_case "split independent" `Quick test_rng_split_independent;
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
           Alcotest.test_case "uniform-ish" `Quick test_rng_uniformish;
-          Alcotest.test_case "copy" `Quick test_rng_copy;
           Alcotest.test_case "pct" `Quick test_rng_pct;
           QCheck_alcotest.to_alcotest rng_nonneg;
         ] );
