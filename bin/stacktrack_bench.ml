@@ -182,9 +182,19 @@ let figures_cmd =
       List.map (fun (f : Figures.figure) -> f.name) Figures.registry
       @ [ "ablations"; "all" ]
     in
+    (* Exact names only, by the one lookup [--scheme] and [--structure]
+       use: [Arg.enum] would take any unambiguous prefix. *)
+    let figure =
+      let parse s =
+        Result.map_error
+          (fun e -> `Msg e)
+          (Experiment.lookup "figure" (List.map (fun n -> (n, n)) targets) s)
+      in
+      Arg.conv (parse, Format.pp_print_string)
+    in
     Arg.(
       value
-      & pos_all (enum (List.map (fun n -> (n, n)) targets)) [ "all" ]
+      & pos_all figure [ "all" ]
       & info [] ~docv:"FIGURE"
           ~doc:
             ("Figures to reproduce: " ^ String.concat " " targets

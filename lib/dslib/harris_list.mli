@@ -19,6 +19,9 @@ val key_off : int
 val next_off : int
 val node_size : int
 
+val head_key : int
+(** The sentinel head's key, smaller than any workload key. *)
+
 type t = { head : St_mem.Word.addr }
 
 (** {2 Raw (pre-concurrency) construction and inspection} *)

@@ -344,8 +344,10 @@ let insert_active t txn =
   a.(!i) <- txn.owner;
   t.act_len.(lc) <- n + 1
 
-(* Drop a discarded transaction from the registry and the conflict index.
-   Called exactly once, when the transaction commits or aborts. *)
+(* Drop a discarded transaction from the registry and the conflict index,
+   and zero the cache sets its lines occupied, so the pooled [set_occ] is
+   all zero for the next [start].  Called exactly once, when the
+   transaction commits or aborts. *)
 let unindex t txn =
   let lc = Sched.lcore_of t.sched txn.owner in
   let a = t.act_tids.(lc) in
@@ -372,7 +374,11 @@ let unindex t txn =
     let ch = line_chunk t line in
     let ix = entry t line + ww in
     ch.(ix) <- ch.(ix) land tm
-  done
+  done;
+  if t.backend = Htm then
+    for i = 0 to Ivec.length txn.lines - 1 do
+      txn.set_occ.(Cache.set_of t.cache (Ivec.get txn.lines i)) <- 0
+    done
 
 (* Discard the active transaction and deliver the abort to the caller. *)
 let do_abort t txn reason =
@@ -694,10 +700,9 @@ let start t =
         Ivec.clear txn.write_lines;
         Ivec.clear txn.w_addr;
         Ivec.clear txn.w_val;
-        (* Only the backend that populates each table pays its reset. *)
-        if t.backend = Htm then
-          Array.fill txn.set_occ 0 (Array.length txn.set_occ) 0
-        else Hashtbl.clear txn.read_versions;
+        (* Only the backend that populates each table pays its reset;
+           [unindex] already zeroed the sets the last footprint used. *)
+        if t.backend = Stm then Hashtbl.clear txn.read_versions;
         txn.rv <- t.stm_clock;
         txn.doomed <- None;
         txn

@@ -45,10 +45,13 @@ let local_get t slot =
   assert (slot >= 0 && slot < max_frame);
   t.work_frame.(slot)
 
+(* Only [local_set] writes the frame, and it keeps every slot it wrote
+   below [frame_used], so the slots from [frame_used] on are already
+   zero. *)
 let clear_working t =
   Array.fill t.work_regs 0 n_registers 0;
   t.reg_cursor <- 0;
-  Array.fill t.work_frame 0 max_frame 0;
+  Array.fill t.work_frame 0 t.frame_used 0;
   t.frame_used <- 0
 
 let expose t =

@@ -110,14 +110,15 @@ let initial_keys ~rng ~key_range ~size =
          key_range);
   let seen = Bytes.make ((key_range + 7) / 8) '\000' in
   let keys = Array.make size 0 in
+  (* Branch-free: every draw is stored at the cursor, below [!i], and
+     marked seen; the cursor moves past it only when the key was new, so a
+     repeat is overwritten by the next draw. *)
   let i = ref size in
   while !i > 0 do
     let k = Rng.int rng key_range in
-    let byte = Bytes.get_uint8 seen (k lsr 3) and bit = 1 lsl (k land 7) in
-    if byte land bit = 0 then begin
-      Bytes.set_uint8 seen (k lsr 3) (byte lor bit);
-      decr i;
-      keys.(!i) <- k
-    end
+    let byte = Bytes.get_uint8 seen (k lsr 3) in
+    Bytes.set_uint8 seen (k lsr 3) (byte lor (1 lsl (k land 7)));
+    keys.(!i - 1) <- k;
+    i := !i - (lnot (byte lsr (k land 7)) land 1)
   done;
   keys

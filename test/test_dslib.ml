@@ -432,12 +432,22 @@ let test_populate_sorted () =
 (* ------------------------------------------------------------------ *)
 
 (* Reference: the one-sorted-insert-per-key [Hash_table.populate_raw] that
-   the bulk build replaced, ported verbatim.  Apart from [note_link] (see
-   [test_hash_populate_links_once]) the bulk build must leave the same heap
-   image: same allocation order, addresses, birth indices and words. *)
+   the bulk build replaced, and the one-sentinel-at-a-time [create_raw]
+   that the sentinel run replaced, ported verbatim.  Apart from
+   [note_link] (see [test_hash_populate_links_once]) the bulk build must
+   leave the same heap image: same allocation order, addresses, birth
+   indices and words. *)
 module Incremental_oracle = struct
   open St_dslib
   open Hash_table
+
+  let create_raw heap ~n_buckets =
+    let buckets = Heap.alloc heap ~tid:0 ~size:n_buckets in
+    for b = 0 to n_buckets - 1 do
+      let l = Harris_list.create_raw heap in
+      Heap.write heap ~tid:0 (buckets + b) l.Harris_list.head
+    done;
+    { buckets; n_buckets }
 
   let bucket_head_raw heap t b = Heap.peek heap (t.buckets + b)
 
@@ -470,10 +480,11 @@ module Incremental_oracle = struct
       keys
 end
 
-(* Build a fresh table with [populate] on its own heap. *)
-let populated populate ~n_buckets ~keys =
+(* Build a fresh table with [create] and [populate] on its own heap. *)
+let populated ?(create = St_dslib.Hash_table.create_raw) populate ~n_buckets
+    ~keys =
   let heap = Heap.create ~shadow:(Shadow.create ()) () in
-  let t = St_dslib.Hash_table.create_raw heap ~n_buckets in
+  let t = create heap ~n_buckets in
   populate heap t ~keys ~note_link:ignore;
   (heap, t)
 
@@ -494,7 +505,8 @@ let same_heap_image ha hb =
 
 let check_bulk_matches_oracle ~n_buckets ~keys =
   let ho, t_o =
-    populated Incremental_oracle.populate_raw ~n_buckets ~keys
+    populated ~create:Incremental_oracle.create_raw
+      Incremental_oracle.populate_raw ~n_buckets ~keys
   in
   let hn, t_n = populated St_dslib.Hash_table.populate_raw ~n_buckets ~keys in
   same_heap_image ho hn
@@ -583,6 +595,22 @@ let test_bulk_populate_chunks () =
   checkb "spans several chunks" true (Heap.touched_chunks ho > 1);
   checkb "same heap image" true
     (check_bulk_matches_oracle ~n_buckets:64 ~keys)
+
+(* A multi-chunk image from the benchmark's own key draw: 40k distinct
+   keys, so no key is dropped and every node's address is its position's
+   ([populate_raw] rewrites no position as a rank), in 10,007 buckets,
+   whose sentinels alone fill most of a chunk. *)
+let test_bulk_populate_distinct_chunks () =
+  let keys =
+    St_workload.Workload.initial_keys ~rng:(Rng.create ~seed:29)
+      ~key_range:100_000 ~size:40_000
+  in
+  let ho, _ =
+    populated Incremental_oracle.populate_raw ~n_buckets:10_007 ~keys
+  in
+  checkb "spans several chunks" true (Heap.touched_chunks ho > 2);
+  checkb "same heap image" true
+    (check_bulk_matches_oracle ~n_buckets:10_007 ~keys)
 
 (* Link-counting schemes (RefCount) prime their counts from [note_link], so
    each stored link must be reported exactly once.  The incremental insert
@@ -733,6 +761,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_length_raw_marked;
           Alcotest.test_case "multi-chunk image" `Quick
             test_bulk_populate_chunks;
+          Alcotest.test_case "multi-chunk image, distinct keys" `Quick
+            test_bulk_populate_distinct_chunks;
           Alcotest.test_case "each link reported once" `Quick
             test_hash_populate_links_once;
           Alcotest.test_case "links reported in address order" `Quick

@@ -202,11 +202,36 @@ let test_cli_json_out () =
   Sys.remove json;
   Sys.remove txt
 
+(* A misspelt name and a prefix of one or more names ([st] of [stm],
+   [fig1] of four figures) are all usage errors: exit 124 before any
+   figure runs, with a message that lists the figures. *)
 let test_cli_unknown_figure () =
-  let cmd =
-    Printf.sprintf "%s figures fig1-lsit --quick > /dev/null 2>&1" bench
+  let contains text sub =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length text && (String.sub text i n = sub || at (i + 1))
+    in
+    at 0
   in
-  Alcotest.(check bool) "typo exits non-zero" true (Sys.command cmd <> 0)
+  List.iter
+    (fun name ->
+      let out = Filename.temp_file "figures" ".txt" in
+      let cmd =
+        Printf.sprintf "%s figures %s --quick > %s 2>&1" bench name
+          (Filename.quote out)
+      in
+      let status = Sys.command cmd in
+      let text = read_file out in
+      Sys.remove out;
+      Alcotest.(check int) (name ^ ": exit") 124 status;
+      Alcotest.(check bool)
+        (name ^ ": names it and lists the figures")
+        true
+        (contains text (Printf.sprintf "unknown figure %S" name)
+        && contains text "fig1-list" && contains text "stm");
+      Alcotest.(check bool) (name ^ ": no figure ran") false
+        (contains text "----------"))
+    [ "fig1-lsit"; "st"; "fig1" ]
 
 let () =
   Alcotest.run "st_figures"

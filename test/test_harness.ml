@@ -619,6 +619,21 @@ let test_hosttime_gate () =
   in
   expect "unwritable --json-out" r 2 "hosttime: --json-out: cannot write";
   checkb "unwritable --json-out: no target timed" false (contains out "host_ms");
+  (* A config that [Experiment.validate] refuses exits 2, naming the
+     option, before any target is timed: too many threads used to die in
+     [Sched.add_thread], and no thread or a negative duration timed an
+     empty run. *)
+  List.iter
+    (fun (args, option) ->
+      let ((_, out) as r) = run_exe hosttime (args @ [ "fig1-list" ]) in
+      let name = String.concat " " args in
+      expect name r 2 (Printf.sprintf "option '%s'" option);
+      checkb (name ^ ": no target timed") false (contains out "host_ms"))
+    [
+      ([ "--threads"; "300" ], "--threads");
+      ([ "--threads"; "0" ], "--threads");
+      ([ "--duration=-5" ], "--duration");
+    ];
   (* The program-counter sampler writes its report where it can sample,
      and refuses, naming the one target it supports, where it cannot. *)
   let profile = Filename.temp_file "pc_profile" ".txt" in
