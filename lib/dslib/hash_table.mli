@@ -13,8 +13,14 @@ val bucket_of : t -> int -> int
 (** {2 Raw (pre-concurrency) construction and inspection} *)
 
 val create_raw : St_mem.Heap.t -> n_buckets:int -> t
-(** An empty table: the bucket array, then one sentinel head per bucket.
-    @raise Invalid_argument if [n_buckets < 1]. *)
+(** An empty table: the bucket array, then one sentinel head per bucket,
+    the sentinels taken as one {!St_mem.Heap.alloc_run}.  The heap image
+    is the one that allocating each sentinel in turn would leave, and
+    nothing is allocated per bucket on the OCaml heap.
+    Precondition: no object of {!Harris_list.node_size} words was ever
+    freed on the heap (every caller builds on a fresh heap).
+    @raise Invalid_argument if [n_buckets < 1], or if a freed object of
+    node size is ready for reuse. *)
 
 val populate_raw :
   St_mem.Heap.t -> t -> keys:int array -> note_link:(St_mem.Word.addr -> unit) -> unit
@@ -41,10 +47,12 @@ val populate_raw :
       (insertion sort up to 16 keys, [Array.stable_sort] above), gives
       each bucket's first kept key and each kept key's successor.  No key
       is fetched from [keys] at random.
-    + The kept keys are allocated in input order; their addresses go
-      into the spent records.
-    + The successors' positions become addresses, in a loop of
-      independent loads, and then every link is stored.
+    + The kept keys' nodes are one {!St_mem.Heap.alloc_run} from the
+      break, in input order, so the node of the [r]th kept key is at
+      [base + r * stride] and no node address is stored.
+    + Only when some key was dropped, a loop of independent loads
+      rewrites the successors' positions as ranks; then every key and
+      link is stored.
 
     Scratch is [Bytes], which the major GC never scans: 16 bytes per key
     (the record, then a 4-byte successor), 4 per bucket, and 16 per key
@@ -53,15 +61,16 @@ val populate_raw :
     Minor-heap allocation is a constant, not per key, except
     [Array.stable_sort]'s for buckets of more than 16 keys.
 
-    Positions, bucket offsets and node addresses are 32-bit slots, so
-    the limits are 2^31 - 1 keys, 2^31 - 1 buckets and node addresses
-    below 2^31 (a heap of 2^31 words is 16 GiB).
+    Precondition: no object of {!Harris_list.node_size} words was ever
+    freed on the heap, as for {!create_raw}.  Positions, ranks and
+    bucket offsets are 32-bit slots, so the limits are 2^31 - 1 keys and
+    2^31 - 1 buckets.
     @raise Invalid_argument naming the key and its index if a key is
     negative, or naming the counts if there are too many keys or
     buckets (or fewer than 1 bucket).  Both are checked before anything
     is allocated, so the heap is left untouched.
-    @raise Invalid_argument if a node's address reaches 2^31.  The nodes
-    allocated before it stay allocated. *)
+    @raise Invalid_argument if a freed object of node size is ready for
+    reuse; no node is allocated then. *)
 
 val to_list_raw : St_mem.Heap.t -> t -> int list
 (** Every key reachable from the bucket heads, marked nodes included,
