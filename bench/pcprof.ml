@@ -4,6 +4,7 @@ external start_ : int -> int -> unit = "pcprof_start"
 external stop_ : unit -> int array = "pcprof_stop"
 external anchor_addr : unit -> int = "pcprof_anchor_addr"
 external dropped_ : unit -> int = "pcprof_dropped"
+external has_signal_stack : unit -> bool = "pcprof_has_altstack"
 
 let supported = supported_ ()
 let platform = platform_ ()

@@ -9,6 +9,12 @@
     kernel actually delivered, which its tick can cap below the 1000 Hz
     asked.
 
+    The timer counts the CPU time of the whole process, and each signal
+    interrupts whichever thread is running, so samples come from every
+    domain: a stretch where two domains run gets twice the samples per
+    second of wall-clock time.  Two signals handled at once on two
+    threads take different slots.
+
     Linux x86-64 only: elsewhere {!supported} is false and {!start}
     raises [Failure]. *)
 
@@ -23,8 +29,14 @@ type profile = {
   cpu_s : float;  (** Process CPU time between [start] and [stop]. *)
 }
 
+val has_signal_stack : unit -> bool
+(** Whether the calling thread has an alternate signal stack for the
+    handler to run on; false on unsupported targets.  The OCaml runtime
+    gives each domain's thread one. *)
+
 val start : unit -> unit
-(** Start sampling at 1000 samples per second of process CPU time.
+(** Start sampling at 1000 samples per second of process CPU time, on
+    every domain.
     Raises [Failure] when already sampling or on an unsupported
     target. *)
 

@@ -3,6 +3,11 @@
    signal interrupted.  The handler runs on an alternate signal stack
    (SA_ONSTACK): OCaml fibers run on small stacks of their own, which a
    signal frame written at the interrupted stack pointer would overflow.
+   The signal goes to whichever thread is running, so with two domains
+   two handlers can run at once: each claims its slot with an atomic
+   add, and each domain's thread has its own alternate stack (the
+   runtime installs one when it starts a domain; [pcprof_has_altstack]
+   checks it for the calling thread).
    Reading the PC out of the signal context is machine-specific, so the
    sampler exists on Linux x86-64 only; elsewhere [pcprof_supported] is
    false and [pcprof_start] fails. */
@@ -42,7 +47,7 @@
    gives the load offset of a position-independent executable. */
 void pcprof_anchor(void) {}
 
-static volatile size_t n_dropped;
+static size_t n_dropped;
 
 value pcprof_platform(value unit)
 {
@@ -69,14 +74,14 @@ value pcprof_anchor_addr(value unit)
 value pcprof_dropped(value unit)
 {
   (void)unit;
-  return Val_long(n_dropped);
+  return Val_long(__atomic_load_n(&n_dropped, __ATOMIC_RELAXED));
 }
 
 #ifdef PCPROF_SUPPORTED
 
 static uintptr_t *samples;
 static size_t capacity;
-static volatile size_t n_samples;
+static size_t n_samples; /* slots claimed, possibly past [capacity] */
 static struct sigaction old_action;
 static stack_t own_stack;
 static int own_stack_installed;
@@ -86,12 +91,18 @@ static void on_sigprof(int sig, siginfo_t *info, void *ctx)
   (void)sig;
   (void)info;
   ucontext_t *uc = ctx;
-  size_t i = n_samples;
-  if (i < capacity) {
+  size_t i = __atomic_fetch_add(&n_samples, 1, __ATOMIC_RELAXED);
+  if (i < capacity)
     samples[i] = (uintptr_t)uc->uc_mcontext.gregs[REG_RIP];
-    n_samples = i + 1;
-  } else
-    n_dropped = n_dropped + 1;
+  else
+    __atomic_fetch_add(&n_dropped, 1, __ATOMIC_RELAXED);
+}
+
+value pcprof_has_altstack(value unit)
+{
+  (void)unit;
+  stack_t cur;
+  return Val_bool(sigaltstack(NULL, &cur) == 0 && !(cur.ss_flags & SS_DISABLE));
 }
 
 static void set_timer(long usec)
@@ -108,7 +119,9 @@ value pcprof_start(value v_hz, value v_capacity)
   long hz = Long_val(v_hz);
   if (samples != NULL) caml_failwith("Pcprof.start: already sampling");
   capacity = Long_val(v_capacity);
-  samples = malloc(capacity * sizeof(uintptr_t));
+  /* Zeroed: a slot claimed but not yet written when [stop] reads it
+     names no function. */
+  samples = calloc(capacity, sizeof(uintptr_t));
   if (samples == NULL) caml_raise_out_of_memory();
   n_samples = 0;
   n_dropped = 0;
@@ -158,7 +171,8 @@ value pcprof_stop(value unit)
     free(own_stack.ss_sp);
     own_stack_installed = 0;
   }
-  size_t n = n_samples;
+  size_t n = __atomic_load_n(&n_samples, __ATOMIC_RELAXED);
+  if (n > capacity) n = capacity;
   result = caml_alloc(n, 0);
   for (size_t i = 0; i < n; i++)
     Store_field(result, i, Val_long((intptr_t)samples[i]));
@@ -181,6 +195,12 @@ value pcprof_stop(value unit)
 {
   (void)unit;
   caml_failwith("Pcprof.stop: not sampling");
+}
+
+value pcprof_has_altstack(value unit)
+{
+  (void)unit;
+  return Val_false;
 }
 
 #endif

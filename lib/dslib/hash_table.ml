@@ -90,73 +90,20 @@ let sort_by_key r lo hi =
     Array.iteri (fun j k -> set_rec r (lo + j) k ps.(j)) ks
   end
 
-(* Bulk build, equivalent to inserting the keys one at a time in array
-   order, in passes that each stream through memory or stay within one
-   cache-sized partition:
-   + one read of the keys checks them and counts each partition's keys;
-   + a stable scatter of (key, position) records by partition;
-   + per partition, a counting sort by bucket into a buffer sized to the
-     widest partition, then a stable sort by key within each bucket,
-     which gives each bucket's first kept key and each kept key's
-     successor, and drops later copies of a key;
-   + the kept keys' nodes as one run from the break, in input order (the
-     order one-at-a-time insertion allocates them, hence the same
-     addresses and birth indices), so the node of rank [r], the [r]th
-     kept key, is at [base + r * stride];
-   + when a key was dropped, the positions rewritten as ranks, then the
-     keys and every [next] stored in address order, the bucket sentinels'
-     links first.
-   It runs once per table, so it is kept out of line, where host-time
-   profiles name it. *)
-let[@inline never] populate_raw heap t ~keys ~note_link =
-  let n = Array.length keys and nb = t.n_buckets in
-  if n >= slot_limit || nb < 1 || nb >= slot_limit then
-    invalid_arg
-      (Printf.sprintf
-         "Hash_table.populate_raw: %d keys in %d buckets, need fewer than \
-          2^31 keys and 1 to 2^31 - 1 buckets"
-         n nb);
-  let shift = ref 0 in
-  while (nb - 1) lsr !shift >= max_partitions do
-    incr shift
-  done;
-  let shift = !shift in
-  let np = ((nb - 1) lsr shift) + 1 in
-  let pstart = Array.make (np + 1) 0 in
-  for i = 0 to n - 1 do
-    let key = keys.(i) in
-    if key < 0 then
-      invalid_arg
-        (Printf.sprintf "Hash_table.populate_raw: keys.(%d) = %d is negative"
-           i key);
-    let p = ((key mod nb) lsr shift) + 1 in
-    Array.unsafe_set pstart p (Array.unsafe_get pstart p + 1)
-  done;
-  (* [pstart.(p)] is partition [p]'s first record. *)
-  let widest = ref 0 in
-  for p = 1 to np do
-    widest := Int.max !widest pstart.(p);
-    pstart.(p) <- pstart.(p) + pstart.(p - 1)
-  done;
-  let recs = Bytes.create (12 * n) in
-  let cursor = Array.sub pstart 0 np in
-  for i = 0 to n - 1 do
-    let key = Array.unsafe_get keys i in
-    let p = (key mod nb) lsr shift in
-    let s = Array.unsafe_get cursor p in
-    Array.unsafe_set cursor p (s + 1);
-    set_rec recs s key i
-  done;
-  (* The chains, as key positions: [first] heads each bucket's chain and
-     [succ] follows each key in its chain. *)
-  let succ = Bytes.create (4 * n) and first = Bytes.make (4 * nb) '\255' in
-  let dropped_keys = ref 0 in
-  (* A partition's records, counting-sorted by bucket, then each record's
-     bucket offset while it waits: [widest] of each. *)
-  let local = Bytes.create (16 * !widest) and off_at = 3 * !widest in
+(* Partitions [p0, p1) of the scattered records [recs], each
+   counting-sorted by bucket into [local], then each bucket sorted by key,
+   giving each bucket's first kept key in [first] and each key's successor
+   in [succ]; returns the count of dropped keys.  [local] holds the widest
+   partition's records, then each record's bucket offset while it waits;
+   [count] a slot per bucket of a partition, and one.  A partition writes
+   only its own buckets' [first] slots and its own keys' [succ] slots, so
+   disjoint ranges of partitions can run at once. *)
+let sort_partitions ~recs ~pstart ~nb ~shift ~first ~succ (local, count) p0 p1
+    =
+  let off_at = 3 * (Bytes.length local / 16) in
   let w = 1 lsl shift in
-  let count = Array.make (w + 1) 0 in
-  for p = 0 to np - 1 do
+  let dropped_keys = ref 0 in
+  for p = p0 to p1 - 1 do
     let ps = pstart.(p) and pe = pstart.(p + 1) in
     let b0 = p lsl shift in
     let wp = Int.min w (nb - b0) in
@@ -199,16 +146,90 @@ let[@inline never] populate_raw heap t ~keys ~note_link =
       lo := hi
     done
   done;
+  !dropped_keys
+
+(* Bulk build, equivalent to inserting the keys one at a time in array
+   order, in passes that each stream through memory or stay within one
+   cache-sized partition:
+   + one read of the keys checks them and counts each partition's keys;
+   + a stable scatter of (key, position) records by partition;
+   + per partition, a counting sort by bucket into a buffer sized to the
+     widest partition, then a stable sort by key within each bucket,
+     which gives each bucket's first kept key and each kept key's
+     successor, and drops later copies of a key ([sort_partitions], the
+     two halves of the partitions on two domains for a large build);
+   + the kept keys' nodes as one run from the break, in input order (the
+     order one-at-a-time insertion allocates them, hence the same
+     addresses and birth indices), so the node of rank [r], the [r]th
+     kept key, is at [base + r * stride];
+   + when a key was dropped, the positions rewritten as ranks, then the
+     keys and every [next] stored in address order, the bucket sentinels'
+     links first.
+   It runs once per table, so it is kept out of line, where host-time
+   profiles name it. *)
+let[@inline never] populate_raw heap t ~keys ~note_link =
+  let n = Array.length keys and nb = t.n_buckets in
+  if n >= slot_limit || nb < 1 || nb >= slot_limit then
+    invalid_arg
+      (Printf.sprintf
+         "Hash_table.populate_raw: %d keys in %d buckets, need fewer than \
+          2^31 keys and 1 to 2^31 - 1 buckets"
+         n nb);
+  let shift = ref 0 in
+  while (nb - 1) lsr !shift >= max_partitions do
+    incr shift
+  done;
+  let shift = !shift in
+  let np = ((nb - 1) lsr shift) + 1 in
+  let pstart = Array.make (np + 1) 0 in
+  for i = 0 to n - 1 do
+    let key = keys.(i) in
+    if key < 0 then
+      invalid_arg
+        (Printf.sprintf "Hash_table.populate_raw: keys.(%d) = %d is negative"
+           i key);
+    let p = ((key mod nb) lsr shift) + 1 in
+    Array.unsafe_set pstart p (Array.unsafe_get pstart p + 1)
+  done;
+  (* [pstart.(p)] is partition [p]'s first record. *)
+  for p = 1 to np do
+    pstart.(p) <- pstart.(p) + pstart.(p - 1)
+  done;
+  let recs = Bytes.create (12 * n) in
+  let cursor = Array.sub pstart 0 np in
+  for i = 0 to n - 1 do
+    let key = Array.unsafe_get keys i in
+    let p = (key mod nb) lsr shift in
+    let s = Array.unsafe_get cursor p in
+    Array.unsafe_set cursor p (s + 1);
+    set_rec recs s key i
+  done;
+  (* The chains, as key positions: [first] heads each bucket's chain and
+     [succ] follows each key in its chain. *)
+  let succ = Bytes.create (4 * n) and first = Bytes.make (4 * nb) '\255' in
+  (* Scratch for partitions [p0, p1): 16 bytes per record of the widest,
+     and the bucket counts. *)
+  let scratch p0 p1 =
+    let widest = ref 0 in
+    for p = p0 to p1 - 1 do
+      widest := Int.max !widest (pstart.(p + 1) - pstart.(p))
+    done;
+    (Bytes.create (16 * !widest), Array.make ((1 lsl shift) + 1) 0)
+  in
+  let dropped_keys =
+    St_sim.Halves.sum ~work:n ~n:np ~scratch
+      (sort_partitions ~recs ~pstart ~nb ~shift ~first ~succ)
+  in
   let base =
     Heap.alloc_run heap ~tid:0 ~size:Harris_list.node_size
-      ~count:(n - !dropped_keys)
+      ~count:(n - dropped_keys)
   in
   let stride = Heap.size_of heap base in
   (* Without a dropped key every position is its rank.  Otherwise the
      ranks go in the spent records' first [4 n] bytes, and the positions
      in [succ] and [first] become ranks: independent loads, no store
      depends on another. *)
-  if !dropped_keys > 0 then begin
+  if dropped_keys > 0 then begin
     let rank = recs and r = ref 0 in
     for i = 0 to n - 1 do
       set32 rank i !r;
@@ -260,33 +281,15 @@ let to_list_raw heap t =
   done;
   List.sort compare !acc
 
-(* The census walks [census_lanes] chains at once, one step per lane per
-   round.  The steps of a round are independent loads, so their cache
-   misses overlap instead of queueing one chain at a time.  A lane whose
-   chain has ended takes the next bucket's. *)
-let census_lanes = 16
-
+(* Each bucket's chain starts at its sentinel, which the walk counts. *)
 let length_raw heap t =
-  let next a = Word.unmark (Heap.peek heap (a + Harris_list.next_off)) in
-  let lane = Array.make census_lanes Word.null in
-  let b = ref 0 and n = ref 0 and busy = ref true in
-  while !busy do
-    busy := false;
-    for l = 0 to census_lanes - 1 do
-      let a = lane.(l) in
-      if a <> Word.null then begin
-        incr n;
-        lane.(l) <- next a;
-        busy := true
-      end
-      else if !b < t.n_buckets then begin
-        lane.(l) <- next (bucket_head_raw heap t !b);
-        incr b;
-        busy := true
-      end
-    done
-  done;
-  !n
+  let nb = t.n_buckets in
+  St_sim.Halves.sum ~work:nb ~n:nb
+    ~scratch:(fun _ _ -> ())
+    (fun () lo hi ->
+      Heap.count_chains heap ~roots:t.buckets ~first:lo ~n:(hi - lo)
+        ~next_off:Harris_list.next_off)
+  - nb
 
 module Make (G : Guard.S) = struct
   module L = Harris_list.Make (G)

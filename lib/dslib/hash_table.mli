@@ -46,20 +46,28 @@ val populate_raw :
       the widest partition, then a stable sort by key within each bucket
       (insertion sort up to 16 keys, [Array.stable_sort] above), gives
       each bucket's first kept key and each kept key's successor.  No key
-      is fetched from [keys] at random.
+      is fetched from [keys] at random.  Partitions write disjoint
+      slots, so this pass is a {!St_sim.Halves.sum} over them: from
+      {!St_sim.Halves.threshold} keys up (2^17), and where there is more
+      than one CPU and no domain pool, the upper half of the partitions
+      runs on a helper domain, with a buffer of its own, and the two
+      halves' dropped keys add.
     + The kept keys' nodes are one {!St_mem.Heap.alloc_run} from the
       break, in input order, so the node of the [r]th kept key is at
       [base + r * stride] and no node address is stored.
     + Only when some key was dropped, a loop of independent loads
       rewrites the successors' positions as ranks; then every key and
       link is stored.
+    The key checks, the scatter, the node run and the stores run on the
+    calling domain, so [note_link] is called there, in store order.
 
     Scratch is [Bytes], which the major GC never scans: 16 bytes per key
     (the record, then a 4-byte successor), 4 per bucket, and 16 per key
-    of the widest partition, plus a word per bucket of a partition and
-    two per partition.  That is 2.13 words per key at 4 keys per bucket.
-    Minor-heap allocation is a constant, not per key, except
-    [Array.stable_sort]'s for buckets of more than 16 keys.
+    of the widest partition (of each half, when split), plus a word per
+    bucket of a partition (per half) and two per partition.  That is
+    2.13 words per key at 4 keys per bucket.  Minor-heap allocation is a
+    constant, not per key, except [Array.stable_sort]'s for buckets of
+    more than 16 keys.
 
     Precondition: no object of {!Harris_list.node_size} words was ever
     freed on the heap, as for {!create_raw}.  Positions, ranks and
@@ -79,8 +87,12 @@ val to_list_raw : St_mem.Heap.t -> t -> int list
 val length_raw : St_mem.Heap.t -> t -> int
 (** [List.length (to_list_raw heap t)] without building the list: a count
     of the nodes reachable from the bucket heads, marked ones included.
-    It walks 16 chains at once, one step per chain in turn, so that the
-    cache misses of different chains overlap.  Quiescent use only. *)
+    It is {!St_mem.Heap.count_chains} from the bucket array (less the
+    sentinels), which walks 16 chains at once so that their cache misses
+    overlap.  It is a {!St_sim.Halves.sum} over the buckets: from
+    {!St_sim.Halves.threshold} buckets up (2^17), and where there is more
+    than one CPU and no domain pool, the upper half of the buckets is
+    counted on a helper domain.  Quiescent use only. *)
 
 module Make (G : St_reclaim.Guard.S) : sig
   type nonrec t = t

@@ -52,7 +52,9 @@ let run ?(jobs = 1) tasks =
           loop ()
         end
       in
-      loop ()
+      (* The pool already uses the cores: set-up passes inside a task
+         run as one range. *)
+      St_sim.Halves.as_worker loop
     in
     (* The calling domain is one of the workers: [jobs] is the total
        parallelism, not the number of helpers. *)

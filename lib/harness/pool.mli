@@ -16,7 +16,9 @@ val run : ?jobs:int -> (unit -> 'a) list -> 'a list
     - [jobs = 0]: use [Domain.recommended_domain_count ()].
     - [jobs > 1]: at most [jobs] domains run tasks concurrently (the
       calling domain participates as one of them); tasks are claimed
-      dynamically in submission order.
+      dynamically in submission order.  Every one of those domains runs
+      its tasks under {!St_sim.Halves.as_worker}, so a task's set-up
+      spawns no further domain.
 
     If any task raises, the remaining tasks still run to completion and
     the exception of the earliest failing task (by submission order, with

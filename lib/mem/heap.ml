@@ -47,6 +47,10 @@ type t = {
   mutable chunks : int; (* chunks allocated in every directory, from 0 *)
   mutable next_birth : int;
   mutable brk : int; (* next never-used address *)
+  mutable stray_end : int;
+      (* one past the highest word a violating [write] stored at or past
+         [brk]: from here on, words past the break are as [add_chunk] made
+         them, zero *)
   mutable free_by_class : Ivec.t array;
       (* size-class -> LIFO stack of bases.  Sizes are already rounded to
          multiples of the granule, so class = size / granule is an exact
@@ -54,13 +58,13 @@ type t = {
   (* Freed-block quarantine as a preallocated ring (addr, size pairs in two
      flat arrays): the per-free Queue.push allocated a cons + tuple per
      call, which is exactly the kind of minor-heap traffic the reclamation
-     hot path must not generate. Capacity is quarantine_max + 1 because a
-     push momentarily holds one block more than the retention bound. *)
+     hot path must not generate. Capacity is the retention bound + 1
+     because a push momentarily holds one block more: a full ring releases
+     its oldest block. *)
   q_addr : int array;
   q_size : int array;
   mutable q_head : int; (* index of oldest entry *)
   mutable q_len : int;
-  quarantine_max : int;
   gshift : int; (* log2 of the granule *)
   mutable allocs : int;
   mutable frees : int;
@@ -118,12 +122,12 @@ let create ?(initial_words = 1 lsl 16) ?(quarantine = 128) ?(align = 4)
       chunks = 0;
       next_birth = 0;
       brk = Word.heap_base;
+      stray_end = 0;
       free_by_class = Array.init 8 (fun _ -> Ivec.create ());
       q_addr = Array.make (quarantine + 1) 0;
       q_size = Array.make (quarantine + 1) 0;
       q_head = 0;
       q_len = 0;
-      quarantine_max = quarantine;
       allocs = 0;
       frees = 0;
       live = 0;
@@ -171,14 +175,14 @@ let[@inline] gran_set t d addr v =
 let in_heap t addr = addr >= Word.heap_base && addr < t.brk
 
 (* Stamp [count] objects of [size] words, the first at [base] and each at
-   the end of the one before: zero the words with one fill per chunk
-   segment, then walk the segment's granules, pointing each at its
-   object's base and stamping the size and birth in each base granule.
-   Each table's directory is loaded once per chunk, not once per word or
-   object.  Bases and sizes are granule multiples and chunks are granule
-   aligned, so a segment covers whole granules.  [alloc] is a run of
-   one. *)
-let claim t base size count =
+   the end of the one before: zero the words below [dirty_end] with one
+   fill per chunk segment, then walk the segment's granules, pointing each
+   at its object's base and stamping the size and birth in each base
+   granule.  Each table's directory is loaded once per chunk, not once per
+   word or object.  Bases and sizes are granule multiples and chunks are
+   granule aligned, so a segment covers whole granules.  [alloc] is a run
+   of one. *)
+let claim t ~dirty_end base size count =
   let gshift = t.gshift and granules = size lsr t.gshift in
   let stop = base + (size * count) in
   let a = ref base and obj = ref base and left = ref granules in
@@ -186,7 +190,10 @@ let claim t base size count =
   while !a < stop do
     let c = !a lsr chunk_shift and lo = !a land chunk_mask in
     let n = Int.min (stop - !a) (chunk_words - lo) in
-    Bytes.unsafe_fill (Array.unsafe_get t.words c) (lo lsl 3) (n lsl 3) '\000';
+    let dirty = Int.min n (dirty_end - !a) in
+    if dirty > 0 then
+      Bytes.unsafe_fill (Array.unsafe_get t.words c) (lo lsl 3) (dirty lsl 3)
+        '\000';
     let owner = Array.unsafe_get t.owner c
     and sizes = Array.unsafe_get t.obj_size c
     and births = Array.unsafe_get t.birth c in
@@ -245,13 +252,14 @@ let[@inline] free_blocks t size =
     Ivec.length (Array.unsafe_get t.free_by_class cls)
   else 0
 
-(* [count] objects of [size] words (a granule multiple) from the break. *)
+(* [count] objects of [size] words (a granule multiple) from the break.
+   Only the words a stray write reached need zeroing there. *)
 let from_break t size count =
   let base = round_up t t.brk in
   let stop = base + (size * count) in
   ensure_capacity t (stop + 1);
   t.brk <- stop;
-  claim t base size count;
+  claim t ~dirty_end:t.stray_end base size count;
   base
 
 let alloc t ~tid:_ ~size =
@@ -263,7 +271,7 @@ let alloc t ~tid:_ ~size =
     let fl = Array.unsafe_get t.free_by_class (size lsr t.gshift) in
     let base = Ivec.get fl (n - 1) in
     Ivec.truncate fl (n - 1);
-    claim t base size 1;
+    claim t ~dirty_end:max_int base size 1;
     base
   end
   else from_break t size 1
@@ -334,7 +342,7 @@ let free t ~tid addr =
     t.q_addr.(slot) <- addr;
     t.q_size.(slot) <- size;
     t.q_len <- t.q_len + 1;
-    if t.q_len > t.quarantine_max then begin
+    if t.q_len = cap then begin
       let old_addr = t.q_addr.(t.q_head) in
       let old_size = t.q_size.(t.q_head) in
       t.q_head <- (t.q_head + 1) mod cap;
@@ -358,11 +366,55 @@ let write t ~tid addr v =
   if in_heap t addr && gran_get t t.owner addr <> 0 then tbl_set t.words addr v
   else begin
     Shadow.record t.shadow Write_after_free ~addr ~tid;
-    if addr >= 0 && addr < coverage t then tbl_set t.words addr v
+    if addr >= 0 && addr < coverage t then begin
+      tbl_set t.words addr v;
+      if addr >= t.brk then t.stray_end <- Int.max t.stray_end (addr + 1)
+    end
   end
 
 let peek t addr =
   if addr >= 0 && addr < coverage t then tbl_get t.words addr else poison
+
+(* [peek], then [Word.unmark], with the directory and coverage in hand. *)
+let[@inline] link words cov addr =
+  Word.unmark
+    (if addr >= 0 && addr < cov then
+       get (Array.unsafe_get words (addr lsr chunk_shift)) (addr land chunk_mask)
+     else poison)
+
+(* The walk keeps [lanes] chains going at once, one step per lane per
+   round.  The steps of a round are independent loads, so their cache
+   misses overlap instead of queueing one chain at a time.  A lane whose
+   chain has ended takes the next root's.  Nothing in the loop reloads
+   the heap record: the payload directory and coverage are locals. *)
+let lanes = 16
+
+let count_chains t ~roots ~first ~n ~next_off =
+  let words = t.words and cov = coverage t in
+  let lane = Array.make lanes Word.null in
+  let r = ref first and stop = first + n in
+  let count = ref 0 and busy = ref true in
+  while !busy do
+    busy := false;
+    for l = 0 to lanes - 1 do
+      let a = Array.unsafe_get lane l in
+      if a <> Word.null then begin
+        incr count;
+        Array.unsafe_set lane l (link words cov (a + next_off));
+        busy := true
+      end
+      else if !r < stop then begin
+        let head = link words cov (roots + !r) in
+        if head <> Word.null then begin
+          incr count;
+          Array.unsafe_set lane l (link words cov (head + next_off))
+        end;
+        incr r;
+        busy := true
+      end
+    done
+  done;
+  !count
 
 let allocs t = t.allocs
 let frees t = t.frees

@@ -58,6 +58,11 @@ val alloc : t -> tid:int -> size:int -> Word.addr
     table of size classes: [alloc] reads a class past its end as empty,
     so one large object (a 250,000-word bucket array) adds no empty free
     lists.
+
+    Zeroing rule: a block from a free list is filled with zeros.  Words
+    taken from the break are already zero, as a new chunk is made, unless
+    a violating {!write} stored past the break; the heap keeps one past
+    the highest such word and fills a break object only below it.
     @raise Invalid_argument if [size < 1]. *)
 
 val alloc_run : t -> tid:int -> size:int -> count:int -> Word.addr
@@ -66,8 +71,9 @@ val alloc_run : t -> tid:int -> size:int -> count:int -> Word.addr
     at [base + i * size_of t base].  The heap is left as [count] calls of
     {!alloc} would leave it: the same addresses, birth indices, zeroed
     words, owner, size and birth entries, counters and lifecycle stamps,
-    in the same order.  The words are zeroed with one fill per chunk
-    segment.  [count = 0] allocates nothing and returns {!Word.null}.
+    in the same order.  The words are zeroed as {!alloc} zeroes them: with
+    one fill per chunk segment, and only below the last stray write past
+    the break.  [count = 0] allocates nothing and returns {!Word.null}.
     @raise Invalid_argument if [size < 1] or [count < 0], or if a freed
     object of [size] words (after rounding) is ready for reuse, where
     {!alloc} would take that block instead.  Nothing is allocated then. *)
@@ -111,6 +117,19 @@ val write : t -> tid:int -> Word.addr -> Word.value -> unit
 
 val peek : t -> Word.addr -> Word.value
 (** Unchecked read, for debugging/assertions only. *)
+
+val count_chains :
+  t -> roots:Word.addr -> first:int -> n:int -> next_off:int -> int
+(** [count_chains t ~roots ~first ~n ~next_off] counts the objects on [n]
+    linked chains: chain [i] starts at the object that the word [roots +
+    first + i] points to, and each object's word at [next_off] points to
+    the next one (null ends a chain; a deletion mark is ignored, so marked
+    objects count).  Words are read as by {!peek}.  The walk keeps 16
+    chains going at once, one step per chain in turn, so that their cache
+    misses overlap, and loads the chunk directory and coverage once per
+    call.  Quiescent use only: the chains must end, and nothing may write
+    the heap during the walk, which reads no other mutable state, so
+    disjoint ranges of roots may be counted on different domains. *)
 
 (** {2 Statistics} *)
 

@@ -612,6 +612,23 @@ let test_bulk_populate_distinct_chunks () =
   checkb "same heap image" true
     (check_bulk_matches_oracle ~n_buckets:10_007 ~keys)
 
+(* Above [Halves.threshold] in keys and in buckets, so on more than one
+   CPU the build's partition sorts and the census each run in two halves
+   on two domains: a quarter of the keys repeat, so the halves drop keys
+   and the ranks are rewritten. *)
+let test_bulk_populate_two_domains () =
+  let n_buckets = St_sim.Halves.threshold + 3 in
+  let n = St_sim.Halves.threshold + 40_000 in
+  let rng = Rng.create ~seed:31 in
+  let keys = Array.init n (fun _ -> Rng.int rng (3 * n)) in
+  checkb "duplicate keys" true
+    (List.length (List.sort_uniq compare (Array.to_list keys)) < n);
+  checkb "same heap image" true (check_bulk_matches_oracle ~n_buckets ~keys);
+  let heap, t = populated St_dslib.Hash_table.populate_raw ~n_buckets ~keys in
+  checki "census = walk"
+    (List.length (St_dslib.Hash_table.to_list_raw heap t))
+    (St_dslib.Hash_table.length_raw heap t)
+
 (* Link-counting schemes (RefCount) prime their counts from [note_link], so
    each stored link must be reported exactly once.  The incremental insert
    also reported [succ] again whenever a node went in front of it, so
@@ -761,6 +778,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_length_raw_marked;
           Alcotest.test_case "multi-chunk image" `Quick
             test_bulk_populate_chunks;
+          Alcotest.test_case "two-domain build and census" `Quick
+            test_bulk_populate_two_domains;
           Alcotest.test_case "multi-chunk image, distinct keys" `Quick
             test_bulk_populate_distinct_chunks;
           Alcotest.test_case "each link reported once" `Quick

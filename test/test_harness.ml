@@ -634,6 +634,12 @@ let test_hosttime_gate () =
       ([ "--threads"; "0" ], "--threads");
       ([ "--duration=-5" ], "--duration");
     ];
+  (* A sweep's sampler interval scales with --duration: the memory
+     figure's 375,000-cycle interval was past a 20,000-cycle run, and the
+     sweep was refused. *)
+  expect "sweep-memory at --duration 20000"
+    (run_exe hosttime [ "--duration"; "20000"; "sweep-memory" ])
+    0 "host_ms=";
   (* The program-counter sampler writes its report where it can sample,
      and refuses, naming the one target it supports, where it cannot. *)
   let profile = Filename.temp_file "pc_profile" ".txt" in
@@ -667,6 +673,13 @@ let test_pcprof_outside () =
   checkb "counted outside the executable" true
     (contains report "100.00%  (outside the executable)");
   checkb "no _fini row" false (contains report "_fini")
+
+(* SIGPROF interrupts whichever thread runs, and its handler needs an
+   alternate stack there: the set-up's helper domain has one. *)
+let test_pcprof_domain_stack () =
+  if not Pcprof.supported then Alcotest.skip ();
+  checkb "a spawned domain's thread has an alternate signal stack" true
+    (Domain.join (Domain.spawn Pcprof.has_signal_stack))
 
 let () =
   Alcotest.run "st_harness"
@@ -712,6 +725,8 @@ let () =
           Alcotest.test_case "hosttime baseline gate" `Quick test_hosttime_gate;
           Alcotest.test_case "pc-profile: samples past the executable" `Quick
             test_pcprof_outside;
+          Alcotest.test_case "pc-profile: a domain's signal stack" `Quick
+            test_pcprof_domain_stack;
         ] );
       ( "figures",
         [

@@ -705,6 +705,11 @@ let test_stm_no_interrupt_abort () =
 (* Atomicity property: committed transactions are serializable          *)
 (* ------------------------------------------------------------------ *)
 
+(* The most attempts one increment may take.  The pinned schedule needs
+   at most 152 (HTM) and 76 (STM); a fault that aborts every attempt
+   fails at the cap instead of spinning the suite. *)
+let max_tries = 2_000
+
 (* Each committed transaction increments K counters read-modify-write; if
    commits are atomic and serializable, the counters are always equal and
    their common value is the number of commits.  Run under both backends. *)
@@ -720,7 +725,7 @@ let atomicity_check backend () =
   let tsx = Tsx.create ~cache ~backend ~sched ~heap () in
   let k = 6 in
   let cells = Array.init k (fun _ -> Heap.alloc heap ~tid:0 ~size:4) in
-  let commits = ref 0 in
+  let commits = ref 0 and last_abort = ref Htm_stats.Explicit in
   for _ = 1 to 6 do
     ignore
       (Sched.add_thread sched (fun tid ->
@@ -728,6 +733,10 @@ let atomicity_check backend () =
              (* Retry loop with backoff: fully-conflicting transactions
                 livelock without it (each write dooms every other txn). *)
              let rec attempt tries =
+               if tries = max_tries then
+                 Alcotest.failf "thread %d: %d attempts aborted, the last for %s"
+                   tid max_tries
+                   (Htm_stats.reason_to_string !last_abort);
                Sched.consume sched (1 + ((tid * 97) + (tries * 53) mod 1500));
                Tsx.start tsx;
                match
@@ -739,7 +748,9 @@ let atomicity_check backend () =
                  Tsx.commit tsx
                with
                | () -> incr commits
-               | exception Tsx.Abort _ -> attempt (tries + 1)
+               | exception Tsx.Abort reason ->
+                   last_abort := reason;
+                   attempt (tries + 1)
              in
              attempt 0
            done))

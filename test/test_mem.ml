@@ -746,6 +746,30 @@ let test_run_matches_allocs () =
     (Heap.alloc ha ~tid:0 ~size:4)
     (Heap.alloc hr ~tid:0 ~size:4)
 
+(* Words from the break are zero as their chunk was made; only those that
+   a stray write reached are filled.  Two stray words past the break, and
+   one past every chunk (not stored), then a run over the two and a run
+   wholly past them into chunks made for it: every word of both reads
+   zero.  A heap that never zeroes break words fails the first run. *)
+let test_break_words_zeroed () =
+  let h = mk ~quarantine:0 ~align:4 () in
+  let a = Heap.alloc h ~tid:0 ~size:4 in
+  let beyond = Heap.touched_chunks h * Heap.chunk_words in
+  List.iter (fun w -> Heap.write h ~tid:0 w 77) [ a + 13; a + 30; beyond + 5 ];
+  let zeroed name base words =
+    for w = base to base + words - 1 do
+      if Heap.read h ~tid:0 w <> 0 then Alcotest.failf "%s: word %d" name w
+    done
+  in
+  let over = Heap.alloc_run h ~tid:0 ~size:8 ~count:5 in
+  checkb "the first run covers the stray words" true
+    (over <= a + 13 && a + 30 < over + 40);
+  zeroed "run over the stray words" over 40;
+  let past = Heap.alloc_run h ~tid:0 ~size:8 ~count:(Heap.chunk_words / 4) in
+  checkb "the second run reaches past every chunk" true
+    (past + (2 * Heap.chunk_words) > beyond + 5);
+  zeroed "run past the stray words" past (2 * Heap.chunk_words)
+
 (* A run of a size whose free list holds a block is refused, and nothing
    is allocated: the next alloc of that size takes the freed block, and
    the break has not moved. *)
@@ -815,6 +839,8 @@ let () =
             `Quick test_run_matches_allocs;
           Alcotest.test_case "run refused beside a freed block" `Quick
             test_run_refused_with_free_block;
+          Alcotest.test_case "break words zeroed only where written" `Quick
+            test_break_words_zeroed;
         ] );
       ( "shadow",
         [

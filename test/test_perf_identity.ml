@@ -295,6 +295,30 @@ let test_alloc_budget_setup () =
     (Printf.sprintf "a 250,000-word alloc: %.0f minor words <= 8" one)
     true (one <= 8.)
 
+(* A build and census above [Halves.threshold] run their passes in two
+   halves on two domains where there is more than one CPU.  The calling
+   domain's minor words are a constant, not per key or per bucket: the
+   two spawns, the halves' scratch records and the build's fixed arrays
+   come to 210 words, against 43 on one CPU.  One spawn first, so the
+   process's one-time domain set-up is not counted. *)
+let test_alloc_budget_two_domains () =
+  Domain.join (Domain.spawn ignore);
+  let n = St_sim.Halves.threshold + 3 in
+  let keys =
+    St_workload.Workload.initial_keys ~rng:(St_sim.Rng.create ~seed:0x5EED)
+      ~key_range:(2 * n) ~size:n
+  in
+  let heap = Heap.create ~initial_words:(1 lsl 23) ~shadow:(Shadow.create ()) () in
+  let t = St_dslib.Hash_table.create_raw heap ~n_buckets:n in
+  let w0 = Gc.minor_words () in
+  St_dslib.Hash_table.populate_raw heap t ~keys ~note_link:ignore;
+  let census = St_dslib.Hash_table.length_raw heap t in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "census" n census;
+  Alcotest.(check bool)
+    (Printf.sprintf "build and census: %.0f minor words <= 256" words)
+    true (words <= 256.)
+
 (* The trampoline consume fast path: a charge that does not cross the
    event-wheel horizon is a plain function call — three int updates and a
    compare — and must allocate NOTHING.  One thread on the machine means
@@ -721,6 +745,7 @@ let () =
           quick "hazard-eras protected read" test_alloc_budget_hazard_eras;
           quick "reclaim pass" test_alloc_budget_pass;
           quick "raw set-up" test_alloc_budget_setup;
+          quick "two-domain build and census" test_alloc_budget_two_domains;
         ] );
       ( "identity",
         [
